@@ -11,11 +11,14 @@
 #               daemon smoke (HTTP jobs, cache-hit probe, SIGTERM drain)
 #               + the sweep-engine smoke (dmpsweep over a small grid,
 #               run twice to exercise CSV resume)
-#               + 30s parser and emulator differential fuzz smokes
+#               + 30s parser, emulator and perceptron-kernel differential
+#               fuzz smokes
 #   make test   plain test run (what the quick tier-1 check uses)
 #   make lint   pinned staticcheck + golangci-lint via scripts/lint.sh
 #   make fuzz   longer local fuzzing session for the front-end and
 #               compile+verify targets
+#   make prof-pipeline
+#               CPU profile of the simulator over the corpus, top functions
 #
 # Lint is required, not best-effort: scripts/lint.sh pins the tool versions,
 # fails on findings or version drift, and only downgrades to a loud skip
@@ -24,7 +27,7 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test race lint-corpus fuzz-smoke fuzz eval trace-smoke alloc-guard bench-compare emu-diff gen-smoke static-smoke sample-smoke serve-smoke serve-load sweep-smoke
+.PHONY: ci vet lint build test race lint-corpus fuzz-smoke fuzz eval trace-smoke alloc-guard bench-compare prof-pipeline emu-diff gen-smoke static-smoke sample-smoke serve-smoke serve-load sweep-smoke
 
 ci: vet lint build race alloc-guard emu-diff lint-corpus trace-smoke bench-compare gen-smoke static-smoke sample-smoke serve-smoke sweep-smoke fuzz-smoke
 
@@ -69,6 +72,16 @@ alloc-guard:
 # BENCH_UPDATE=1 refreshes the snapshot without gating.
 bench-compare:
 	sh scripts/bench_compare.sh
+
+# Host-cost breakdown of the simulator: CPU-profiles one experiment (fig6:
+# profiling of all 17 programs, then their baseline and DMP simulations under
+# six selection algorithms) on one worker with no disk cache, and prints the
+# top functions. The profile stays
+# in .prof-pipeline.pprof for `go tool pprof` (see EXPERIMENTS.md,
+# "Simulator host-cost breakdown").
+prof-pipeline:
+	DMP_CACHE_DIR= $(GO) run ./cmd/dmpbench -exp fig6 -p 1 -cpuprofile .prof-pipeline.pprof >/dev/null
+	$(GO) tool pprof -top -nodecount=25 .prof-pipeline.pprof
 
 # Differential check of the predecoded fast execution paths against the
 # reference interpreter: corpus trace-for-trace, block/batch equivalence,
@@ -124,6 +137,7 @@ sweep-smoke:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz=FuzzParse -fuzztime=30s ./internal/lang
 	$(GO) test -run '^$$' -fuzz=FuzzEmuDiff -fuzztime=30s ./internal/emu
+	$(GO) test -run '^$$' -fuzz=FuzzPerceptronKernel -fuzztime=30s ./internal/bpred
 
 # Longer local session over the front-end and toolchain targets.
 fuzz:
@@ -131,6 +145,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzCheck -fuzztime=5m ./internal/lang
 	$(GO) test -run '^$$' -fuzz=FuzzCompileVerify -fuzztime=5m ./internal/verify
 	$(GO) test -run '^$$' -fuzz=FuzzEmuDiff -fuzztime=5m ./internal/emu
+	$(GO) test -run '^$$' -fuzz=FuzzPerceptronKernel -fuzztime=5m ./internal/bpred
 
 # Regenerate the checked-in evaluation transcript (slow; see EXPERIMENTS.md).
 eval:

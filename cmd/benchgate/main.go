@@ -50,7 +50,7 @@ func (r Result) throughput() float64 {
 	return 1e9 / r.NsPerOp
 }
 
-// File is the on-disk snapshot format (BENCH_PR4.json).
+// File is the on-disk snapshot format (BENCH_PR9.json).
 type File struct {
 	// Note documents the file's provenance for human readers.
 	Note string `json:"note,omitempty"`

@@ -14,6 +14,8 @@
 // can maintain separate speculative and retired copies.
 package bpred
 
+import "math/bits"
+
 // History is a global branch history register: bit 0 is the most recent
 // branch outcome (1 = taken).
 type History uint64
@@ -37,10 +39,24 @@ type Predictor interface {
 }
 
 // Perceptron is the Jiménez-Lin perceptron predictor.
+//
+// Each row's history weights are stored word-parallel (SWAR, "SIMD within a
+// register"): weight w_{i+1}, the weight of history bit i, lives in byte i%8
+// of lanes[i/8] as the sign-flipped byte w+128. Lanes past histLen hold
+// weight 0 and are never trained, so one code path serves every history
+// length in [1, 64]. Weights saturate at ±127, so a stored byte is always in
+// [1, 255].
 type Perceptron struct {
-	weights [][]int8 // [table][histLen+1], weights[i][0] is the bias
-	histLen int
-	theta   int32
+	rows   []perceptronRow
+	hmask  History // the low histLen bits
+	nwords int     // words of lanes that hold history weights
+	theta  int32
+}
+
+type perceptronRow struct {
+	lanes [8]uint64 // sign-flipped history weights, 8 per word
+	sum   int32     // sum of the history weights, kept current by train
+	bias  int8      // w0
 }
 
 // PerceptronDefaultTables and PerceptronDefaultHist match Table 1 (16KB:
@@ -61,47 +77,64 @@ func NewPerceptron(tables, histLen int) *Perceptron {
 		histLen = PerceptronDefaultHist
 	}
 	p := &Perceptron{
-		weights: make([][]int8, tables),
-		histLen: histLen,
+		rows:   make([]perceptronRow, tables),
+		hmask:  ^History(0) >> (64 - histLen),
+		nwords: (histLen + 7) / 8,
 		// Training threshold from Jiménez & Lin: 1.93*h + 14.
 		theta: int32(1.93*float64(histLen) + 14),
 	}
-	for i := range p.weights {
-		p.weights[i] = make([]int8, histLen+1)
+	for i := range p.rows {
+		for k := range p.rows[i].lanes {
+			p.rows[i].lanes[k] = 0x80 * laneOnes // every weight 0
+		}
 	}
 	return p
 }
 
-func (p *Perceptron) index(pc int) int { return pc & (len(p.weights) - 1) }
+func (p *Perceptron) index(pc int) int { return pc & (len(p.rows) - 1) }
 
-// output computes the perceptron sum y = w0 + sum_i (h_i ? +w_i : -w_i).
-// The loop is branchless — history bits near 50% taken make a per-bit branch
-// mispredict constantly — using the identity (w ^ m) - m == (m == 0 ? w : -w)
-// for m in {0, -1}, and unrolled 4×. The result is bit-identical to the
-// naive add/subtract formulation: every term is the exact ±w_i.
+const (
+	laneOnes  = 0x0101010101010101 // 1 in every byte
+	laneLow7  = 0x7F7F7F7F7F7F7F7F // the low 7 bits of every byte
+	laneEven8 = 0x00FF00FF00FF00FF // the even bytes
+)
+
+// byteMask[b] has byte i set to 0xFF exactly when bit i of b is set: it
+// expands 8 history bits into a mask over one word of lanes.
+var byteMask = func() (t [256]uint64) {
+	for b := range t {
+		for i := 0; i < 8; i++ {
+			if b>>i&1 != 0 {
+				t[b] |= 0xFF << (8 * i)
+			}
+		}
+	}
+	return t
+}()
+
+// zeroLanes returns 1 in every byte of x that is zero and 0 in every other
+// byte. The test is exact per byte: no carry crosses a lane.
+func zeroLanes(x uint64) uint64 {
+	return ^(x&laneLow7 + laneLow7 | x | laneLow7) >> 7
+}
+
+// output computes the perceptron sum y = w0 + sum_i (h_i ? +w_i : -w_i) as
+// w0 + 2*sum_{h_i=1} w_i - sum_i w_i. The selected sign-flipped bytes are
+// added into 16-bit lanes (at most 8 words × 2 × 255 per lane, so none
+// overflows), one multiply folds the four lanes, and 128 per selected weight
+// removes the sign flip. The result is exactly the scalar sum.
 func (p *Perceptron) output(pc int, h History) int32 {
-	w := p.weights[p.index(pc)]
-	_ = w[p.histLen]
-	y := int32(w[0])
-	hh := uint64(h)
-	i := 1
-	for ; i+3 <= p.histLen; i += 4 {
-		m0 := int32(hh&1) - 1
-		m1 := int32(hh>>1&1) - 1
-		m2 := int32(hh>>2&1) - 1
-		m3 := int32(hh>>3&1) - 1
-		y += (int32(w[i]) ^ m0) - m0
-		y += (int32(w[i+1]) ^ m1) - m1
-		y += (int32(w[i+2]) ^ m2) - m2
-		y += (int32(w[i+3]) ^ m3) - m3
-		hh >>= 4
+	r := &p.rows[p.index(pc)]
+	hm := uint64(h & p.hmask)
+	var acc uint64 // the selected bytes, summed in four 16-bit lanes
+	hh := hm
+	for _, w := range r.lanes[:p.nwords] {
+		m := w & byteMask[uint8(hh)]
+		acc += m&laneEven8 + m>>8&laneEven8
+		hh >>= 8
 	}
-	for ; i <= p.histLen; i++ {
-		m := int32(hh&1) - 1
-		y += (int32(w[i]) ^ m) - m
-		hh >>= 1
-	}
-	return y
+	sel := int32(acc*0x0001000100010001>>48) - 128*int32(bits.OnesCount64(hm))
+	return int32(r.bias) + 2*sel - r.sum
 }
 
 // Predict implements Predictor.
@@ -131,31 +164,30 @@ func (p *Perceptron) PredictAndTrain(pc int, h History, taken bool) bool {
 	return pred
 }
 
-// train applies one saturating-increment step toward the outcome. The weight
-// update is branchless on the history bits: d = +1 when the bit agrees with
-// the outcome, -1 otherwise, clamped to ±127. Weights never reach -128, so
-// the clamp is exactly sat8.
+// train applies one saturating step toward the outcome: +1 to every weight
+// whose history bit agrees with the outcome, -1 to the rest, clamped to
+// ±127. Lanes already at the bound (byte 255 for a step up, byte 1 for a
+// step down) are found with the zero-byte test and left alone, so adding and
+// subtracting one per lane never carries or borrows across lanes.
 func (p *Perceptron) train(pc int, h History, taken bool) {
-	w := p.weights[p.index(pc)]
-	_ = w[p.histLen]
-	w[0] = sat8(w[0], taken)
-	t := uint64(0)
-	if taken {
-		t = 1
+	r := &p.rows[p.index(pc)]
+	r.bias = sat8(r.bias, taken)
+	agree := uint64(h)
+	if !taken {
+		agree = ^agree
 	}
-	hh := uint64(h)
-	for i := 1; i <= p.histLen; i++ {
-		d := int32(1) - int32((hh&1)^t)<<1
-		v := int32(w[i]) + d
-		if v > 127 {
-			v = 127
-		}
-		if v < -127 {
-			v = -127
-		}
-		w[i] = int8(v)
-		hh >>= 1
+	agree &= uint64(p.hmask)
+	disagree := ^agree & uint64(p.hmask)
+	delta := 0
+	for k, w := range r.lanes[:p.nwords] {
+		up := byteMask[uint8(agree)] & laneOnes &^ zeroLanes(^w)
+		down := byteMask[uint8(disagree)] & laneOnes &^ zeroLanes(w^laneOnes)
+		r.lanes[k] = w + up - down
+		delta += bits.OnesCount64(up) - bits.OnesCount64(down)
+		agree >>= 8
+		disagree >>= 8
 	}
+	r.sum += int32(delta)
 }
 
 func sat8(w int8, up bool) int8 {

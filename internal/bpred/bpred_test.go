@@ -1,6 +1,7 @@
 package bpred
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -101,8 +102,8 @@ func TestPerceptronWeightSaturation(t *testing.T) {
 	for i := 0; i < 100000; i++ {
 		p.Update(0, 0xFF, true)
 	}
-	for _, w := range p.weights[0] {
-		if w > 127 || w < -127 {
+	for i := 0; i <= 8; i++ {
+		if w := p.weight(0, i); w > 127 || w < -127 {
 			t.Fatalf("weight out of range: %d", w)
 		}
 	}
@@ -110,11 +111,11 @@ func TestPerceptronWeightSaturation(t *testing.T) {
 
 func TestPerceptronDefaults(t *testing.T) {
 	p := NewPerceptron(0, 0)
-	if len(p.weights) != PerceptronDefaultTables {
-		t.Errorf("tables = %d", len(p.weights))
+	if len(p.rows) != PerceptronDefaultTables {
+		t.Errorf("tables = %d", len(p.rows))
 	}
-	if p.histLen != PerceptronDefaultHist {
-		t.Errorf("histLen = %d", p.histLen)
+	if p.hmask != ^History(0) || p.nwords != 8 {
+		t.Errorf("hmask = %#x, nwords = %d, want a 64-bit history", uint64(p.hmask), p.nwords)
 	}
 	hist := float64(PerceptronDefaultHist)
 	if p.theta != int32(1.93*hist+14) {
@@ -327,5 +328,252 @@ func TestCeilPow2(t *testing.T) {
 		if got := ceilPow2(in); got != want {
 			t.Errorf("ceilPow2(%d) = %d, want %d", in, got, want)
 		}
+	}
+}
+
+// weight returns weight i of row: i == 0 is the bias, i >= 1 the weight of
+// history bit i-1.
+func (p *Perceptron) weight(row, i int) int8 {
+	r := &p.rows[row]
+	if i == 0 {
+		return r.bias
+	}
+	return int8(r.lanes[(i-1)/8]>>(8*((i-1)%8)) ^ 0x80)
+}
+
+// setWeight stores w as weight i of row, keeping the row's weight sum.
+func (p *Perceptron) setWeight(row, i int, w int8) {
+	r := &p.rows[row]
+	if i == 0 {
+		r.bias = w
+		return
+	}
+	r.sum += int32(w) - int32(p.weight(row, i))
+	shift := 8 * ((i - 1) % 8)
+	lane := &r.lanes[(i-1)/8]
+	*lane = *lane&^(0xFF<<shift) | uint64(uint8(w)^0x80)<<shift
+}
+
+// refPerceptron is the scalar perceptron the SWAR kernel replaced, kept as
+// the reference the differential tests compare against value for value.
+type refPerceptron struct {
+	weights [][]int8 // [table][histLen+1], weights[i][0] is the bias
+	histLen int
+}
+
+func newRefPerceptron(tables, histLen int) *refPerceptron {
+	r := &refPerceptron{weights: make([][]int8, tables), histLen: histLen}
+	for i := range r.weights {
+		r.weights[i] = make([]int8, histLen+1)
+	}
+	return r
+}
+
+func (p *refPerceptron) output(pc int, h History) int32 {
+	w := p.weights[pc&(len(p.weights)-1)]
+	_ = w[p.histLen]
+	y := int32(w[0])
+	hh := uint64(h)
+	i := 1
+	for ; i+3 <= p.histLen; i += 4 {
+		m0 := int32(hh&1) - 1
+		m1 := int32(hh>>1&1) - 1
+		m2 := int32(hh>>2&1) - 1
+		m3 := int32(hh>>3&1) - 1
+		y += (int32(w[i]) ^ m0) - m0
+		y += (int32(w[i+1]) ^ m1) - m1
+		y += (int32(w[i+2]) ^ m2) - m2
+		y += (int32(w[i+3]) ^ m3) - m3
+		hh >>= 4
+	}
+	for ; i <= p.histLen; i++ {
+		m := int32(hh&1) - 1
+		y += (int32(w[i]) ^ m) - m
+		hh >>= 1
+	}
+	return y
+}
+
+func (p *refPerceptron) train(pc int, h History, taken bool) {
+	w := p.weights[pc&(len(p.weights)-1)]
+	_ = w[p.histLen]
+	w[0] = sat8(w[0], taken)
+	t := uint64(0)
+	if taken {
+		t = 1
+	}
+	hh := uint64(h)
+	for i := 1; i <= p.histLen; i++ {
+		d := int32(1) - int32((hh&1)^t)<<1
+		v := int32(w[i]) + d
+		if v > 127 {
+			v = 127
+		}
+		if v < -127 {
+			v = -127
+		}
+		w[i] = int8(v)
+		hh >>= 1
+	}
+}
+
+// diffPerceptron checks that p and ref hold identical weights in every row.
+func diffPerceptron(t testing.TB, p *Perceptron, ref *refPerceptron) {
+	t.Helper()
+	for row, ws := range ref.weights {
+		for i, want := range ws {
+			if got := p.weight(row, i); got != want {
+				t.Fatalf("histLen %d: row %d weight %d = %d, want %d", ref.histLen, row, i, got, want)
+			}
+		}
+		// Lanes past histLen must stay at weight 0.
+		for i := ref.histLen + 1; i <= 64; i++ {
+			if got := p.weight(row, i); got != 0 {
+				t.Fatalf("histLen %d: row %d unused lane %d = %d, want 0", ref.histLen, row, i, got)
+			}
+		}
+	}
+}
+
+// randWeight draws a weight in [-127, 127], a third of them at a bound.
+func randWeight(rng *rand.Rand) int8 {
+	switch rng.Intn(6) {
+	case 0:
+		return 127
+	case 1:
+		return -127
+	}
+	return int8(rng.Intn(255) - 127)
+}
+
+// randHistory draws a history, with all-zeros and all-ones among them. Bits
+// above histLen are set as often as the rest, and the kernel must ignore them.
+func randHistory(rng *rand.Rand) History {
+	switch rng.Intn(8) {
+	case 0:
+		return 0
+	case 1:
+		return ^History(0)
+	}
+	return History(rng.Uint64())
+}
+
+// TestPerceptronKernelMatchesReference compares the SWAR kernel with the
+// scalar reference, output for output and weight for weight, at every
+// history length, from random and saturated weights.
+func TestPerceptronKernelMatchesReference(t *testing.T) {
+	const tables = 8
+	rng := rand.New(rand.NewSource(42))
+	for histLen := 1; histLen <= 64; histLen++ {
+		p := NewPerceptron(tables, histLen)
+		ref := newRefPerceptron(tables, histLen)
+		for row := range ref.weights {
+			for i := range ref.weights[row] {
+				w := randWeight(rng)
+				ref.weights[row][i] = w
+				p.setWeight(row, i, w)
+			}
+		}
+		diffPerceptron(t, p, ref)
+		for step := 0; step < 2000; step++ {
+			pc, h, taken := rng.Intn(64), randHistory(rng), rng.Intn(2) == 0
+			if got, want := p.output(pc, h), ref.output(pc, h); got != want {
+				t.Fatalf("histLen %d step %d: output(%d, %#x) = %d, want %d", histLen, step, pc, uint64(h), got, want)
+			}
+			p.train(pc, h, taken)
+			ref.train(pc, h, taken)
+		}
+		diffPerceptron(t, p, ref)
+		// Drive one row into both bounds and back.
+		for _, taken := range []bool{true, false} {
+			for i := 0; i < 300; i++ {
+				p.train(3, 0xA5A5A5A5A5A5A5A5, taken)
+				ref.train(3, 0xA5A5A5A5A5A5A5A5, taken)
+			}
+			diffPerceptron(t, p, ref)
+		}
+	}
+}
+
+// checkKernel replays an operation stream decoded from data through the
+// SWAR kernel and the scalar reference and fails on the first difference.
+// data[0] picks the history length. Each 10-byte record after it is a pc
+// byte, a flags byte and an 8-byte history. Flags bit 0 is the outcome, bit 1
+// trains unconditionally instead of through Update, and bits 2-7 repeat the
+// record up to 63 more times, so short inputs can reach the weight bounds.
+func checkKernel(t testing.TB, data []byte) {
+	if len(data) == 0 {
+		return
+	}
+	const tables = 4
+	histLen := int(data[0])%64 + 1
+	p := NewPerceptron(tables, histLen)
+	ref := newRefPerceptron(tables, histLen)
+	for data = data[1:]; len(data) >= 10; data = data[10:] {
+		pc, flags := int(data[0]), data[1]
+		h := History(binary.LittleEndian.Uint64(data[2:]))
+		taken := flags&1 != 0
+		for n := int(flags >> 2); n >= 0; n-- {
+			if got, want := p.output(pc, h), ref.output(pc, h); got != want {
+				t.Fatalf("histLen %d: output(%d, %#x) = %d, want %d", histLen, pc, uint64(h), got, want)
+			}
+			if flags&2 != 0 {
+				p.train(pc, h, taken)
+				ref.train(pc, h, taken)
+				continue
+			}
+			p.Update(pc, h, taken)
+			if y := ref.output(pc, h); (y >= 0) != taken || abs32(y) <= p.theta {
+				ref.train(pc, h, taken)
+			}
+		}
+	}
+	diffPerceptron(t, p, ref)
+}
+
+func FuzzPerceptronKernel(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for _, histLen := range []byte{0, 7, 8, 9, 31, 63} {
+		seed := []byte{histLen}
+		for i := 0; i < 24; i++ {
+			rec := make([]byte, 10)
+			rng.Read(rec)
+			if i < 8 {
+				// 8 × 64 unconditional steps one way reach the bounds.
+				rec[0], rec[1] = 1, 0xFF
+			}
+			seed = append(seed, rec...)
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { checkKernel(t, data) })
+}
+
+// BenchmarkPerceptron measures the predictor at Table-1 geometry (256
+// perceptrons, 64-bit history) on a fixed seeded branch stream: each op
+// predicts a branch, then trains on its outcome, as fetch and retire do.
+func BenchmarkPerceptron(b *testing.B) {
+	const n = 1 << 12
+	rng := rand.New(rand.NewSource(9))
+	pcs := make([]int, n)
+	taken := make([]bool, n)
+	bias := make([]int, 64) // per-branch taken percentage
+	for i := range bias {
+		bias[i] = rng.Intn(101)
+	}
+	for i := range pcs {
+		br := rng.Intn(len(bias))
+		pcs[i] = br * 37
+		taken[i] = rng.Intn(100) < bias[br]
+	}
+	p := NewPerceptron(PerceptronDefaultTables, PerceptronDefaultHist)
+	var h History
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i & (n - 1)
+		p.Predict(pcs[j], h)
+		p.Update(pcs[j], h, taken[j])
+		h = h.Push(taken[j])
 	}
 }

@@ -135,3 +135,44 @@ func TestForEachBoundedAggregatesAllErrors(t *testing.T) {
 		t.Fatalf("forEachBounded dropped an error: got %v, want both %v and %v", err, e1, e2)
 	}
 }
+
+// TestNewSessionCtxCancelDuringProfile: cancelling a session while it
+// profiles returns promptly with the context error and leaks no goroutines.
+// At scale 250 mcf's two profiles take seconds, so the call can only return
+// within the bound if profiling honours the context.
+func TestNewSessionCtxCancelDuringProfile(t *testing.T) {
+	before := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := NewSession(Options{Benchmarks: []string{"mcf"}, Scale: 250, Parallelism: 1, Ctx: ctx})
+		done <- err
+	}()
+	time.Sleep(100 * time.Millisecond)
+	cancel()
+	start := time.Now()
+
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("NewSession err = %v, want context.Canceled", err)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("NewSession took %v to return after cancel", d)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("NewSession did not return after cancel")
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if g := runtime.NumGoroutine(); g <= before+1 || time.Now().After(deadline) {
+			if g > before+1 {
+				t.Errorf("goroutines: %d before, %d after cancel (leak?)", before, g)
+			}
+			break
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}

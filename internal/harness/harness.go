@@ -165,10 +165,10 @@ func NewSession(opts Options) (*Session, error) {
 			opts:     opts,
 			sess:     s,
 		}
-		if w.ProfRun, err = profile.Collect(prog, w.RunInput, profile.Options{}); err != nil {
+		if w.ProfRun, err = profile.CollectCtx(opts.ctx(), prog, w.RunInput, profile.Options{}); err != nil {
 			return fmt.Errorf("%s: run profile: %w", b.Name, err)
 		}
-		if w.ProfTrain, err = profile.Collect(prog, w.TrainIn, profile.Options{}); err != nil {
+		if w.ProfTrain, err = profile.CollectCtx(opts.ctx(), prog, w.TrainIn, profile.Options{}); err != nil {
 			return fmt.Errorf("%s: train profile: %w", b.Name, err)
 		}
 		s.Workloads[i] = w
@@ -222,13 +222,13 @@ func (w *Workload) simConfig(dmp bool) pipeline.Config {
 // content-addressed simulation cache, so cross-experiment and cross-process
 // reuse both apply.
 func (w *Workload) Baseline() (pipeline.Stats, error) {
-	return w.BaselineCtx(w.ctx())
+	return w.BaselineCtx(w.opts.ctx())
 }
 
-// ctx returns the workload's ambient context (the session's, or Background).
-func (w *Workload) ctx() context.Context {
-	if w.opts.Ctx != nil {
-		return w.opts.Ctx
+// ctx returns the session's context, or Background when Ctx is nil.
+func (o Options) ctx() context.Context {
+	if o.Ctx != nil {
+		return o.Ctx
 	}
 	return context.Background()
 }
@@ -260,7 +260,7 @@ func (w *Workload) BaselineCtx(ctx context.Context) (pipeline.Stats, error) {
 // identical annotation sidecars (as many of the Figure 5-9 sweeps do) hit
 // the cache instead of re-simulating.
 func (w *Workload) RunDMP(annots map[int]*isa.DivergeInfo) (pipeline.Stats, error) {
-	return w.RunDMPCtx(w.ctx(), annots)
+	return w.RunDMPCtx(w.opts.ctx(), annots)
 }
 
 // RunDMPCtx is RunDMP under a cancellation context: the simulation aborts at

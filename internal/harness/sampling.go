@@ -233,7 +233,7 @@ func SampleError(s *Session, sc sample.SampleConf) (*stats.Table, *SampleErrorRe
 	var mu sync.Mutex
 	err := s.forEachIdx(len(s.Workloads), func(i int) error {
 		w := s.Workloads[i]
-		ctx := w.ctx()
+		ctx := w.opts.ctx()
 		res, err := w.Select(best.Params, false)
 		if err != nil {
 			return err

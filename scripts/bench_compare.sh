@@ -3,8 +3,10 @@
 #
 # Runs the root corpus benchmarks (BenchmarkPipelineBaseline/DMP, which
 # report sim-insts/s), the pipeline-level BenchmarkDMPRun, the execution
-# engine benchmarks (BenchmarkEmuRun, BenchmarkProfileCollect), and the
-# SMARTS sampled executor (BenchmarkSampledRun), folds the repeats through
+# engine benchmarks (BenchmarkEmuRun, BenchmarkProfileCollect), the
+# SMARTS sampled executor (BenchmarkSampledRun), the sweep engine
+# (BenchmarkSweepGrid) and the perceptron kernel on its own
+# (BenchmarkPerceptron), folds the repeats through
 # cmd/benchgate, rewrites BENCH_PR9.json, and fails when throughput drops
 # more than BENCH_MAX_REGRESS percent (default 15) against the snapshot
 # committed at HEAD, or allocs/op grows past the benchgate default.
@@ -31,8 +33,8 @@ trap 'rm -rf "$tmp"' EXIT
 
 count=${BENCH_COUNT:-5}
 go test -run '^$' \
-	-bench 'BenchmarkPipelineBaseline|BenchmarkPipelineDMP|BenchmarkDMPRun|BenchmarkEmuRun|BenchmarkProfileCollect|BenchmarkSampledRun|BenchmarkSweepGrid' \
-	-benchmem -count "$count" . ./internal/pipeline ./internal/emu ./internal/profile ./internal/sample ./internal/sweep | tee "$tmp/bench.txt"
+	-bench 'BenchmarkPipelineBaseline|BenchmarkPipelineDMP|BenchmarkDMPRun|BenchmarkEmuRun|BenchmarkProfileCollect|BenchmarkSampledRun|BenchmarkSweepGrid|BenchmarkPerceptron' \
+	-benchmem -count "$count" . ./internal/bpred ./internal/pipeline ./internal/emu ./internal/profile ./internal/sample ./internal/sweep | tee "$tmp/bench.txt"
 
 baseline=""
 if git show HEAD:BENCH_PR9.json > "$tmp/baseline.json" 2>/dev/null; then

@@ -14,7 +14,8 @@
 # graceful-drain check), the sweep-engine smoke (a small benchmark x config
 # grid through cmd/dmpsweep with CSV streaming, run twice so the second
 # invocation exercises resume), and short deterministic fuzz smokes over the
-# DML parser and the emulator differential harness.
+# DML parser, the emulator differential harness and the perceptron kernel's
+# scalar-reference differential.
 set -eux
 
 go vet ./...
@@ -38,3 +39,4 @@ go run ./cmd/dmpsweep -bench gzip,mcf -axis ROBSize=128,512 -axis DMP=false,true
 rm -f .sweep-smoke.csv
 go test -run '^$' -fuzz=FuzzParse -fuzztime=30s ./internal/lang
 go test -run '^$' -fuzz=FuzzEmuDiff -fuzztime=30s ./internal/emu
+go test -run '^$' -fuzz=FuzzPerceptronKernel -fuzztime=30s ./internal/bpred
