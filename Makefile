@@ -1,18 +1,9 @@
 # Tier-1 gate: everything `make ci` runs must stay green.
 #
-#   make ci     vet + lint + build + race tests (includes the traced
-#               concurrent harness sweep) + allocation guards (nil-Tracer
-#               event emission and steady-state allocs/instruction)
-#               + dmplint over the corpus + dmpsim/dmptrace tracing smoke
-#               + the emulator fast-path differential suite + the
-#               benchmark-regression gate + a generated-corpus smoke
-#               (dmpgen -check over 50 programs) + the sampled-simulation
-#               differential smoke (sample-error gate) + the dmpserve
-#               daemon smoke (HTTP jobs, cache-hit probe, SIGTERM drain)
-#               + the sweep-engine smoke (dmpsweep over a small grid,
-#               run twice to exercise CSV resume)
-#               + 30s parser, emulator and perceptron-kernel differential
-#               fuzz smokes
+#   make ci     the full CI gate: runs scripts/ci.sh, the one list of CI
+#               steps (vet, lint, build, race tests, the smokes and the
+#               fuzz smokes; see the script's header). The targets below
+#               run single steps locally.
 #   make test   plain test run (what the quick tier-1 check uses)
 #   make lint   pinned staticcheck + golangci-lint via scripts/lint.sh
 #   make fuzz   longer local fuzzing session for the front-end and
@@ -29,7 +20,8 @@ GO ?= go
 
 .PHONY: ci vet lint build test race lint-corpus fuzz-smoke fuzz eval trace-smoke alloc-guard bench-compare prof-pipeline emu-diff gen-smoke static-smoke sample-smoke serve-smoke serve-load sweep-smoke
 
-ci: vet lint build race alloc-guard emu-diff lint-corpus trace-smoke bench-compare gen-smoke static-smoke sample-smoke serve-smoke sweep-smoke fuzz-smoke
+ci:
+	sh scripts/ci.sh
 
 vet:
 	$(GO) vet ./...

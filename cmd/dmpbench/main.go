@@ -5,7 +5,7 @@
 //	dmpbench [-exp all|table1|table2|fig5left|fig5right|fig6|fig7|fig8|fig9|fig10|population|static|sample-error]
 //	         [-bench gzip,vpr,...] [-scale N] [-max N] [-p N]
 //	         [-sample] [-sample-period N] [-sample-interval N] [-sample-warmup N]
-//	         [-sample-seed S] [-sample-shards N]
+//	         [-sample-seed S]
 //	         [-gen-preset all|P,Q] [-gen-n N] [-gen-seed S]
 //	         [-metrics-json file] [-pprof addr] [-cpuprofile file] [-memprofile file]
 //
@@ -80,7 +80,6 @@ func main() {
 	sampInterval := flag.Uint64("sample-interval", 0, "detailed measurement interval length (0 = default)")
 	sampWarmup := flag.Uint64("sample-warmup", 0, "detailed warmup length before each interval (0 = default)")
 	sampSeed := flag.Uint64("sample-seed", 0, "stratified placement seed (0 = default)")
-	sampShards := flag.Int("sample-shards", 0, "parallel interval shards per sampled run (0/1 = streaming)")
 	genPreset := flag.String("gen-preset", "all", "-exp population: preset name, comma-separated list, or \"all\"")
 	genN := flag.Int("gen-n", 200, "-exp population: corpus size")
 	genSeed := flag.Uint64("gen-seed", 1, "-exp population: base seed")
@@ -128,9 +127,6 @@ func main() {
 	}
 	if *sampSeed != 0 {
 		sc.Seed = *sampSeed
-	}
-	if *sampShards > 1 {
-		sc.Shards = *sampShards
 	}
 	check(sc.Validate())
 

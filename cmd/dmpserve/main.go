@@ -41,8 +41,8 @@ import (
 	"syscall"
 	"time"
 
-	"dmp/internal/harness"
 	"dmp/internal/serve"
+	"dmp/internal/workpool"
 )
 
 func main() {
@@ -63,7 +63,7 @@ func main() {
 	// The daemon's worker count is the real concurrency cap: harness pools
 	// reached from inside a job run inline on the job's worker goroutine
 	// instead of spawning helpers of their own.
-	harness.SetHelperBudget(0)
+	workpool.SetHelperBudget(0)
 
 	cfg := serve.Config{
 		Workers:    *workers,

@@ -8,7 +8,7 @@
 //	         [-bench gzip,mcf,... | -gen-preset all|P,Q -gen-n N -gen-seed S]
 //	         [-scale N] [-max N] [-p N] [-algo heur|...]
 //	         [-sample] [-sample-period N] [-sample-interval N]
-//	         [-sample-warmup N] [-sample-seed S] [-sample-shards N]
+//	         [-sample-warmup N] [-sample-seed S]
 //	         [-out sweep.csv] [-json report.json] [-naive] [-list-fields] [-q]
 //
 // The perf core is phase-level artifact reuse: per program, the
@@ -58,7 +58,6 @@ func main() {
 	sampInterval := flag.Uint64("sample-interval", 0, "detailed measurement interval length (0 = default)")
 	sampWarmup := flag.Uint64("sample-warmup", 0, "detailed warmup length before each interval (0 = default)")
 	sampSeed := flag.Uint64("sample-seed", 0, "stratified placement seed (0 = default)")
-	sampShards := flag.Int("sample-shards", 0, "parallel interval shards per sampled run (0/1 = streaming)")
 	outPath := flag.String("out", "", "stream CSV rows to this file (appends and resumes if it exists)")
 	jsonPath := flag.String("json", "", "write the full JSON report to this file (\"-\" = stdout)")
 	naive := flag.Bool("naive", false, "disable phase-level artifact reuse (per-cell full re-prepare, fresh cache)")
@@ -116,9 +115,6 @@ func main() {
 	}
 	if *sampSeed != 0 {
 		sc.Seed = *sampSeed
-	}
-	if *sampShards > 1 {
-		sc.Shards = *sampShards
 	}
 	check(sc.Validate())
 

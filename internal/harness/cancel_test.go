@@ -14,6 +14,7 @@ import (
 
 	"dmp/internal/gen"
 	"dmp/internal/simcache"
+	"dmp/internal/workpool"
 )
 
 // TestRunPopulationCtxCancel: cancelling a population run mid-flight returns
@@ -115,13 +116,14 @@ func TestRunPopulationCtxCompletesAfterCancelledRun(t *testing.T) {
 	}
 }
 
-// TestForEachBoundedAggregatesAllErrors pins forEachBounded's documented
-// contract: every failing workload's error reaches the caller, not just the
-// first (the pre-fix behaviour).
+// TestForEachBoundedAggregatesAllErrors pins the contract the harness's
+// unbounded fan-outs (population, static, sample-error) rely on from
+// workpool.RunIndexed: every failing workload's error reaches the caller,
+// not just the first (the pre-fix behaviour).
 func TestForEachBoundedAggregatesAllErrors(t *testing.T) {
 	e1, e2 := errors.New("w1 failed"), errors.New("w3 failed")
-	err := forEachBounded(context.Background(), 4, 2,
-		func(i int) string { return "workload" },
+	err := workpool.RunIndexed(context.Background(), 4, 2,
+		func(i int) string { return "workload" }, nil,
 		func(i int) error {
 			switch i {
 			case 1:
@@ -132,7 +134,7 @@ func TestForEachBoundedAggregatesAllErrors(t *testing.T) {
 			return nil
 		})
 	if !errors.Is(err, e1) || !errors.Is(err, e2) {
-		t.Fatalf("forEachBounded dropped an error: got %v, want both %v and %v", err, e1, e2)
+		t.Fatalf("RunIndexed dropped an error: got %v, want both %v and %v", err, e1, e2)
 	}
 }
 

@@ -6,6 +6,7 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -19,6 +20,7 @@ import (
 	"dmp/internal/simcache"
 	"dmp/internal/trace"
 	"dmp/internal/verify"
+	"dmp/internal/workpool"
 )
 
 // Options configures a harness session.
@@ -189,11 +191,11 @@ func (s *Session) Names() []string {
 	return out
 }
 
-// forEachIdx runs fn(0..n-1) on the shared worker pool (workpool.go) with
-// the session's parallelism bound and context. All worker errors — including
-// panics recovered into *PanicError — are aggregated (errors.Join) in index
-// order, not just the first to arrive, so a multi-benchmark failure reports
-// every broken workload deterministically.
+// forEachIdx runs fn(0..n-1) on the shared worker pool (internal/workpool)
+// with the session's parallelism bound and context. All worker errors —
+// including panics recovered into *workpool.PanicError — are aggregated
+// (errors.Join) in index order, not just the first to arrive, so a
+// multi-benchmark failure reports every broken workload deterministically.
 func (s *Session) forEachIdx(n int, fn func(int) error) error {
 	wallDone := s.pool.enter()
 	defer wallDone()
@@ -205,7 +207,12 @@ func (s *Session) forEachIdx(n int, fn func(int) error) error {
 		}
 		return ""
 	}
-	return runIndexed(s.Opts.Ctx, n, s.Opts.Parallelism, name, s.pool.busy, fn)
+	return workpool.RunIndexed(s.Opts.Ctx, n, s.Opts.Parallelism, name, s.pool.busy, fn)
+}
+
+// isCtxErr reports whether err stems from a cancelled or expired context.
+func isCtxErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // simConfig returns the Table 1 machine for this session.

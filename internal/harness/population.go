@@ -28,6 +28,7 @@ import (
 	"dmp/internal/static"
 	"dmp/internal/trace"
 	"dmp/internal/verify"
+	"dmp/internal/workpool"
 )
 
 // winThresholdPct separates wins/losses from noise: IPC deltas within this
@@ -124,7 +125,7 @@ func RunPopulationCtx(ctx context.Context, progs []*gen.Program, opts Population
 	rep := &PopulationReport{Count: len(progs), Algo: "All-best-heur"}
 	rep.Results = make([]ProgramResult, len(progs))
 	name := func(i int) string { return progs[i].Name }
-	err := forEachBounded(ctx, len(progs), opts.Parallelism, name, func(i int) error {
+	err := workpool.RunIndexed(ctx, len(progs), opts.Parallelism, name, nil, func(i int) error {
 		r, err := EvalGenerated(ctx, progs[i], "heur", EvalOptions{Cache: opts.Cache, MaxInsts: opts.MaxInsts})
 		if err != nil {
 			return fmt.Errorf("%s: %w", progs[i].Name, err)
@@ -314,15 +315,6 @@ func (rep *PopulationReport) Render(w io.Writer) {
 		mean /= float64(rep.Count)
 	}
 	fmt.Fprintf(w, "%-16s%6d%6d%6d%6d%+9.2f\n", "total", rep.Count, wins, losses, flat, mean)
-}
-
-// forEachBounded runs fn(0..n-1) across at most par workers (0 = GOMAXPROCS)
-// on the shared pool, aggregating every worker error — including recovered
-// panics — with errors.Join in index order: the same contract as the
-// session's forEachIdx, without needing a Session. name, when non-nil,
-// labels panic errors with the program at that index.
-func forEachBounded(ctx context.Context, n, par int, name func(int) string, fn func(int) error) error {
-	return runIndexed(ctx, n, par, name, nil, fn)
 }
 
 // popEmuBudget backstops the reference interpreter on generated programs

@@ -16,6 +16,7 @@ import (
 
 	"dmp/internal/gen"
 	"dmp/internal/simcache"
+	"dmp/internal/workpool"
 )
 
 func populationCorpusSize() int {
@@ -37,7 +38,7 @@ func TestGeneratedPopulationDifferential(t *testing.T) {
 	progs := gen.BuildCorpus(presets, populationCorpusSize(), 1)
 	var mu sync.Mutex
 	failures := 0
-	err := forEachBounded(context.Background(), len(progs), 0, func(i int) string { return progs[i].Name }, func(i int) error {
+	err := workpool.RunIndexed(context.Background(), len(progs), 0, func(i int) string { return progs[i].Name }, nil, func(i int) error {
 		if issues := CheckGenerated(progs[i]); len(issues) > 0 {
 			mu.Lock()
 			failures++

@@ -18,6 +18,7 @@ import (
 	"dmp/internal/pipeline"
 	"dmp/internal/sample"
 	"dmp/internal/stats"
+	"dmp/internal/workpool"
 )
 
 // runSim executes one simulation for the workload: full fidelity through the
@@ -286,7 +287,7 @@ func SampleErrorPopulation(ctx context.Context, progs []*gen.Program, sc sample.
 	rows := make([]SampleErrorRow, len(progs))
 	walls := make([][2]time.Duration, len(progs))
 	name := func(i int) string { return progs[i].Name }
-	err := forEachBounded(ctx, len(progs), par, name, func(i int) error {
+	err := workpool.RunIndexed(ctx, len(progs), par, name, nil, func(i int) error {
 		p := progs[i]
 		prog, err := codegen.CompileSource(p.Source)
 		if err != nil {

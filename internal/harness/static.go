@@ -24,6 +24,7 @@ import (
 	"dmp/internal/static"
 	"dmp/internal/trace"
 	"dmp/internal/verify"
+	"dmp/internal/workpool"
 )
 
 // Profile sources of the comparison, in report order.
@@ -102,7 +103,7 @@ func RunPopulationCompareCtx(ctx context.Context, progs []*gen.Program, opts Pop
 	rep := &CompareReport{Count: len(progs), Algo: "All-best-heur"}
 	rep.Results = make([]CompareResult, len(progs))
 	name := func(i int) string { return progs[i].Name }
-	err := forEachBounded(ctx, len(progs), opts.Parallelism, name, func(i int) error {
+	err := workpool.RunIndexed(ctx, len(progs), opts.Parallelism, name, nil, func(i int) error {
 		r, err := runOneCompare(progs[i], opts)
 		if err != nil {
 			return fmt.Errorf("%s: %w", progs[i].Name, err)

@@ -16,6 +16,7 @@ import (
 
 	"dmp/internal/gen"
 	"dmp/internal/simcache"
+	"dmp/internal/workpool"
 )
 
 func TestStaticGeneratedPopulationDifferential(t *testing.T) {
@@ -23,7 +24,7 @@ func TestStaticGeneratedPopulationDifferential(t *testing.T) {
 	progs := gen.BuildCorpus(presets, populationCorpusSize(), 11)
 	var mu sync.Mutex
 	failures := 0
-	err := forEachBounded(context.Background(), len(progs), 0, func(i int) string { return progs[i].Name }, func(i int) error {
+	err := workpool.RunIndexed(context.Background(), len(progs), 0, func(i int) string { return progs[i].Name }, nil, func(i int) error {
 		if issues := CheckGeneratedStatic(progs[i]); len(issues) > 0 {
 			mu.Lock()
 			failures++

@@ -8,14 +8,16 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dmp/internal/workpool"
 )
 
 // withBudget runs f with the helper budget pinned to n, restoring it after.
 func withBudget(t *testing.T, n int, f func()) {
 	t.Helper()
-	old := HelperBudget()
-	SetHelperBudget(n)
-	defer SetHelperBudget(old)
+	old := workpool.HelperBudget()
+	workpool.SetHelperBudget(n)
+	defer workpool.SetHelperBudget(old)
 	f()
 }
 
@@ -24,7 +26,7 @@ func withBudget(t *testing.T, n int, f func()) {
 func TestRunIndexedPanicIsolation(t *testing.T) {
 	var ran atomic.Int64
 	names := []string{"alpha", "beta", "gamma", "delta"}
-	err := runIndexed(context.Background(), 4, 4,
+	err := workpool.RunIndexed(context.Background(), 4, 4,
 		func(i int) string { return names[i] }, nil,
 		func(i int) error {
 			if i == 2 {
@@ -34,11 +36,11 @@ func TestRunIndexedPanicIsolation(t *testing.T) {
 			return nil
 		})
 	if err == nil {
-		t.Fatal("panic was swallowed: runIndexed returned nil")
+		t.Fatal("panic was swallowed: RunIndexed returned nil")
 	}
-	var pe *PanicError
+	var pe *workpool.PanicError
 	if !errors.As(err, &pe) {
-		t.Fatalf("error is %T, want *PanicError in the join: %v", err, err)
+		t.Fatalf("error is %T, want *workpool.PanicError in the join: %v", err, err)
 	}
 	if pe.Task != "gamma" || pe.Index != 2 {
 		t.Errorf("PanicError = {Task:%q Index:%d}, want {gamma 2}", pe.Task, pe.Index)
@@ -58,7 +60,7 @@ func TestRunIndexedPanicIsolation(t *testing.T) {
 // the aggregate (the old forEachBounded kept only the first).
 func TestRunIndexedAggregatesErrors(t *testing.T) {
 	wantErrs := map[int]error{1: errors.New("boom-1"), 3: errors.New("boom-3")}
-	err := runIndexed(context.Background(), 5, 2, nil, nil, func(i int) error {
+	err := workpool.RunIndexed(context.Background(), 5, 2, nil, nil, func(i int) error {
 		return wantErrs[i] // nil for the others
 	})
 	for i, want := range wantErrs {
@@ -75,7 +77,7 @@ func TestRunIndexedBudgetBoundsConcurrency(t *testing.T) {
 	const budget = 2
 	withBudget(t, budget, func() {
 		var cur, peak atomic.Int64
-		err := runIndexed(context.Background(), 32, 16, nil, nil, func(int) error {
+		err := workpool.RunIndexed(context.Background(), 32, 16, nil, nil, func(int) error {
 			n := cur.Add(1)
 			for {
 				p := peak.Load()
@@ -102,7 +104,7 @@ func TestRunIndexedZeroBudgetRunsInline(t *testing.T) {
 	withBudget(t, 0, func() {
 		var cur, peak atomic.Int64
 		var ran atomic.Int64
-		err := runIndexed(context.Background(), 10, 8, nil, nil, func(int) error {
+		err := workpool.RunIndexed(context.Background(), 10, 8, nil, nil, func(int) error {
 			n := cur.Add(1)
 			if n > peak.Load() {
 				peak.Store(n)
@@ -131,9 +133,9 @@ func TestRunIndexedNestedPoolsNoDeadlock(t *testing.T) {
 		var leaves atomic.Int64
 		done := make(chan error, 1)
 		go func() {
-			done <- runIndexed(context.Background(), 3, 4, nil, nil, func(int) error {
-				return runIndexed(context.Background(), 3, 4, nil, nil, func(int) error {
-					return runIndexed(context.Background(), 3, 4, nil, nil, func(int) error {
+			done <- workpool.RunIndexed(context.Background(), 3, 4, nil, nil, func(int) error {
+				return workpool.RunIndexed(context.Background(), 3, 4, nil, nil, func(int) error {
+					return workpool.RunIndexed(context.Background(), 3, 4, nil, nil, func(int) error {
 						leaves.Add(1)
 						return nil
 					})
@@ -159,7 +161,7 @@ func TestRunIndexedNestedPoolsNoDeadlock(t *testing.T) {
 func TestRunIndexedCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	var ran atomic.Int64
-	err := runIndexed(ctx, 100, 1, nil, nil, func(i int) error {
+	err := workpool.RunIndexed(ctx, 100, 1, nil, nil, func(i int) error {
 		if ran.Add(1) == 3 {
 			cancel()
 		}
@@ -177,7 +179,7 @@ func TestRunIndexedCancel(t *testing.T) {
 // different tasks all appear in one aggregate.
 func TestRunIndexedPanicAndErrorsCoexist(t *testing.T) {
 	plain := errors.New("plain failure")
-	err := runIndexed(context.Background(), 4, 2,
+	err := workpool.RunIndexed(context.Background(), 4, 2,
 		func(i int) string { return fmt.Sprintf("prog-%d", i) }, nil,
 		func(i int) error {
 			switch i {
@@ -188,7 +190,7 @@ func TestRunIndexedPanicAndErrorsCoexist(t *testing.T) {
 			}
 			return nil
 		})
-	var pe *PanicError
+	var pe *workpool.PanicError
 	if !errors.As(err, &pe) || pe.Index != 0 {
 		t.Errorf("aggregate missing the panic from task 0: %v", err)
 	}

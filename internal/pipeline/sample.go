@@ -12,8 +12,7 @@ import (
 )
 
 // This file is the pipeline side of SMARTS-style sampled simulation
-// (internal/sample): a Sim created from a mid-run architectural checkpoint
-// alternates functional fast-forward (Skip) with bounded detailed intervals
+// (internal/sample): a Sim created from an emulator machine alternates functional fast-forward (Skip) with bounded detailed intervals
 // (RunInterval), measuring IPC only inside a retirement-delimited window so
 // that neither the detailed warmup nor the drain tail pollutes the estimate.
 // Microarchitectural state — branch predictor, confidence estimator, BTB,
@@ -23,10 +22,10 @@ import (
 
 // NewFromMachine creates a simulator that consumes its correct path from m,
 // starting at m's current architectural state instead of the program entry
-// point. m is typically a fresh machine restored from an emu.Snapshot; the
-// simulator takes ownership of it for the duration of the run. The trace
-// budget starts empty — RunInterval extends it — so a NewFromMachine Sim is
-// driven interval by interval, not with Run.
+// point. m is typically a fresh or freshly Reset machine; the simulator takes
+// ownership of it for the duration of the run. The trace budget starts empty
+// — RunInterval extends it — so a NewFromMachine Sim is driven interval by
+// interval, not with Run.
 func NewFromMachine(m *emu.Machine, cfg Config) *Sim {
 	prog := m.Program()
 	s := &Sim{

@@ -1,9 +1,9 @@
 // Package sample implements SMARTS-style sampled simulation: short detailed
 // intervals (warmup + measurement) run through the cycle-level pipeline
 // model, separated by functional fast-forward on the predecoded emulator.
-// Architectural state crosses the boundary via emu snapshots; the per-shard
+// One pipeline walks the whole program as a single chained stream, so the
 // microarchitectural state (branch predictor, confidence estimator, BTB,
-// caches) stays warm across the intervals of one shard, and each interval's
+// caches) stays warm from one interval to the next, and each interval's
 // warmup re-trains whatever went stale during the skip.
 //
 // The per-interval CPIs form the statistical estimate: their mean scales the
@@ -33,7 +33,7 @@ type SampleConf struct {
 	Interval uint64 `json:"interval"`
 	// Warmup is the detailed-warmup length preceding each measurement, in
 	// on-trace instructions. It re-trains predictor/cache state after a
-	// functional skip and absorbs the shard's cold start.
+	// functional skip and absorbs the run's cold start.
 	Warmup uint64 `json:"warmup"`
 	// Period is the distance between interval starts, in instructions; the
 	// fraction (Warmup+Interval)/Period is the detailed-simulation share of
@@ -51,13 +51,6 @@ type SampleConf struct {
 	// Confidence is the two-sided level of the reported interval (0 means
 	// the 0.95 default).
 	Confidence float64 `json:"confidence,omitempty"`
-	// WarmLead is the functional-warming lead-in of each shard, in
-	// instructions: the shard's machine is forked that far before its first
-	// interval and fast-forwarded with predictor/cache warming, so the
-	// shard does not start detailed simulation against cold
-	// microarchitectural state (0 = the 50_000 default). Within a shard,
-	// every skip between intervals warms the same way.
-	WarmLead uint64 `json:"warm_lead,omitempty"`
 	// PredLead is the predictor-training tail of each functional
 	// fast-forward, in instructions: the last PredLead instructions before
 	// a detailed interval warm the branch predictor and confidence
@@ -72,27 +65,14 @@ type SampleConf struct {
 	// run (Result.Exact), because a two-interval estimate is noise with
 	// error bars wider than the run is long.
 	MinIntervals int `json:"min_intervals,omitempty"`
-	// Shards sets the number of parallel interval shards. 0 (the default)
-	// runs one chained stream: every interval inherits the full warm
-	// microarchitectural history of everything before it, which measured
-	// accuracy on memory-bound workloads depends on (a shard's lead-in
-	// cannot rebuild a 1MB L2 working set). Shards >= 2 splits the
-	// intervals into contiguous chains fanned out across cores through the
-	// process-wide workpool budget — wall-clock over fidelity, the
-	// measured per-shard cold-start cost is documented in EXPERIMENTS.md.
-	// The value is part of the canonical form: it is deliberately NOT
-	// derived from the machine, so results and cache keys are
-	// host-independent.
-	Shards int `json:"shards,omitempty"`
 }
 
 // DefaultConf returns the tuned sampling configuration: 2k-instruction
 // measured intervals behind 2k of detailed warmup every 90k instructions
 // (4.4% detailed share), functional warming everywhere in between with a
-// 20k-instruction predictor-training tail, a 50k-instruction warmed shard
-// lead-in, 95% confidence. The tuning is pinned by the dmpbench -exp
-// sample-error gate: every corpus aggregate must land inside its reported
-// error bar.
+// 20k-instruction predictor-training tail, 95% confidence. The tuning is
+// pinned by the dmpbench -exp sample-error gate: every corpus aggregate must
+// land inside its reported error bar.
 func DefaultConf() SampleConf {
 	return SampleConf{
 		Enabled:      true,
@@ -100,7 +80,6 @@ func DefaultConf() SampleConf {
 		Warmup:       2000,
 		Period:       90_000,
 		Seed:         1,
-		WarmLead:     50_000,
 		PredLead:     20_000,
 		Confidence:   0.95,
 		MinIntervals: 8,
@@ -119,9 +98,6 @@ func (c SampleConf) withDefaults() SampleConf {
 	}
 	if c.MinIntervals <= 0 {
 		c.MinIntervals = 4
-	}
-	if c.WarmLead == 0 {
-		c.WarmLead = 50_000
 	}
 	if c.PredLead == 0 {
 		c.PredLead = 20_000
@@ -145,8 +121,6 @@ func (c SampleConf) Validate() error {
 		return fmt.Errorf("sample: confidence %v outside (0, 1)", c.Confidence)
 	case c.MinIntervals < 0:
 		return fmt.Errorf("sample: min_intervals must be >= 0")
-	case c.Shards < 0:
-		return fmt.Errorf("sample: shards must be >= 0")
 	}
 	return nil
 }

@@ -32,8 +32,6 @@ type Result struct {
 	// TotalInsts is the program's full dynamic instruction count (bounded
 	// by Config.MaxInsts) — the N the per-interval estimate scales to.
 	TotalInsts uint64 `json:"total_insts"`
-	// Shards is the number of parallel interval shards the run used.
-	Shards int `json:"shards,omitempty"`
 	// Intervals / Complete / Degenerate count scheduled intervals, windows
 	// that closed at full measurement length, and zero-retirement windows
 	// (excluded from the estimate, surfaced here).
@@ -42,8 +40,8 @@ type Result struct {
 	Degenerate int `json:"degenerate,omitempty"`
 	// DetailedInsts is the number of instructions simulated in detail
 	// (warmup + measured, all intervals); WarmInsts is the number
-	// fast-forwarded with functional warming (shard lead-ins and in-shard
-	// skips). The remainder of TotalInsts ran on the block-batched
+	// fast-forwarded with functional warming (the skips that lead up to an
+	// interval). The remainder of TotalInsts ran on the block-batched
 	// functional path with no microarchitectural bookkeeping at all.
 	DetailedInsts uint64 `json:"detailed_insts"`
 	WarmInsts     uint64 `json:"warm_insts"`

@@ -2,7 +2,6 @@ package sample
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -11,7 +10,6 @@ import (
 	"dmp/internal/emu"
 	"dmp/internal/isa"
 	"dmp/internal/pipeline"
-	"dmp/internal/workpool"
 )
 
 // Run executes a sampled simulation of (prog, input, cfg) under sc. The
@@ -22,21 +20,16 @@ import (
 // in between. The per-interval CPIs aggregate into the estimate and its
 // Student-t confidence interval.
 //
-// Two execution strategies share that placement:
+// One pipeline walks the whole program as a single chained stream,
+// alternating warmed skips with detailed intervals, so every interval
+// inherits the full warm history of everything before it and the
+// instruction count is discovered en route — no separate counting or replay
+// pass. A program too short for MinIntervals at the configured spacing is
+// re-streamed at a shrunk period, or run exact when even that cannot fit.
 //
-//   - Shards <= 1 (the default): one chained stream. A single pipeline walks
-//     the whole program, alternating warmed skips with detailed intervals,
-//     so every interval inherits the full warm history of everything before
-//     it and the instruction count is discovered en route — no separate
-//     counting or replay pass.
-//   - Shards >= 2: a functional pass counts the program, a replay pass forks
-//     the architectural state ahead of each shard's first interval, and the
-//     contiguous interval chains fan out across cores through the
-//     process-wide workpool budget.
-//
-// Everything that shapes the result — interval placement, shard boundaries —
-// derives from (instruction count, sc) alone, never from the host, so a
-// given (program, input, cfg, sc) always produces the identical Result and
+// Interval placement derives from (instruction count, sc) alone, never from
+// the host or from whether the count was remembered from an earlier run, so
+// a given (program, input, cfg, sc) always produces the identical Result and
 // can be memoized exactly like a full-fidelity run.
 func Run(ctx context.Context, prog *isa.Program, input []int64, cfg pipeline.Config, sc SampleConf) (Result, error) {
 	sc = sc.withDefaults()
@@ -48,9 +41,6 @@ func Run(ctx context.Context, prog *isa.Program, input []int64, cfg pipeline.Con
 	}
 	if !sc.Enabled {
 		return runExact(ctx, prog, input, cfg, sc)
-	}
-	if sc.Shards >= 2 {
-		return runSharded(ctx, prog, input, cfg, sc)
 	}
 
 	// A program's dynamic instruction count is a pure function of (program,
@@ -137,6 +127,7 @@ func runStream(ctx context.Context, m *emu.Machine, cfg pipeline.Config, sc Samp
 	// accounting — WarmInsts has to come out bit-identical whether the
 	// instruction count was known up front (memo) or discovered en route.
 	var warmed, detailed, warmedPending uint64
+	var lastStart, lastWarmed, lastDetailed uint64
 	for k := uint64(0); ; k++ {
 		start := k*period + sc.offAt(k, span)
 		if maxN > 0 && start+detail > maxN {
@@ -159,7 +150,8 @@ func runStream(ctx context.Context, m *emu.Machine, cfg pipeline.Config, sc Samp
 		if err != nil {
 			return Result{}, 0, fmt.Errorf("sample: interval %d: %w", k, err)
 		}
-		detailed += sim.Consumed() - before
+		lastStart, lastWarmed, lastDetailed = start, warmedPending, sim.Consumed()-before
+		detailed += lastDetailed
 		warmed += warmedPending
 		warmedPending = 0
 		ivs = append(ivs, iv)
@@ -189,13 +181,21 @@ func runStream(ctx context.Context, m *emu.Machine, cfg pipeline.Config, sc Samp
 			}
 		}
 		total = sim.Consumed()
+		// The trace's end may have cut the last interval short. The
+		// known-total path never schedules an interval that does not fit
+		// whole, so drop it along with its skip and detail: the caller then
+		// applies the same MinIntervals rule to the same interval set.
+		if len(ivs) > 0 && lastStart+detail > total {
+			ivs = ivs[:len(ivs)-1]
+			warmed -= lastWarmed
+			detailed -= lastDetailed
+		}
 	}
 
 	r := Result{
 		Conf:          sc,
 		Period:        period,
 		TotalInsts:    total,
-		Shards:        1,
 		DetailedInsts: detailed,
 		WarmInsts:     warmed,
 	}
@@ -206,9 +206,10 @@ func runStream(ctx context.Context, m *emu.Machine, cfg pipeline.Config, sc Samp
 // totalMemo caches dynamic instruction counts across Run calls, keyed by
 // content hash of (program, input, MaxInsts). Counts are exact and
 // architecture-independent, so the memo never changes a Result — it only
-// removes the discovery pass. The map is capped: on overflow it is dropped
-// wholesale (counts are cheap to rediscover, and the cap only exists to
-// bound memory against endless streams of generated programs).
+// removes the discovery pass (pinned by TestSampledDeterministic). The map
+// is capped: on overflow it is dropped wholesale (counts are cheap to
+// rediscover, and the cap only exists to bound memory against endless
+// streams of generated programs).
 var (
 	totalMemo  sync.Map
 	totalMemoN atomic.Int64
@@ -253,15 +254,19 @@ func memoKey(prog *isa.Program, input []int64, maxInsts uint64) totalKey {
 
 func storeTotal(k totalKey, total uint64) {
 	if totalMemoN.Load() >= totalMemoCap {
-		totalMemo.Range(func(k, _ any) bool {
-			totalMemo.Delete(k)
-			return true
-		})
-		totalMemoN.Store(0)
+		clearTotalMemo()
 	}
 	if _, loaded := totalMemo.LoadOrStore(k, total); !loaded {
 		totalMemoN.Add(1)
 	}
+}
+
+func clearTotalMemo() {
+	totalMemo.Range(func(k, _ any) bool {
+		totalMemo.Delete(k)
+		return true
+	})
+	totalMemoN.Store(0)
 }
 
 // intervalStarts places the intervals that fit whole inside total
@@ -278,134 +283,6 @@ func intervalStarts(sc SampleConf, period, total uint64) []uint64 {
 		}
 	}
 	return starts
-}
-
-// runSharded is the parallel strategy: the interval chain is split into
-// contiguous shards fanned out across cores, each fork warmed through a
-// WarmLead-long lead-in. Wall-clock over fidelity — a shard's lead-in
-// cannot rebuild the deep cache state a chained stream carries, a measured
-// cost documented in EXPERIMENTS.md.
-func runSharded(ctx context.Context, prog *isa.Program, input []int64, cfg pipeline.Config, sc SampleConf) (Result, error) {
-	key := memoKey(prog, input, cfg.MaxInsts)
-	var total uint64
-	if v, ok := totalMemo.Load(key); ok {
-		total = v.(uint64)
-	} else {
-		var err error
-		total, err = countInsts(ctx, prog, input, cfg.MaxInsts)
-		if err != nil {
-			return Result{}, err
-		}
-		storeTotal(key, total)
-	}
-
-	detail := sc.Warmup + sc.Interval
-	period := sc.Period
-	starts := intervalStarts(sc, period, total)
-	if len(starts) < sc.MinIntervals {
-		if total < minSampledTotal(sc) {
-			return runExact(ctx, prog, input, cfg, sc)
-		}
-		period = max(detail, total/uint64(sc.MinIntervals))
-		starts = intervalStarts(sc, period, total)
-	}
-	nIntervals := len(starts)
-	if nIntervals < sc.MinIntervals {
-		return runExact(ctx, prog, input, cfg, sc)
-	}
-
-	shards := min(sc.Shards, nIntervals)
-
-	// Contiguous balanced assignment: shard i owns intervals
-	// [first[i], first[i]+count[i]).
-	first := make([]int, shards)
-	count := make([]int, shards)
-	base, rem := nIntervals/shards, nIntervals%shards
-	for i, at := 0, 0; i < shards; i++ {
-		first[i] = at
-		count[i] = base
-		if i < rem {
-			count[i]++
-		}
-		at += count[i]
-	}
-
-	// Replay pass: fork the architectural state a warm lead-in before each
-	// shard's first interval. One sequential sweep of the program on the
-	// block-batched fast path; the forks are Clone (one memory-image copy),
-	// not Snapshot+Restore (three).
-	forks := make([]*emu.Machine, shards)
-	bases := make([]uint64, shards) // absolute position of each fork
-	{
-		m := emu.New(prog, input, 0)
-		var cur uint64
-		for i := 0; i < shards; i++ {
-			start := starts[first[i]]
-			lead := min(sc.WarmLead, start)
-			bases[i] = start - lead
-			n, err := advance(ctx, m, bases[i]-cur)
-			cur += n
-			if err != nil {
-				return Result{}, err
-			}
-			if cur != bases[i] {
-				return Result{}, fmt.Errorf("sample: replay ended at %d of %d instructions", cur, bases[i])
-			}
-			forks[i] = m.Clone()
-		}
-	}
-
-	// Shard fan-out. Each shard builds its own pipeline from its fork,
-	// warms through its lead-in, and walks its intervals in order; results
-	// land at their global interval index, so aggregation order is
-	// deterministic regardless of which shard finishes first.
-	cfgShard := cfg
-	cfgShard.MaxInsts = 0 // interval budget is managed by RunInterval
-	cfgShard.Tracer = nil
-	ivs := make([]pipeline.IntervalResult, nIntervals)
-	warms := make([]uint64, shards)
-	err := workpool.RunIndexed(ctx, shards, shards,
-		func(i int) string { return fmt.Sprintf("sample shard %d", i) },
-		nil,
-		func(i int) error {
-			sim := pipeline.NewFromMachine(forks[i], cfgShard)
-			for j := 0; j < count[i]; j++ {
-				target := starts[first[i]+j]
-				need := target - (bases[i] + sim.Consumed())
-				skipped, err := sim.Skip(ctx, need, min(sc.PredLead, need))
-				warms[i] += skipped
-				if err != nil {
-					return fmt.Errorf("sample: shard %d skip: %w", i, err)
-				}
-				if skipped < need {
-					return fmt.Errorf("sample: shard %d: trace ended %d instructions before interval %d", i, need-skipped, first[i]+j)
-				}
-				iv, err := sim.RunInterval(ctx, sc.Warmup, sc.Interval)
-				if err != nil {
-					return fmt.Errorf("sample: shard %d interval %d: %w", i, first[i]+j, err)
-				}
-				ivs[first[i]+j] = iv
-			}
-			return nil
-		})
-	if err != nil {
-		return Result{}, err
-	}
-	var warmed uint64
-	for _, w := range warms {
-		warmed += w
-	}
-
-	r := Result{
-		Conf:          sc,
-		Period:        period,
-		TotalInsts:    total,
-		Shards:        shards,
-		DetailedInsts: uint64(nIntervals) * detail,
-		WarmInsts:     warmed,
-	}
-	aggregate(&r, ivs)
-	return r, nil
 }
 
 // minSampledTotal is the shortest program worth sampling. Below
@@ -439,42 +316,4 @@ func runExact(ctx context.Context, prog *isa.Program, input []int64, cfg pipelin
 		r.MeanCPI = float64(st.Cycles) / float64(st.Retired)
 	}
 	return r, nil
-}
-
-// countInsts measures the program's dynamic instruction count on the
-// predecoded fast path, honouring the same MaxInsts bound the full-fidelity
-// trace feed applies.
-func countInsts(ctx context.Context, prog *isa.Program, input []int64, maxInsts uint64) (uint64, error) {
-	m := emu.New(prog, input, 0)
-	if maxInsts == 0 {
-		maxInsts = math.MaxUint64
-	}
-	return advance(ctx, m, maxInsts)
-}
-
-// advance runs m forward by at most n instructions on the block-batched fast
-// path, polling ctx between batches. It returns the number retired, short
-// only when the program halts. Faults surface as errors, matching the
-// full-fidelity run, which fails on a faulting trace feed as well.
-func advance(ctx context.Context, m *emu.Machine, n uint64) (uint64, error) {
-	const pollEvery = 1 << 22
-	var done, sincePoll uint64
-	for done < n && !m.Halted() {
-		if ctx != nil && sincePoll >= pollEvery {
-			sincePoll = 0
-			if err := ctx.Err(); err != nil {
-				return done, fmt.Errorf("sample: cancelled: %w", err)
-			}
-		}
-		br, err := m.RunBlock(n - done)
-		done += br.N
-		sincePoll += br.N
-		if err != nil {
-			if errors.Is(err, emu.ErrHalted) {
-				break
-			}
-			return done, fmt.Errorf("sample: functional execution: %w", err)
-		}
-	}
-	return done, nil
 }

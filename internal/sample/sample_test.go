@@ -96,24 +96,30 @@ func TestSampledCoversFull(t *testing.T) {
 	}
 }
 
-// TestSampledDeterministic pins the memoization contract: a repeat run — the
-// second one resolves the instruction count from the memo and skips the
-// discovery pass — must produce a bit-identical Result.
+// TestSampledDeterministic pins the memoization contract: a cold run, which
+// discovers the instruction count en route, and a warm repeat, which reads
+// it from the memo and stops at its last interval, must produce bit-identical
+// Results. The seeds include placements whose last stratum's interval the
+// trace's end cuts short, which only the discovery stream ever reaches.
 func TestSampledDeterministic(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
-	sc := sample.DefaultConf()
-	for _, name := range []string{"vortex", "twolf"} {
+	for _, name := range []string{"bzip2", "twolf", "vortex"} {
 		prog, input := compileBench(t, name)
-		a, err := sample.Run(context.Background(), prog, input, cfg, sc)
-		if err != nil {
-			t.Fatalf("%s: first run: %v", name, err)
-		}
-		b, err := sample.Run(context.Background(), prog, input, cfg, sc)
-		if err != nil {
-			t.Fatalf("%s: second run: %v", name, err)
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: repeat run diverged:\n  first  %+v\n  second %+v", name, a, b)
+		for _, seed := range []uint64{1, 4, 5} {
+			sc := sample.DefaultConf()
+			sc.Seed = seed
+			sample.ClearCountMemo()
+			cold, err := sample.Run(context.Background(), prog, input, cfg, sc)
+			if err != nil {
+				t.Fatalf("%s seed %d: cold run: %v", name, seed, err)
+			}
+			warm, err := sample.Run(context.Background(), prog, input, cfg, sc)
+			if err != nil {
+				t.Fatalf("%s seed %d: warm run: %v", name, seed, err)
+			}
+			if !reflect.DeepEqual(cold, warm) {
+				t.Errorf("%s seed %d: memoized run diverged:\n  cold %+v\n  warm %+v", name, seed, cold, warm)
+			}
 		}
 	}
 }
@@ -187,37 +193,6 @@ func TestDisabledConfRunsExact(t *testing.T) {
 	}
 }
 
-// TestShardedRun exercises the explicit parallel strategy end to end: the
-// count pass, the replay forks and the workpool fan-out, with deterministic
-// placement equal to the streamed one.
-func TestShardedRun(t *testing.T) {
-	cfg := pipeline.DefaultConfig()
-	prog, input := compileBench(t, "vortex")
-	sc := sample.DefaultConf()
-	sc.Shards = 2
-	r, err := sample.Run(context.Background(), prog, input, cfg, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Exact {
-		t.Fatal("sharded run fell back to exact")
-	}
-	if r.Shards != 2 {
-		t.Fatalf("Shards = %d, want 2", r.Shards)
-	}
-	if r.Intervals < sc.MinIntervals || r.Complete == 0 || r.MeanCPI <= 0 {
-		t.Fatalf("sharded estimate malformed: %+v", r)
-	}
-	// Same conf, same shards: sharded runs are deterministic too.
-	again, err := sample.Run(context.Background(), prog, input, cfg, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r, again) {
-		t.Errorf("sharded repeat diverged:\n  first  %+v\n  second %+v", r, again)
-	}
-}
-
 // TestSampledCancellation: a cancelled context must abort the run inside the
 // fast-forward, surfacing the context error rather than a result.
 func TestSampledCancellation(t *testing.T) {
@@ -249,7 +224,6 @@ func TestValidate(t *testing.T) {
 		{"confidence one", func(c *sample.SampleConf) { c.Confidence = 1 }, "confidence"},
 		{"confidence negative", func(c *sample.SampleConf) { c.Confidence = -0.5 }, "confidence"},
 		{"negative min intervals", func(c *sample.SampleConf) { c.MinIntervals = -1 }, "min_intervals"},
-		{"negative shards", func(c *sample.SampleConf) { c.Shards = -2 }, "shards"},
 	}
 	for _, tc := range cases {
 		c := base

@@ -76,17 +76,11 @@ func (s *JobSpec) sampleConf() sample.SampleConf {
 	if o.Confidence != 0 {
 		c.Confidence = o.Confidence
 	}
-	if o.WarmLead != 0 {
-		c.WarmLead = o.WarmLead
-	}
 	if o.PredLead != 0 {
 		c.PredLead = o.PredLead
 	}
 	if o.MinIntervals != 0 {
 		c.MinIntervals = o.MinIntervals
-	}
-	if o.Shards != 0 {
-		c.Shards = o.Shards
 	}
 	return c
 }

@@ -8,7 +8,8 @@
 //
 // Endpoints:
 //
-//	POST   /jobs             submit a JobSpec; 202 + JobStatus, 429 when the
+//	POST   /jobs             submit a JobSpec; 202 + JobStatus, 400 for an
+//	                         invalid spec or an unknown field, 429 when the
 //	                         queue is full, 503 while draining
 //	GET    /jobs             list job statuses (newest last)
 //	GET    /jobs/{id}        one job's status, including its result
@@ -519,8 +520,13 @@ func writeErr(w http.ResponseWriter, err error) {
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	// Unknown fields are rejected rather than ignored: a misspelt or retired
+	// option would otherwise silently run a different job than the client
+	// asked for.
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeErr(w, &httpError{http.StatusRequestEntityTooLarge,

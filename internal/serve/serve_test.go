@@ -374,6 +374,35 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestSubmitRejectsUnknownFields: a spec carrying a field the daemon does
+// not know — here the retired sampling knobs — answers 400 naming the field
+// instead of running a different job than the client asked for.
+func TestSubmitRejectsUnknownFields(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for field, body := range map[string]string{
+		"shards":    `{"preset":"deep-hammock","seed":1,"sample":{"shards":4}}`,
+		"warm_lead": `{"preset":"deep-hammock","seed":1,"sample":{"warm_lead":50000}}`,
+		"colour":    `{"preset":"deep-hammock","seed":1,"colour":"red"}`,
+	} {
+		resp, err := http.Post(ts.URL+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct{ Error string }
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: HTTP %d, want 400", field, resp.StatusCode)
+		}
+		if !strings.Contains(e.Error, `"`+field+`"`) {
+			t.Errorf("%s: error %q does not name the field", field, e.Error)
+		}
+	}
+	if m := scrapeMetrics(t, ts.URL); m.Submitted != 0 {
+		t.Errorf("specs with unknown fields were enqueued: submitted = %d", m.Submitted)
+	}
+}
+
 // TestSourceJob: a DML source job compiles, profiles on its train tape and
 // reports a result under the requested algorithm.
 func TestSourceJob(t *testing.T) {

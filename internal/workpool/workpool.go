@@ -1,9 +1,9 @@
 // Package workpool is the process-wide worker pool shared by every fan-out
-// in the repository: harness experiment sweeps, population runs, the serve
-// daemon's jobs, and the sampling executor's interval shards. Each of those
-// used to open its own GOMAXPROCS-wide goroutine pool, which oversubscribes
-// the machine as soon as pools nest — a population run inside a daemon job
-// inside the daemon's own worker pool would multiply instead of cap.
+// in the repository: harness experiment sweeps, population runs, config
+// sweeps and the serve daemon's jobs. Each of those used to open its own
+// GOMAXPROCS-wide goroutine pool, which oversubscribes the machine as soon as
+// pools nest — a population run inside a daemon job inside the daemon's own
+// worker pool would multiply instead of cap.
 // RunIndexed fixes the contract:
 //
 //   - the *calling* goroutine always executes tasks itself, so a pool makes

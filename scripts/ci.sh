@@ -1,5 +1,6 @@
 #!/bin/sh
-# Tier-1 CI gate. Mirrors `make ci` for environments without make:
+# Tier-1 CI gate, and the one list of its steps: `make ci` runs this script,
+# and the Makefile's single-step targets are for local use. The steps are
 # vet, the required pinned-version lint gate (scripts/lint.sh), build, the
 # full test suite under the race detector, the allocation guards, the
 # emulator fast-path differential suite, the dmplint corpus sweep, the
