@@ -53,10 +53,13 @@ trace-smoke:
 	rm -f .trace-smoke.jsonl
 
 # Zero-overhead guards: a nil Tracer must add no allocation to event
-# emission, and the simulator's steady-state allocs per retired instruction
-# must stay near zero. Runs without -race (race skips alloc counting).
+# emission, the simulator's steady-state allocs per retired instruction
+# must stay near zero, and an emulator machine run to halt on any corpus
+# program must allocate under 1 MiB (only the memory it writes is backed).
+# Runs without -race (race skips alloc counting).
 alloc-guard:
 	$(GO) test -run 'TestNilTracerEventNoAlloc|TestSteadyStateAllocs' ./internal/pipeline
+	$(GO) test -run 'TestMachineAllocs' ./internal/emu
 
 # Benchmark-regression gate: re-measures the corpus benchmarks, refreshes
 # BENCH_PR9.json, and fails on a >15% throughput drop (or allocs/op growth)

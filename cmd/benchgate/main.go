@@ -7,6 +7,8 @@
 // estimate of the code's capability), writes the snapshot, and fails when
 // any benchmark shared with the baseline drops throughput by more than
 // -max-regress percent or grows allocs/op beyond -max-alloc-growth percent.
+// Each comparison line also shows bytes/op before and after; bytes/op is
+// displayed, not gated.
 // Passing -update rewrites the snapshot and skips the gate, for deliberate
 // baseline refreshes after a perf-relevant change.
 //
@@ -226,8 +228,8 @@ func main() {
 				failed = true
 			}
 		}
-		fmt.Printf("%-40s throughput %12.0f -> %12.0f ops/s (%+.1f%%, limit -%.0f%%) allocs/op %.0f -> %.0f [%s%s]\n",
-			name, bt, ct, delta, *maxRegress, b.AllocsPerOp, c.AllocsPerOp, status, allocStatus)
+		fmt.Printf("%-40s throughput %12.0f -> %12.0f ops/s (%+.1f%%, limit -%.0f%%) allocs/op %.0f -> %.0f B/op %.0f -> %.0f [%s%s]\n",
+			name, bt, ct, delta, *maxRegress, b.AllocsPerOp, c.AllocsPerOp, b.BytesPerOp, c.BytesPerOp, status, allocStatus)
 	}
 	if failed {
 		fatal(fmt.Errorf("benchgate: regression beyond limits (throughput -%.0f%%, allocs/op +%.0f%%)", *maxRegress, *maxAllocGrowth))

@@ -58,14 +58,19 @@ func diffState(t *testing.T, tag string, fast, ref *emu.Machine) {
 			t.Fatalf("%s: output[%d] diverged: fast %d, ref %d", tag, i, fast.Output[i], ref.Output[i])
 		}
 	}
-	if h1, h2 := memHash(fast.Mem), memHash(ref.Mem); h1 != h2 {
+	if fast.MemWords() != ref.MemWords() {
+		t.Fatalf("%s: memory size diverged: fast %d, ref %d", tag, fast.MemWords(), ref.MemWords())
+	}
+	if h1, h2 := memHash(fast), memHash(ref); h1 != h2 {
 		t.Fatalf("%s: memory diverged: fast hash %#x, ref hash %#x", tag, h1, h2)
 	}
 }
 
-func memHash(mem []int64) uint64 {
+// memHash hashes every word of m's address space, backed or not.
+func memHash(m *emu.Machine) uint64 {
 	h := uint64(1469598103934665603) // FNV-1a offset basis
-	for _, w := range mem {
+	for a := range int64(m.MemWords()) {
+		w, _ := m.Load(a)
 		h = (h ^ uint64(w)) * 1099511628211
 	}
 	return h
@@ -415,12 +420,30 @@ func TestStepBatchFaults(t *testing.T) {
 	}
 }
 
+// midMemorySource stores through an unchecked array index into the middle of
+// the address space, far from the globals and the stack, so the fuzzer starts
+// from a program that makes the emulator back words it does not back up front.
+const midMemorySource = `var pad[4];
+func main() {
+    var i = 0;
+    var s = 0;
+    while (inavail()) {
+        var v = in();
+        pad[300000 + (v & 4095) * 64] = v;
+        s = s + pad[300000 + (i & 4095) * 64];
+        i = i + 1;
+    }
+    out(s);
+}
+`
+
 // FuzzEmuDiff feeds generated DML programs (seeded by the corpus generator's
 // default mix plus the biased-branch and deep-hammock presets) through the
 // compiler and runs both engines in lockstep. Mutated sources that no longer
 // parse or check are skipped; anything that compiles must execute
 // identically on both paths.
 func FuzzEmuDiff(f *testing.F) {
+	f.Add(midMemorySource, int64(1))
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(bench.GenSource(seed), int64(seed))
 	}

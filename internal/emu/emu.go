@@ -34,8 +34,16 @@ type Trace struct {
 	Addr int64
 }
 
-// Machine is a DISA architectural machine: registers, a flat word-addressed
-// data memory, an input tape and an output stream.
+// Machine is a DISA architectural machine: registers, a word-addressed data
+// memory, an input tape and an output stream.
+//
+// The data memory spans word addresses [0, size). Globals live at its bottom
+// and the stack grows down from its top, so a program touches two small
+// regions of a large space. Only those regions are backed: lo holds words
+// [0, len(lo)), hi holds words [hiBase, size), and every other word reads as
+// zero until a store grows the nearer segment over it (see store and grow).
+// Addresses, and therefore traces and faults, are those of a flat image of
+// size words.
 type Machine struct {
 	prog *isa.Program
 	// pre is the predecoded form of prog.Code, built once per machine and
@@ -43,9 +51,10 @@ type Machine struct {
 	pre *predecode.Program
 	// Regs holds the 64 architectural registers. Regs[0] stays zero.
 	Regs [isa.NumRegs]int64
-	// Mem is the data memory in words. Globals live at its bottom; the stack
-	// grows down from the top.
-	Mem []int64
+	// lo and hi are the backed segments of data memory; hiBase+len(hi) ==
+	// size and len(lo) <= hiBase always hold.
+	lo, hi       []int64
+	hiBase, size int64
 	// PC is the next instruction to execute.
 	PC int
 	// Output accumulates values written with the out instruction.
@@ -58,9 +67,16 @@ type Machine struct {
 	Retired uint64
 }
 
+// stackWords is the size of the stack segment New backs below the top of
+// memory, and the least a segment grows by; deeper stacks grow it on their
+// first store.
+const stackWords = 512
+
 // New creates a machine for the program with memWords of data memory
 // (DefaultMemWords if memWords <= 0) and the given input tape. The stack
-// pointer starts at the top of memory.
+// pointer starts at the top of memory. Only the globals and the top
+// stackWords words are allocated up front; the rest of the space reads as
+// zero and is backed when first stored to.
 func New(p *isa.Program, input []int64, memWords int) *Machine {
 	if memWords <= 0 {
 		memWords = DefaultMemWords
@@ -68,33 +84,98 @@ func New(p *isa.Program, input []int64, memWords int) *Machine {
 	if memWords < p.GlobalWords+1024 {
 		memWords = p.GlobalWords + 1024
 	}
+	size := int64(memWords)
 	m := &Machine{
-		prog:  p,
-		pre:   predecode.Shared(p),
-		Mem:   make([]int64, memWords),
-		PC:    p.Entry,
-		input: input,
+		prog:   p,
+		pre:    predecode.Shared(p),
+		lo:     make([]int64, p.GlobalWords),
+		hi:     make([]int64, stackWords),
+		hiBase: size - stackWords,
+		size:   size,
+		PC:     p.Entry,
+		input:  input,
 	}
-	m.Regs[isa.RegSP] = int64(memWords)
+	m.Regs[isa.RegSP] = size
 	return m
 }
 
 // Reset returns the machine to its initial state — the state New would
 // produce for the same program, memory size and input tape — reusing the
-// existing memory image and predecode instead of allocating and recompiling.
-// The sampling executor uses it to re-stream a program it has just run:
-// clearing 8MB in place is the same memory traffic as zeroing a fresh
-// allocation, but skips the allocation itself, the garbage it strands, and
-// the predecode pass.
+// existing memory segments and predecode instead of allocating and
+// recompiling. The sampling executor uses it to re-stream a program it has
+// just run. Only the backed segments are cleared; they keep the size the
+// previous run grew them to, which a re-run of the same program needs again.
 func (m *Machine) Reset() {
-	clear(m.Mem)
+	clear(m.lo)
+	clear(m.hi)
 	m.Regs = [isa.NumRegs]int64{}
-	m.Regs[isa.RegSP] = int64(len(m.Mem))
+	m.Regs[isa.RegSP] = m.size
 	m.PC = m.prog.Entry
 	m.Output = m.Output[:0]
 	m.inPos = 0
 	m.halted = false
 	m.Retired = 0
+}
+
+// MemWords returns the size of the data memory in words.
+func (m *Machine) MemWords() int { return int(m.size) }
+
+// Load returns the word at address a, and false when a lies outside the data
+// memory.
+func (m *Machine) Load(a int64) (int64, bool) { return m.load(a) }
+
+// load reads word a. Unbacked words inside the address space read as zero;
+// ok is false when a is outside it. Every engine reads memory through load.
+func (m *Machine) load(a int64) (v int64, ok bool) {
+	if uint64(a) < uint64(len(m.lo)) {
+		return m.lo[a], true
+	}
+	if i := a - m.hiBase; uint64(i) < uint64(len(m.hi)) {
+		return m.hi[i], true
+	}
+	return 0, uint64(a) < uint64(m.size)
+}
+
+// store writes v to word a and reports whether a was backed. It is the
+// inlined fast path of every engine's stores; a false return sends the
+// engine to grow, which backs the word or reports a fault.
+func (m *Machine) store(a, v int64) bool {
+	if uint64(a) < uint64(len(m.lo)) {
+		m.lo[a] = v
+		return true
+	}
+	if i := a - m.hiBase; uint64(i) < uint64(len(m.hi)) {
+		m.hi[i] = v
+		return true
+	}
+	return false
+}
+
+// grow backs the unbacked word a by extending the nearer segment over it —
+// lo upward or hi downward — and stores v there; it reports false, storing
+// nothing, when a is outside the address space. A segment at least doubles
+// but never crosses into the other, so growth is amortised and the two
+// segments together never exceed the flat image they stand in for; once they
+// meet, every address is backed.
+func (m *Machine) grow(a, v int64) bool {
+	if uint64(a) >= uint64(m.size) {
+		return false
+	}
+	lo, hi := int64(len(m.lo)), int64(len(m.hi))
+	if a-lo < m.hiBase-a {
+		seg := make([]int64, min(max(2*lo, a+1, stackWords), m.hiBase))
+		copy(seg, m.lo)
+		m.lo = seg
+		seg[a] = v
+		return true
+	}
+	n := min(max(2*hi, m.size-a, stackWords), m.size-lo)
+	seg := make([]int64, n)
+	copy(seg[n-hi:], m.hi)
+	m.hi = seg
+	m.hiBase = m.size - n
+	seg[a-m.hiBase] = v
+	return true
 }
 
 // Predecoded returns the machine's predecoded program, shared with the
@@ -218,18 +299,18 @@ func (m *Machine) StepRef() (Trace, error) {
 		m.setRd(in.Rd, m.Regs[in.Rs1])
 	case isa.OpLd:
 		addr := m.Regs[in.Rs1] + in.Imm
-		if addr < 0 || addr >= int64(len(m.Mem)) {
+		v, ok := m.load(addr)
+		if !ok {
 			return Trace{}, fmt.Errorf("emu: pc %d: load address %d out of range", pc, addr)
 		}
 		tr.Addr = addr
-		m.setRd(in.Rd, m.Mem[addr])
+		m.setRd(in.Rd, v)
 	case isa.OpSt:
 		addr := m.Regs[in.Rs1] + in.Imm
-		if addr < 0 || addr >= int64(len(m.Mem)) {
+		if v := m.Regs[in.Rs2]; !m.store(addr, v) && !m.grow(addr, v) {
 			return Trace{}, fmt.Errorf("emu: pc %d: store address %d out of range", pc, addr)
 		}
 		tr.Addr = addr
-		m.Mem[addr] = m.Regs[in.Rs2]
 	case isa.OpBeqz:
 		if m.Regs[in.Rs1] == 0 {
 			tr.Taken = true

@@ -356,11 +356,11 @@ func TestMemorySizing(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := New(p, nil, 16) // too small: must be grown to cover globals
-	if len(m.Mem) < 5000+1024 {
-		t.Errorf("memory not grown for globals: %d", len(m.Mem))
+	if m.MemWords() < 5000+1024 {
+		t.Errorf("memory not grown for globals: %d", m.MemWords())
 	}
-	if m.Regs[isa.RegSP] != int64(len(m.Mem)) {
-		t.Errorf("SP = %d, want %d", m.Regs[isa.RegSP], len(m.Mem))
+	if m.Regs[isa.RegSP] != int64(m.MemWords()) {
+		t.Errorf("SP = %d, want %d", m.Regs[isa.RegSP], m.MemWords())
 	}
 }
 

@@ -77,7 +77,6 @@ func (m *Machine) RunBlock(max uint64) (BlockRun, error) {
 	}
 
 	regs := &m.Regs
-	mem := m.Mem
 	for ; pc < limit; pc++ {
 		r := &recs[pc]
 		switch r.Kind {
@@ -168,21 +167,21 @@ func (m *Machine) RunBlock(max uint64) (BlockRun, error) {
 			regs[r.Rd] = regs[r.R1]
 		case predecode.KLd:
 			a := regs[r.R1] + r.Imm
-			if uint64(a) >= uint64(len(mem)) {
+			v, ok := m.load(a)
+			if !ok {
 				return m.blockFault(&br, start, pc, fmt.Errorf("emu: pc %d: load address %d out of range", pc, a))
 			}
-			regs[r.Rd] = mem[a]
+			regs[r.Rd] = v
 		case predecode.KLdNoWB:
 			a := regs[r.R1] + r.Imm
-			if uint64(a) >= uint64(len(mem)) {
+			if uint64(a) >= uint64(m.size) {
 				return m.blockFault(&br, start, pc, fmt.Errorf("emu: pc %d: load address %d out of range", pc, a))
 			}
 		case predecode.KSt:
 			a := regs[r.R1] + r.Imm
-			if uint64(a) >= uint64(len(mem)) {
+			if v := regs[r.R2]; !m.store(a, v) && !m.grow(a, v) {
 				return m.blockFault(&br, start, pc, fmt.Errorf("emu: pc %d: store address %d out of range", pc, a))
 			}
-			mem[a] = regs[r.R2]
 		case predecode.KIn:
 			if m.inPos < len(m.input) {
 				regs[r.Rd] = m.input[m.inPos]
@@ -411,21 +410,21 @@ func (m *Machine) exec1(pc int) (next int, taken bool, addr int64, err error) {
 		regs[r.Rd] = regs[r.R1]
 	case predecode.KLd:
 		addr = regs[r.R1] + r.Imm
-		if uint64(addr) >= uint64(len(m.Mem)) {
+		v, ok := m.load(addr)
+		if !ok {
 			return 0, false, 0, fmt.Errorf("emu: pc %d: load address %d out of range", pc, addr)
 		}
-		regs[r.Rd] = m.Mem[addr]
+		regs[r.Rd] = v
 	case predecode.KLdNoWB:
 		addr = regs[r.R1] + r.Imm
-		if uint64(addr) >= uint64(len(m.Mem)) {
+		if uint64(addr) >= uint64(m.size) {
 			return 0, false, 0, fmt.Errorf("emu: pc %d: load address %d out of range", pc, addr)
 		}
 	case predecode.KSt:
 		addr = regs[r.R1] + r.Imm
-		if uint64(addr) >= uint64(len(m.Mem)) {
+		if v := regs[r.R2]; !m.store(addr, v) && !m.grow(addr, v) {
 			return 0, false, 0, fmt.Errorf("emu: pc %d: store address %d out of range", pc, addr)
 		}
-		m.Mem[addr] = regs[r.R2]
 	case predecode.KBeqz:
 		if regs[r.R1] == 0 {
 			taken = true

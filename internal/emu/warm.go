@@ -52,7 +52,6 @@ func (m *Machine) RunWarm(max uint64, h *WarmHooks) (uint64, error) {
 	}
 	recs := m.pre.Recs
 	regs := &m.Regs
-	mem := m.Mem
 	var done uint64
 	for !m.halted && (max == 0 || done < max) {
 		pc := m.PC
@@ -163,23 +162,23 @@ func (m *Machine) RunWarm(max uint64, h *WarmHooks) (uint64, error) {
 				regs[r.Rd] = regs[r.R1]
 			case predecode.KLd:
 				a := regs[r.R1] + r.Imm
-				if uint64(a) >= uint64(len(mem)) {
+				v, ok := m.load(a)
+				if !ok {
 					return m.warmFault(h, &done, start, pc, fmt.Errorf("emu: pc %d: load address %d out of range", pc, a))
 				}
-				regs[r.Rd] = mem[a]
+				regs[r.Rd] = v
 				h.Load(a)
 			case predecode.KLdNoWB:
 				a := regs[r.R1] + r.Imm
-				if uint64(a) >= uint64(len(mem)) {
+				if uint64(a) >= uint64(m.size) {
 					return m.warmFault(h, &done, start, pc, fmt.Errorf("emu: pc %d: load address %d out of range", pc, a))
 				}
 				h.Load(a)
 			case predecode.KSt:
 				a := regs[r.R1] + r.Imm
-				if uint64(a) >= uint64(len(mem)) {
+				if v := regs[r.R2]; !m.store(a, v) && !m.grow(a, v) {
 					return m.warmFault(h, &done, start, pc, fmt.Errorf("emu: pc %d: store address %d out of range", pc, a))
 				}
-				mem[a] = regs[r.R2]
 			case predecode.KIn:
 				if m.inPos < len(m.input) {
 					regs[r.Rd] = m.input[m.inPos]

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"dmp/internal/bpred"
 	"dmp/internal/cache"
 	"dmp/internal/emu"
 	"dmp/internal/predecode"
@@ -19,42 +18,6 @@ import (
 // caches, global history — is deliberately carried across the boundary and
 // NOT reset: the warmup portion of each interval re-trains whatever went
 // stale during the skip, which is the SMARTS error model.
-
-// NewFromMachine creates a simulator that consumes its correct path from m,
-// starting at m's current architectural state instead of the program entry
-// point. m is typically a fresh or freshly Reset machine; the simulator takes
-// ownership of it for the duration of the run. The trace budget starts empty
-// — RunInterval extends it — so a NewFromMachine Sim is driven interval by
-// interval, not with Run.
-func NewFromMachine(m *emu.Machine, cfg Config) *Sim {
-	prog := m.Program()
-	s := &Sim{
-		cfg:      cfg,
-		prog:     prog,
-		code:     prog.Code,
-		recs:     m.Predecoded().Recs,
-		tr:       newTraceReader(m, cfg.MaxInsts),
-		pred:     bpred.NewPerceptron(cfg.PerceptronTables, cfg.PerceptronHist),
-		conf:     bpred.NewConfidence(cfg.ConfEntries, cfg.ConfHistBits, cfg.ConfThreshold),
-		btb:      bpred.NewBTB(cfg.BTBEntries),
-		hier:     cache.NewHierarchyFrom(cfg.hierConfig()),
-		iHit:     cfg.ICache.HitCycles,
-		dHit:     cfg.DCache.HitCycles,
-		sfTag:    make([]int64, storeFwdSize),
-		sfCyc:    make([]int64, storeFwdSize),
-		issueTag: make([]int64, issueRingSize),
-		issueCnt: make([]uint16, issueRingSize),
-		selRegs:  make([]uint8, 0, 64),
-	}
-	for i := range s.issueTag {
-		s.issueTag[i] = -1
-	}
-	for i := range s.sfTag {
-		s.sfTag[i] = -1
-	}
-	s.streams = []*stream{newStream(m.PC, true, cfg.RASDepth)}
-	return s
-}
 
 // Skip functionally advances the machine past n correct-path instructions
 // without simulating their timing, while warming the long-persistence

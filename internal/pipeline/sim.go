@@ -102,7 +102,18 @@ const issueRingSize = 1 << 18
 
 // New creates a simulator for an annotated program on the given input tape.
 func New(prog *isa.Program, input []int64, cfg Config) *Sim {
-	m := emu.New(prog, input, 0)
+	return NewFromMachine(emu.New(prog, input, 0), cfg)
+}
+
+// NewFromMachine creates a simulator that consumes its correct path from m,
+// starting at m's current architectural state; on a fresh machine that is
+// the program entry point, which is how New uses it. m is typically a fresh
+// or freshly Reset machine; the simulator takes ownership of it for the
+// duration of the run. The Sim runs to completion with Run, or is driven
+// interval by interval with Skip and RunInterval, which set the trace budget
+// themselves.
+func NewFromMachine(m *emu.Machine, cfg Config) *Sim {
+	prog := m.Program()
 	s := &Sim{
 		cfg:      cfg,
 		prog:     prog,
@@ -127,7 +138,7 @@ func New(prog *isa.Program, input []int64, cfg Config) *Sim {
 	for i := range s.sfTag {
 		s.sfTag[i] = -1
 	}
-	s.streams = []*stream{newStream(prog.Entry, true, cfg.RASDepth)}
+	s.streams = []*stream{newStream(m.PC, true, cfg.RASDepth)}
 	return s
 }
 

@@ -64,8 +64,9 @@ func Run(ctx context.Context, prog *isa.Program, input []int64, cfg pipeline.Con
 		return r, nil
 	}
 	// Too short for MinIntervals at the configured spacing: fall through to
-	// the known-total decision tree, re-streaming on the same machine (one
-	// in-place clear instead of a fresh 8MB image plus a predecode pass).
+	// the known-total decision tree, re-streaming on the same machine: Reset
+	// clears the memory segments the discovery stream grew, in place, and
+	// keeps the predecode, instead of building a new machine.
 	m.Reset()
 	return runKnown(ctx, prog, input, cfg, sc, m, total)
 }

@@ -24,6 +24,7 @@ sh scripts/lint.sh
 go build ./...
 go test -race ./...
 go test -run 'TestNilTracerEventNoAlloc|TestSteadyStateAllocs' ./internal/pipeline
+go test -run 'TestMachineAllocs' ./internal/emu
 go test -run 'TestFastMatchesReference|TestRunMatchesReference|TestRunBlockMatchesReference|TestStepBatchMatchesReference|TestFaultEquivalence|TestStepBatchFaults' ./internal/emu
 sh scripts/bench_compare.sh
 go run ./cmd/dmplint -corpus
