@@ -54,11 +54,13 @@ trace-smoke:
 
 # Zero-overhead guards: a nil Tracer must add no allocation to event
 # emission, the simulator's steady-state allocs per retired instruction
-# must stay near zero, and an emulator machine run to halt on any corpus
-# program must allocate under 1 MiB (only the memory it writes is backed).
+# must stay near zero, a Sim plus a short run must allocate under 1 MiB
+# (its issue ring and store-forwarding table start small), and an emulator
+# machine run to halt on any corpus program must allocate under 1 MiB (only
+# the memory it writes is backed).
 # Runs without -race (race skips alloc counting).
 alloc-guard:
-	$(GO) test -run 'TestNilTracerEventNoAlloc|TestSteadyStateAllocs' ./internal/pipeline
+	$(GO) test -run 'TestNilTracerEventNoAlloc|TestSteadyStateAllocs|TestSimAllocs' ./internal/pipeline
 	$(GO) test -run 'TestMachineAllocs' ./internal/emu
 
 # Benchmark-regression gate: re-measures the corpus benchmarks, refreshes

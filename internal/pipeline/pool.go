@@ -140,39 +140,113 @@ func (s *Sim) recycleStream(st *stream) {
 	}
 }
 
-// Bounded store-to-load forwarding table, replacing the unbounded
+// The issue-bandwidth ring and the store-to-load forwarding table start
+// small and double only when a run needs the room, so a Sim does not
+// allocate their largest sizes up front. Both give the same issue cycles as
+// fixed tables of their largest sizes (TestGrowableTablesMatchFixed). The
+// hot paths, findIssueSlot and sfStore, report a miss instead of growing,
+// so that they still inline into dispatchEntry.
+
+// issueInitSize is the issue ring's starting length. No corpus run reserves
+// more than 4K cycles ahead.
+const issueInitSize = 1 << 12
+
+// growIssue finishes a findIssueSlot search that reached d cycles ahead:
+// it doubles the ring until d < len and searches again from earliest. Every
+// live reservation lies in (cycle, cycle+len), so distinct live cycles never
+// share a slot, and a dead tag (at or before cycle) can never equal a
+// queried cycle, which is at least cycle+1; only live tags are rehashed.
+// Tags start at 0, which no reservation uses (c >= cycle+1 >= 1). The
+// horizon caps d at issueHorizon, so the ring stops at 2*issueHorizon.
+func (s *Sim) growIssue(earliest, d int64) int64 {
+	for {
+		n := int64(len(s.issueTag))
+		for d >= n {
+			n *= 2
+		}
+		tag, cnt := make([]int64, n), make([]uint16, n)
+		for i, c := range s.issueTag {
+			if c > s.cycle {
+				tag[c&(n-1)], cnt[c&(n-1)] = c, s.issueCnt[i]
+			}
+		}
+		s.issueTag, s.issueCnt, s.issueMask = tag, cnt, n-1
+		c := s.findIssueSlot(earliest)
+		if c >= 0 {
+			return c
+		}
+		d = -c
+	}
+}
+
+// Direct-mapped store-to-load forwarding table, replacing the unbounded
 // map[addr]doneCyc the simulator originally grew for the life of a run.
 //
-// It is a direct-mapped tag+cycle array: a store installs (addr, doneCyc) at
-// addr's slot; a load forwards the recorded completion cycle only on an exact
-// tag hit, which makes a hit behaviourally identical to the map. Stale
-// entries are self-invalidating — a recorded cycle at or before the current
-// cycle cannot raise a load's issue slot (issue is already floored at
-// cycle+1), so only stores still in flight ever matter, and those occupy at
-// most a window's worth of slots. The table is deliberately *not* cleared on
-// a flush, which is the conservative direction: stores older than the flush
-// point survive in the window and must keep constraining later loads, while
-// squashed wrong-path stores never wrote the table (only on-trace stores do)
-// and squashed-then-refetched on-trace stores cannot exist (trace consumption
-// stops once a flush is pending). A conflict eviction can only lose a
-// constraint from a *different* in-flight address sharing the slot; the
-// golden differential suite (harness TestPipelineMatchesEmulator) pins that
-// the table reproduces the map's Stats bit-for-bit across the whole corpus.
-const storeFwdSize = 1 << 16 // power of two; ~128× the instruction window
+// A store installs (addr+1, doneCyc) at addr's slot (tag 0 is empty, and
+// both call sites require addr >= 0); a load forwards the recorded
+// completion cycle only on an exact tag hit. Stale entries are
+// self-invalidating — a recorded cycle at or before the current cycle cannot
+// raise a load's issue slot (issue is already floored at cycle+1), so only
+// stores still in flight ever matter. The table is deliberately *not*
+// cleared on a flush, which is the conservative direction: stores older than
+// the flush point survive in the window and must keep constraining later
+// loads, while squashed wrong-path stores never wrote the table (only
+// on-trace stores do) and squashed-then-refetched on-trace stores cannot
+// exist (trace consumption stops once a flush is pending).
+//
+// The table starts at sfInitSize slots and behaves exactly like a fixed
+// storeFwdSize-slot table: a store evicts the slot's entry as the full table
+// would when it holds the same address, a dead one, or one the full table
+// maps to the same slot; otherwise the table doubles until the two addresses
+// separate. Live entries therefore never alias, and an entry the full table
+// would keep in flight is never lost. The only conflict eviction left is the
+// full table's own; the golden differential suite (harness
+// TestPipelineMatchesEmulator) pins that it reproduces the map's Stats
+// bit-for-bit across the whole corpus.
+const (
+	sfInitSize   = 1 << 10
+	storeFwdSize = 1 << 16 // largest size; ~128× the instruction window
+)
 
 // sfLookup returns the completion cycle of the last store to addr, if the
 // table still holds it.
 func (s *Sim) sfLookup(addr int64) (int64, bool) {
-	i := int(uint64(addr) & (storeFwdSize - 1))
-	if s.sfTag[i] != addr {
+	i := addr & s.sfMask
+	if s.sfTag[i] != addr+1 {
 		return 0, false
 	}
 	return s.sfCyc[i], true
 }
 
-// sfStore records the completion cycle of a store to addr.
-func (s *Sim) sfStore(addr, doneCyc int64) {
-	i := int(uint64(addr) & (storeFwdSize - 1))
-	s.sfTag[i] = addr
+// sfStore records the completion cycle of a store to addr. It stores
+// nothing and returns false when the slot holds an in-flight store (an empty
+// slot's cycle is 0) to an address the full table keeps in a different
+// slot; the caller then calls growSF.
+func (s *Sim) sfStore(addr, doneCyc int64) bool {
+	i := addr & s.sfMask
+	if s.sfCyc[i] > s.cycle && (s.sfTag[i]-1)&(storeFwdSize-1) != addr&(storeFwdSize-1) {
+		return false
+	}
+	s.sfTag[i] = addr + 1
 	s.sfCyc[i] = doneCyc
+	return true
+}
+
+// growSF doubles the store-forwarding table until sfStore can record the
+// store, rehashing only in-flight entries. Entries from distinct slots land
+// in distinct slots, so none is lost.
+func (s *Sim) growSF(addr, doneCyc int64) {
+	for {
+		n := int64(len(s.sfTag)) * 2
+		tag, cyc := make([]int64, n), make([]int64, n)
+		for i, t := range s.sfTag {
+			if s.sfCyc[i] > s.cycle {
+				tag[(t-1)&(n-1)], cyc[(t-1)&(n-1)] = t, s.sfCyc[i]
+			}
+		}
+		s.sfTag, s.sfCyc, s.sfMask = tag, cyc, n-1
+		if s.sfStore(addr, doneCyc) {
+			return
+		}
+	}
 }

@@ -48,14 +48,19 @@ type Sim struct {
 	robHead int
 
 	regReady [64]int64
-	// sfTag/sfCyc form the bounded direct-mapped store-to-load forwarding
-	// table (see pool.go for the equivalence argument against the unbounded
-	// map it replaced).
-	sfTag []int64
-	sfCyc []int64
+	// sfTag/sfCyc form the direct-mapped store-to-load forwarding table:
+	// tags hold addr+1 (0 is empty), sfMask is len-1, and the table doubles
+	// only when a store would evict a different in-flight address (pool.go).
+	sfTag  []int64
+	sfCyc  []int64
+	sfMask int64
 
-	issueTag []int64
-	issueCnt []uint16
+	// issueTag/issueCnt form the issue-bandwidth ring: tags hold the
+	// reserved cycle (0 is empty), issueMask is len-1, and the ring doubles
+	// before a reservation as far ahead as its length (pool.go).
+	issueTag  []int64
+	issueCnt  []uint16
+	issueMask int64
 
 	streams []*stream
 	rr      int
@@ -98,7 +103,9 @@ type Sim struct {
 	spareStream *stream
 }
 
-const issueRingSize = 1 << 18
+// issueHorizon is how far ahead of the current cycle issue bandwidth is
+// tracked; a reservation beyond it is unconstrained.
+const issueHorizon = 1 << 17
 
 // New creates a simulator for an annotated program on the given input tape.
 func New(prog *isa.Program, input []int64, cfg Config) *Sim {
@@ -115,28 +122,24 @@ func New(prog *isa.Program, input []int64, cfg Config) *Sim {
 func NewFromMachine(m *emu.Machine, cfg Config) *Sim {
 	prog := m.Program()
 	s := &Sim{
-		cfg:      cfg,
-		prog:     prog,
-		code:     prog.Code,
-		recs:     m.Predecoded().Recs,
-		tr:       newTraceReader(m, cfg.MaxInsts),
-		pred:     bpred.NewPerceptron(cfg.PerceptronTables, cfg.PerceptronHist),
-		conf:     bpred.NewConfidence(cfg.ConfEntries, cfg.ConfHistBits, cfg.ConfThreshold),
-		btb:      bpred.NewBTB(cfg.BTBEntries),
-		hier:     cache.NewHierarchyFrom(cfg.hierConfig()),
-		iHit:     cfg.ICache.HitCycles,
-		dHit:     cfg.DCache.HitCycles,
-		sfTag:    make([]int64, storeFwdSize),
-		sfCyc:    make([]int64, storeFwdSize),
-		issueTag: make([]int64, issueRingSize),
-		issueCnt: make([]uint16, issueRingSize),
-		selRegs:  make([]uint8, 0, 64),
-	}
-	for i := range s.issueTag {
-		s.issueTag[i] = -1
-	}
-	for i := range s.sfTag {
-		s.sfTag[i] = -1
+		cfg:       cfg,
+		prog:      prog,
+		code:      prog.Code,
+		recs:      m.Predecoded().Recs,
+		tr:        newTraceReader(m, cfg.MaxInsts),
+		pred:      bpred.NewPerceptron(cfg.PerceptronTables, cfg.PerceptronHist),
+		conf:      bpred.NewConfidence(cfg.ConfEntries, cfg.ConfHistBits, cfg.ConfThreshold),
+		btb:       bpred.NewBTB(cfg.BTBEntries),
+		hier:      cache.NewHierarchyFrom(cfg.hierConfig()),
+		iHit:      cfg.ICache.HitCycles,
+		dHit:      cfg.DCache.HitCycles,
+		sfTag:     make([]int64, sfInitSize),
+		sfCyc:     make([]int64, sfInitSize),
+		sfMask:    sfInitSize - 1,
+		issueTag:  make([]int64, issueInitSize),
+		issueCnt:  make([]uint16, issueInitSize),
+		issueMask: issueInitSize - 1,
+		selRegs:   make([]uint8, 0, 64),
 	}
 	s.streams = []*stream{newStream(m.PC, true, cfg.RASDepth)}
 	return s
@@ -242,14 +245,21 @@ func clearTail(tail []*entry) {
 }
 
 // findIssueSlot reserves the earliest issue cycle >= earliest with free
-// issue bandwidth.
+// issue bandwidth. A search that reaches d >= len(issueTag) cycles ahead
+// reserves nothing and returns -d, and the caller finishes it with
+// growIssue; keeping the growth out of this loop lets it inline into
+// dispatchEntry.
 func (s *Sim) findIssueSlot(earliest int64) int64 {
 	for c := earliest; ; c++ {
-		if c-s.cycle > issueRingSize/2 {
+		d := c - s.cycle
+		if d > issueHorizon {
 			// Too far in the future to track bandwidth; unconstrained.
 			return c
 		}
-		i := c & (issueRingSize - 1)
+		if d > s.issueMask {
+			return -d
+		}
+		i := c & s.issueMask
 		if s.issueTag[i] != c {
 			s.issueTag[i] = c
 			s.issueCnt[i] = 1
@@ -332,7 +342,11 @@ func (s *Sim) dispatchEntry(e *entry) {
 		if e.sess != nil && e.sess.resolveCyc > ready {
 			ready = e.sess.resolveCyc
 		}
-		issue := s.findIssueSlot(max64(s.cycle+1, ready))
+		earliest := max64(s.cycle+1, ready)
+		issue := s.findIssueSlot(earliest)
+		if issue < 0 {
+			issue = s.growIssue(earliest, -issue)
+		}
 		e.doneCyc = issue + 1
 		table[e.selReg] = e.doneCyc
 		return
@@ -352,14 +366,18 @@ func (s *Sim) dispatchEntry(e *entry) {
 			ready = t
 		}
 	}
-	issue := s.findIssueSlot(max64(s.cycle+1, ready))
+	earliest := max64(s.cycle+1, ready)
+	issue := s.findIssueSlot(earliest)
+	if issue < 0 {
+		issue = s.growIssue(earliest, -issue)
+	}
 	e.doneCyc = issue + int64(s.latencyOf(e, rec))
 
 	if rec.Rd > 0 {
 		table[rec.Rd] = e.doneCyc
 	}
-	if e.inst.Op == isa.OpSt && e.onTrace && e.addr >= 0 {
-		s.sfStore(e.addr, e.doneCyc)
+	if e.inst.Op == isa.OpSt && e.onTrace && e.addr >= 0 && !s.sfStore(e.addr, e.doneCyc) {
+		s.growSF(e.addr, e.doneCyc)
 	}
 
 	if e.sess != nil {

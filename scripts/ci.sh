@@ -23,7 +23,7 @@ go vet ./...
 sh scripts/lint.sh
 go build ./...
 go test -race ./...
-go test -run 'TestNilTracerEventNoAlloc|TestSteadyStateAllocs' ./internal/pipeline
+go test -run 'TestNilTracerEventNoAlloc|TestSteadyStateAllocs|TestSimAllocs' ./internal/pipeline
 go test -run 'TestMachineAllocs' ./internal/emu
 go test -run 'TestFastMatchesReference|TestRunMatchesReference|TestRunBlockMatchesReference|TestStepBatchMatchesReference|TestFaultEquivalence|TestStepBatchFaults' ./internal/emu
 sh scripts/bench_compare.sh
