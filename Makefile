@@ -18,7 +18,7 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test race lint-corpus fuzz-smoke fuzz eval trace-smoke alloc-guard bench-compare prof-pipeline emu-diff gen-smoke static-smoke sample-smoke serve-smoke serve-load sweep-smoke
+.PHONY: ci vet lint build test race lint-corpus fuzz-smoke fuzz eval trace-smoke alloc-guard bench-compare prof-pipeline emu-diff gen-smoke static-smoke sample-smoke serve-smoke sweep-smoke eval-check
 
 ci:
 	sh scripts/ci.sh
@@ -114,12 +114,6 @@ sample-smoke:
 serve-smoke:
 	sh scripts/serve_smoke.sh
 
-# Daemon load test: 200 concurrent jobs over real HTTP against an in-process
-# daemon; prints the JSON load report (throughput, latency percentiles,
-# cache hit rate).
-serve-load:
-	sh scripts/serve_load.sh
-
 # Sweep-engine smoke: a small benchmark x config grid through cmd/dmpsweep
 # with CSV streaming, then the same invocation again against the same file —
 # the second run must resume (skip every completed cell) instead of
@@ -147,3 +141,8 @@ fuzz:
 # Regenerate the checked-in evaluation transcript (slow; see EXPERIMENTS.md).
 eval:
 	$(GO) run ./cmd/dmpbench > evaluation_output.txt
+
+# Paper-table pin: rerun the full evaluation and diff it against the
+# checked-in transcript, masking only host-dependent timing lines.
+eval-check:
+	sh scripts/eval_check.sh

@@ -35,7 +35,7 @@ var (
 func session(b *testing.B) *harness.Session {
 	b.Helper()
 	sessOnce.Do(func() {
-		sess, sessErr = harness.NewSession(harness.Options{MaxInsts: benchMaxInsts})
+		sess, sessErr = harness.NewSession(harness.Options{EvalOptions: harness.EvalOptions{MaxInsts: benchMaxInsts}})
 	})
 	if sessErr != nil {
 		b.Fatal(sessErr)
@@ -290,7 +290,7 @@ func BenchmarkPipelineDMP(b *testing.B) {
 	cfg.MaxInsts = 100_000
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pipeline.Run(w.Prog.WithAnnots(annots), w.RunInput, cfg); err != nil {
+		if _, err := pipeline.Run(w.Bare.WithAnnots(annots), w.RunInput, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -327,18 +327,18 @@ func BenchmarkExtension2DProfiling(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			_, sp, err := profile.Collect2D(w.Prog, w.RunInput, profile.TwoDOptions{})
+			_, sp, err := profile.Collect2D(w.Bare, w.RunInput, profile.TwoDOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
 			plain := core.HeuristicParams()
-			resPlain, err := core.Select(w.Prog, w.ProfRun, plain)
+			resPlain, err := core.Select(w.Bare, w.ProfRun, plain)
 			if err != nil {
 				b.Fatal(err)
 			}
 			filtered := core.HeuristicParams()
 			filtered.TwoD = sp
-			resFilt, err := core.Select(w.Prog, w.ProfRun, filtered)
+			resFilt, err := core.Select(w.Bare, w.ProfRun, filtered)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -387,7 +387,7 @@ func BenchmarkExtensionFeedback(b *testing.B) {
 			cfg.DMP = true
 			cfg.DpredFeedback = true
 			cfg.MaxInsts = benchMaxInsts
-			fb, err := pipeline.Run(w.Prog.WithAnnots(res.Annots), w.RunInput, cfg)
+			fb, err := pipeline.Run(w.Bare.WithAnnots(res.Annots), w.RunInput, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -130,12 +130,9 @@ func main() {
 	}
 	check(sc.Validate())
 
-	opts := harness.Options{Scale: *scale, MaxInsts: *maxInsts, Parallelism: *par}
+	opts := harness.Options{Scale: *scale, Parallelism: *par, EvalOptions: harness.EvalOptions{MaxInsts: *maxInsts}}
 	if *benches != "" {
 		opts.Benchmarks = strings.Split(*benches, ",")
-	}
-	if *sampled {
-		opts.Sample = sc
 	}
 
 	// The sample-error differential simulates each workload both ways itself,
@@ -184,13 +181,13 @@ func main() {
 		}
 		t0 := time.Now()
 		progs := gen.BuildCorpus(confs, n, *genSeed)
-		popOpts := harness.PopulationOptions{Parallelism: *par, MaxInsts: *maxInsts}
+		// opts has no Sample set yet: populations simulate at full fidelity.
 		if *exp == "static" {
-			rep, err := harness.RunPopulationCompare(progs, popOpts)
+			rep, err := harness.RunPopulationCompare(progs, opts)
 			check(err)
 			rep.Render(os.Stdout)
 		} else {
-			rep, err := harness.RunPopulation(progs, popOpts)
+			rep, err := harness.RunPopulation(progs, opts)
 			check(err)
 			rep.Render(os.Stdout)
 		}
@@ -198,6 +195,9 @@ func main() {
 		return
 	}
 
+	if *sampled {
+		opts.Sample = sc
+	}
 	want := func(name string) bool { return *exp == "all" || *exp == name }
 
 	if want("table1") {

@@ -16,13 +16,11 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
+	"dmp/internal/bench"
 	"dmp/internal/codegen"
 	"dmp/internal/core"
 	"dmp/internal/isa"
@@ -56,7 +54,7 @@ func main() {
 
 	var input []int64
 	if *in != "" {
-		input, err = readTape(*in)
+		input, err = bench.ReadTapeFile(*in)
 		check(err)
 	}
 
@@ -70,9 +68,9 @@ func main() {
 			prof, err = profile.Collect(prog, input, profile.Options{})
 			check(err)
 		}
-		annots, err := selectAnnots(prog, prof, *algo)
+		res, err := core.SelectByName(prog, prof, *algo)
 		check(err)
-		prog.Annots = annots
+		prog.Annots = res.Annots
 	}
 
 	if *asm {
@@ -86,71 +84,6 @@ func main() {
 	check(err)
 	fmt.Printf("dmpcc: wrote %s (%d instructions, %d diverge branches)\n",
 		*out, len(prog.Code), prog.NumDivergeBranches())
-}
-
-func selectAnnots(prog *isa.Program, prof *profile.Profile, algo string) (map[int]*isa.DivergeInfo, error) {
-	switch algo {
-	case "heur":
-		r, err := core.Select(prog, prof, core.HeuristicParams())
-		if err != nil {
-			return nil, err
-		}
-		return r.Annots, nil
-	case "cost-long":
-		r, err := core.Select(prog, prof, core.CostParams(core.LongestPath))
-		if err != nil {
-			return nil, err
-		}
-		return r.Annots, nil
-	case "cost-edge":
-		r, err := core.Select(prog, prof, core.CostParams(core.EdgeWeighted))
-		if err != nil {
-			return nil, err
-		}
-		return r.Annots, nil
-	}
-	var b core.Baseline
-	switch algo {
-	case "every":
-		b = core.EveryBranch
-	case "random50":
-		b = core.Random50
-	case "highbp":
-		b = core.HighBP5
-	case "immediate":
-		b = core.Immediate
-	case "ifelse":
-		b = core.IfElse
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q", algo)
-	}
-	r, err := core.SelectBaseline(prog, prof, b, 1)
-	if err != nil {
-		return nil, err
-	}
-	return r.Annots, nil
-}
-
-func readTape(path string) ([]int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var tape []int64
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		v, err := strconv.ParseInt(line, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad tape value %q: %w", line, err)
-		}
-		tape = append(tape, v)
-	}
-	return tape, sc.Err()
 }
 
 func check(err error) {

@@ -36,6 +36,7 @@ import (
 	"strings"
 	"sync"
 
+	"dmp/internal/bench"
 	"dmp/internal/gen"
 	"dmp/internal/harness"
 )
@@ -125,8 +126,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dmpgen: %d programs verified clean (8 algorithms from %s + emu/pipeline differential)\n", len(progs), src)
 	}
 	if *report != "" {
-		rep, err := harness.RunPopulation(progs, harness.PopulationOptions{
-			Parallelism: *par, MaxInsts: *maxInsts,
+		rep, err := harness.RunPopulation(progs, harness.Options{
+			Parallelism: *par, EvalOptions: harness.EvalOptions{MaxInsts: *maxInsts},
 		})
 		check2(err)
 		w := os.Stdout
@@ -174,23 +175,13 @@ func writeCorpus(dir string, m *gen.Manifest, progs []*gen.Program) {
 	check2(os.MkdirAll(dir, 0o755))
 	for _, p := range progs {
 		check2(os.WriteFile(filepath.Join(dir, p.Name+".dml"), []byte(p.Source), 0o644))
-		check2(os.WriteFile(filepath.Join(dir, p.Name+".run.in"), tapeText(p.RunInput), 0o644))
-		check2(os.WriteFile(filepath.Join(dir, p.Name+".train.in"), tapeText(p.TrainInput), 0o644))
+		check2(os.WriteFile(filepath.Join(dir, p.Name+".run.in"), bench.FormatTape(p.RunInput), 0o644))
+		check2(os.WriteFile(filepath.Join(dir, p.Name+".train.in"), bench.FormatTape(p.TrainInput), 0o644))
 	}
 	f, err := os.Create(filepath.Join(dir, "manifest.json"))
 	check2(err)
 	defer f.Close()
 	check2(m.Write(f))
-}
-
-// tapeText renders an input tape in the one-integer-per-line format dmplint
-// -in and dmpsim consume.
-func tapeText(tape []int64) []byte {
-	var sb strings.Builder
-	for _, v := range tape {
-		fmt.Fprintf(&sb, "%d\n", v)
-	}
-	return []byte(sb.String())
 }
 
 func checkCorpus(progs []*gen.Program, par int, useStatic bool) int {

@@ -15,12 +15,10 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"dmp/internal/bench"
@@ -31,12 +29,10 @@ import (
 	"dmp/internal/verify"
 )
 
-var algos = []string{"none", "heur", "cost-long", "cost-edge", "every", "random50", "highbp", "immediate", "ifelse"}
-
 func main() {
 	src := flag.String("src", "", "DML source file to compile and verify")
 	in := flag.String("in", "", "profiling input tape for -src (one integer per line)")
-	algo := flag.String("algo", "none", "selection algorithm for -src: "+strings.Join(algos, ", "))
+	algo := flag.String("algo", "none", "selection algorithm for -src: none, "+strings.Join(core.Algorithms(), ", "))
 	opt := flag.Bool("O", false, "run the IR optimizer when compiling -src")
 	corpus := flag.Bool("corpus", false, "verify every benchmark x input set x selection algorithm")
 	jsonOut := flag.Bool("json", false, "print diagnostics as a JSON array")
@@ -126,14 +122,14 @@ func lintSource(lint func(*isa.Program, string), src, in, algo string, opt bool)
 	if algo != "none" {
 		var tape []int64
 		if in != "" {
-			tape, err = readTape(in)
+			tape, err = bench.ReadTapeFile(in)
 			check(err)
 		}
 		prof, err := profile.Collect(prog, tape, profile.Options{})
 		check(err)
-		annots, err := selectAnnots(prog, prof, algo)
+		res, err := core.SelectByName(prog, prof, algo)
 		check(err)
-		prog = prog.WithAnnots(annots)
+		prog = prog.WithAnnots(res.Annots)
 	}
 	lint(prog, src+":"+algo)
 }
@@ -153,73 +149,13 @@ func lintCorpus(lint func(*isa.Program, string)) {
 		for _, s := range sets {
 			prof, err := profile.Collect(prog, b.Input(s.set, 1), profile.Options{})
 			check(err)
-			for _, algo := range algos[1:] {
-				annots, err := selectAnnots(prog, prof, algo)
+			for _, algo := range core.Algorithms() {
+				res, err := core.SelectByName(prog, prof, algo)
 				check(err)
-				lint(prog.WithAnnots(annots), b.Name+"/"+s.name+"/"+algo)
+				lint(prog.WithAnnots(res.Annots), b.Name+"/"+s.name+"/"+algo)
 			}
 		}
 	}
-}
-
-func selectAnnots(prog *isa.Program, prof *profile.Profile, algo string) (map[int]*isa.DivergeInfo, error) {
-	var p core.Params
-	switch algo {
-	case "heur":
-		p = core.HeuristicParams()
-	case "cost-long":
-		p = core.CostParams(core.LongestPath)
-	case "cost-edge":
-		p = core.CostParams(core.EdgeWeighted)
-	default:
-		var b core.Baseline
-		switch algo {
-		case "every":
-			b = core.EveryBranch
-		case "random50":
-			b = core.Random50
-		case "highbp":
-			b = core.HighBP5
-		case "immediate":
-			b = core.Immediate
-		case "ifelse":
-			b = core.IfElse
-		default:
-			return nil, fmt.Errorf("unknown algorithm %q", algo)
-		}
-		r, err := core.SelectBaseline(prog, prof, b, 1)
-		if err != nil {
-			return nil, err
-		}
-		return r.Annots, nil
-	}
-	r, err := core.Select(prog, prof, p)
-	if err != nil {
-		return nil, err
-	}
-	return r.Annots, nil
-}
-
-func readTape(path string) ([]int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var tape []int64
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		v, err := strconv.ParseInt(line, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad tape value %q: %w", line, err)
-		}
-		tape = append(tape, v)
-	}
-	return tape, sc.Err()
 }
 
 func die(msg string) {

@@ -14,14 +14,12 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 
+	"dmp/internal/bench"
 	"dmp/internal/isa"
 	"dmp/internal/profile"
 	"dmp/internal/static"
@@ -47,7 +45,7 @@ func main() {
 
 	var input []int64
 	if *in != "" {
-		input, err = readTape(*in)
+		input, err = bench.ReadTapeFile(*in)
 		check(err)
 	}
 
@@ -109,28 +107,6 @@ func main() {
 		check(err)
 		fmt.Printf("wrote %s\n", *out)
 	}
-}
-
-func readTape(path string) ([]int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var tape []int64
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		v, err := strconv.ParseInt(line, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad tape value %q: %w", line, err)
-		}
-		tape = append(tape, v)
-	}
-	return tape, sc.Err()
 }
 
 func check(err error) {

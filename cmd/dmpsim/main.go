@@ -34,14 +34,11 @@
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"strconv"
-	"strings"
 	"time"
 
 	"dmp/internal/bench"
@@ -100,7 +97,7 @@ func main() {
 		f.Close()
 		check(err)
 		if *in != "" {
-			input, err = readTape(*in)
+			input, err = bench.ReadTapeFile(*in)
 			check(err)
 		}
 	}
@@ -236,28 +233,6 @@ func (m multiTracer) Event(e trace.Event) {
 	for _, t := range m {
 		t.Event(e)
 	}
-}
-
-func readTape(path string) ([]int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var tape []int64
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		v, err := strconv.ParseInt(line, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad tape value %q: %w", line, err)
-		}
-		tape = append(tape, v)
-	}
-	return tape, sc.Err()
 }
 
 func check(err error) {

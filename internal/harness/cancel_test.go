@@ -14,7 +14,6 @@ import (
 
 	"dmp/internal/gen"
 	"dmp/internal/simcache"
-	"dmp/internal/workpool"
 )
 
 // TestRunPopulationCtxCancel: cancelling a population run mid-flight returns
@@ -30,7 +29,7 @@ func TestRunPopulationCtxCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunPopulationCtx(ctx, progs, PopulationOptions{Parallelism: 4, Cache: cache})
+		_, err := RunPopulationCtx(ctx, progs, Options{Parallelism: 4, EvalOptions: EvalOptions{Cache: cache}})
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -98,11 +97,11 @@ func TestRunPopulationCtxCompletesAfterCancelledRun(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunPopulationCtx(ctx, progs, PopulationOptions{Parallelism: 2, Cache: cache}); !errors.Is(err, context.Canceled) {
+	if _, err := RunPopulationCtx(ctx, progs, Options{Parallelism: 2, EvalOptions: EvalOptions{Cache: cache}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled run err = %v, want context.Canceled", err)
 	}
 
-	rep, err := RunPopulationCtx(context.Background(), progs, PopulationOptions{Parallelism: 2, Cache: cache})
+	rep, err := RunPopulationCtx(context.Background(), progs, Options{Parallelism: 2, EvalOptions: EvalOptions{Cache: cache}})
 	if err != nil {
 		t.Fatalf("clean run after cancelled run: %v", err)
 	}
@@ -116,25 +115,39 @@ func TestRunPopulationCtxCompletesAfterCancelledRun(t *testing.T) {
 	}
 }
 
-// TestForEachBoundedAggregatesAllErrors pins the contract the harness's
-// unbounded fan-outs (population, static, sample-error) rely on from
-// workpool.RunIndexed: every failing workload's error reaches the caller,
-// not just the first (the pre-fix behaviour).
-func TestForEachBoundedAggregatesAllErrors(t *testing.T) {
-	e1, e2 := errors.New("w1 failed"), errors.New("w3 failed")
-	err := workpool.RunIndexed(context.Background(), 4, 2,
-		func(i int) string { return "workload" }, nil,
-		func(i int) error {
-			switch i {
-			case 1:
-				return e1
-			case 3:
-				return e2
-			}
-			return nil
-		})
-	if !errors.Is(err, e1) || !errors.Is(err, e2) {
-		t.Fatalf("RunIndexed dropped an error: got %v, want both %v and %v", err, e1, e2)
+// TestRunPopulationCompareCtxCancelMidProgram: cancelling a three-way
+// comparison while a program is being profiled returns promptly with the
+// context error. The program runs for hundreds of millions of instructions,
+// so the call can only return within the bound if the in-flight profile and
+// simulation honour the context.
+func TestRunPopulationCompareCtxCancelMidProgram(t *testing.T) {
+	long := &gen.Program{Name: "long-loop", Idiom: "loop", Source: `
+var acc = 0;
+func main() {
+    var i = 0;
+    while (i < 100000000) {
+        if (i & 1) { acc = acc + i; } else { acc = acc - 1; }
+        i = i + 1;
+    }
+    out(acc);
+}
+`}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunPopulationCompareCtx(ctx, []*gen.Program{long}, Options{Parallelism: 1, EvalOptions: EvalOptions{Cache: simcache.New("")}})
+		done <- err
+	}()
+	time.Sleep(50 * time.Millisecond)
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("RunPopulationCompareCtx err = %v, want context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("RunPopulationCompareCtx did not return within 2s of cancel")
 	}
 }
 

@@ -56,15 +56,15 @@ func Table2(s *Session) (*stats.Table, error) {
 		if err != nil {
 			return err
 		}
-		annotated := w.Prog.WithAnnots(res.Annots)
+		annotated := w.Bare.WithAnnots(res.Annots)
 		mu.Lock()
 		defer mu.Unlock()
-		vals["BaseIPC"][w.Bench.Name] = base.IPC()
-		vals["MPKI"][w.Bench.Name] = base.MPKI()
-		vals["Insts(K)"][w.Bench.Name] = float64(base.Retired) / 1000
-		vals["All br."][w.Bench.Name] = float64(w.Prog.NumStaticBranches())
-		vals["Diverge br."][w.Bench.Name] = float64(annotated.NumDivergeBranches())
-		vals["Avg #CFM"][w.Bench.Name] = annotated.AvgCFMPerDiverge()
+		vals["BaseIPC"][w.Name] = base.IPC()
+		vals["MPKI"][w.Name] = base.MPKI()
+		vals["Insts(K)"][w.Name] = float64(base.Retired) / 1000
+		vals["All br."][w.Name] = float64(w.Bare.NumStaticBranches())
+		vals["Diverge br."][w.Name] = float64(annotated.NumDivergeBranches())
+		vals["Avg #CFM"][w.Name] = annotated.AvgCFMPerDiverge()
 		return nil
 	})
 	if err != nil {
@@ -76,8 +76,52 @@ func Table2(s *Session) (*stats.Table, error) {
 	return t, nil
 }
 
-// runConfigSeries simulates one selection configuration over every workload
-// and returns the per-benchmark improvement and flush rows.
+// series is one row of a selection figure: its label and the selection it
+// simulates on every workload (nil = the baseline machine alone).
+type series struct {
+	name string
+	sel  func(w *Workload) (*core.Result, error)
+}
+
+// selecting returns a series selecting with p from the run-tape profile, or
+// the train-tape one when train is set.
+func selecting(name string, p core.Params, train bool) series {
+	return series{name, func(w *Workload) (*core.Result, error) { return w.Select(p, train) }}
+}
+
+func configSeries(cfgs []SelectionConfig) []series {
+	out := make([]series, len(cfgs))
+	for i, c := range cfgs {
+		out[i] = selecting(c.Name, c.Params, false)
+	}
+	return out
+}
+
+// figure builds a selection figure: one column per benchmark and one row per
+// series, holding the DMP improvement over baseline in percent, or the
+// pipeline flushes per kilo-instruction when flushes is set.
+func (s *Session) figure(title string, rows []series, flushes bool) (*stats.Table, error) {
+	t := &stats.Table{Title: title, Cols: s.Names(), Unit: "% IPC improvement over baseline"}
+	if flushes {
+		t.Unit = "flushes per kilo-instruction"
+	}
+	for _, r := range rows {
+		imp, fl, err := s.runConfigSeries(r.sel)
+		if err != nil {
+			return nil, err
+		}
+		if flushes {
+			t.AddRow(r.name, fl)
+		} else {
+			t.AddRow(r.name, imp)
+		}
+	}
+	return t, nil
+}
+
+// runConfigSeries simulates one selection over every workload and returns
+// the per-benchmark improvement and flush rows; a nil selection reports the
+// baseline machine's flushes.
 func (s *Session) runConfigSeries(sel func(w *Workload) (*core.Result, error)) (imp, flushes map[string]float64, err error) {
 	imp = map[string]float64{}
 	flushes = map[string]float64{}
@@ -88,18 +132,20 @@ func (s *Session) runConfigSeries(sel func(w *Workload) (*core.Result, error)) (
 		if err != nil {
 			return err
 		}
-		res, err := sel(w)
-		if err != nil {
-			return err
-		}
-		dmp, err := w.RunDMP(res.Annots)
-		if err != nil {
-			return err
+		run := base
+		if sel != nil {
+			res, err := sel(w)
+			if err != nil {
+				return err
+			}
+			if run, err = w.RunDMP(res.Annots); err != nil {
+				return err
+			}
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		imp[w.Bench.Name] = Improvement(base, dmp)
-		flushes[w.Bench.Name] = dmp.FlushesPerKI()
+		imp[w.Name] = Improvement(base, run)
+		flushes[w.Name] = run.FlushesPerKI()
 		return nil
 	})
 	return imp, flushes, err
@@ -108,77 +154,21 @@ func (s *Session) runConfigSeries(sel func(w *Workload) (*core.Result, error)) (
 // Fig5Left reproduces Figure 5 (left): DMP improvement with the cumulative
 // heuristic configurations.
 func Fig5Left(s *Session) (*stats.Table, error) {
-	t := &stats.Table{
-		Title: "Figure 5 (left). DMP performance improvement, heuristic selection",
-		Cols:  s.Names(), Unit: "% IPC improvement over baseline",
-	}
-	for _, cfg := range HeuristicConfigs() {
-		cfg := cfg
-		imp, _, err := s.runConfigSeries(func(w *Workload) (*core.Result, error) {
-			return w.Select(cfg.Params, false)
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(cfg.Name, imp)
-	}
-	return t, nil
+	return s.figure("Figure 5 (left). DMP performance improvement, heuristic selection",
+		configSeries(HeuristicConfigs()), false)
 }
 
 // Fig5Right reproduces Figure 5 (right): the cost-benefit model variants.
 func Fig5Right(s *Session) (*stats.Table, error) {
-	t := &stats.Table{
-		Title: "Figure 5 (right). DMP performance improvement, cost-benefit model",
-		Cols:  s.Names(), Unit: "% IPC improvement over baseline",
-	}
-	for _, cfg := range CostConfigs() {
-		cfg := cfg
-		imp, _, err := s.runConfigSeries(func(w *Workload) (*core.Result, error) {
-			return w.Select(cfg.Params, false)
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(cfg.Name, imp)
-	}
-	return t, nil
+	return s.figure("Figure 5 (right). DMP performance improvement, cost-benefit model",
+		configSeries(CostConfigs()), false)
 }
 
 // Fig6 reproduces Figure 6: pipeline flushes per kilo-instruction in the
 // baseline and under each cumulative DMP configuration.
 func Fig6(s *Session) (*stats.Table, error) {
-	t := &stats.Table{
-		Title: "Figure 6. Pipeline flushes due to branch mispredictions",
-		Cols:  s.Names(), Unit: "flushes per kilo-instruction",
-	}
-	baseRow := map[string]float64{}
-	var mu sync.Mutex
-	err := s.forEachIdx(len(s.Workloads), func(i int) error {
-		w := s.Workloads[i]
-		base, err := w.Baseline()
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		baseRow[w.Bench.Name] = base.FlushesPerKI()
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("baseline", baseRow)
-	for _, cfg := range HeuristicConfigs() {
-		cfg := cfg
-		_, flushes, err := s.runConfigSeries(func(w *Workload) (*core.Result, error) {
-			return w.Select(cfg.Params, false)
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(cfg.Name, flushes)
-	}
-	return t, nil
+	rows := append([]series{{name: "baseline"}}, configSeries(HeuristicConfigs())...)
+	return s.figure("Figure 6. Pipeline flushes due to branch mispredictions", rows, true)
 }
 
 // Fig7 reproduces Figure 7: the MAX_INSTR x MIN_MERGE_PROB threshold sweep
@@ -191,10 +181,7 @@ func Fig7(s *Session, maxInstrs []int, minMerges []float64) (*stats.Table, error
 	if minMerges == nil {
 		minMerges = []float64{0.90, 0.50, 0.30, 0.05, 0.01}
 	}
-	t := &stats.Table{
-		Title: "Figure 7. Threshold sweep (Alg-exact + Alg-freq)",
-		Cols:  s.Names(), Unit: "% IPC improvement over baseline",
-	}
+	var rows []series
 	for _, mi := range maxInstrs {
 		for _, mm := range minMerges {
 			p := core.HeuristicParams()
@@ -202,81 +189,40 @@ func Fig7(s *Session, maxInstrs []int, minMerges []float64) (*stats.Table, error
 			p.EnableRetCFM = false
 			p.EnableLoops = false
 			p.MaxInstr = mi
-			p.MaxCbr = mi / 10
-			if p.MaxCbr < 1 {
-				p.MaxCbr = 1
-			}
+			p.MaxCbr = max(mi/10, 1)
 			p.MinMergeProb = mm
-			imp, _, err := s.runConfigSeries(func(w *Workload) (*core.Result, error) {
-				return w.Select(p, false)
-			})
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(fmt.Sprintf("MAX_INSTR=%d MIN_MERGE=%g%%", mi, mm*100), imp)
+			rows = append(rows, selecting(fmt.Sprintf("MAX_INSTR=%d MIN_MERGE=%g%%", mi, mm*100), p, false))
 		}
 	}
-	return t, nil
+	return s.figure("Figure 7. Threshold sweep (Alg-exact + Alg-freq)", rows, false)
 }
 
 // Fig8 reproduces Figure 8: the simple selection baselines versus
 // All-best-heur.
 func Fig8(s *Session) (*stats.Table, error) {
-	t := &stats.Table{
-		Title: "Figure 8. Simple diverge-branch selection algorithms",
-		Cols:  s.Names(), Unit: "% IPC improvement over baseline",
-	}
+	var rows []series
 	for _, b := range []core.Baseline{core.EveryBranch, core.Random50, core.HighBP5, core.Immediate, core.IfElse} {
-		b := b
-		imp, _, err := s.runConfigSeries(func(w *Workload) (*core.Result, error) {
-			return w.SelectBaseline(b)
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(b.String(), imp)
+		rows = append(rows, series{b.String(), func(w *Workload) (*core.Result, error) {
+			// Seed 50, not SelectByName's 1: the transcript's Random-50 row was drawn with it.
+			return core.SelectBaseline(w.Bare, w.ProfRun, b, 50)
+		}})
 	}
-	best := HeuristicConfigs()[4]
-	imp, _, err := s.runConfigSeries(func(w *Workload) (*core.Result, error) {
-		return w.Select(best.Params, false)
-	})
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("All-best-heur", imp)
-	return t, nil
+	rows = append(rows, selecting("All-best-heur", core.HeuristicParams(), false))
+	return s.figure("Figure 8. Simple diverge-branch selection algorithms", rows, false)
 }
 
 // Fig9 reproduces Figure 9: profiling-input sensitivity. "same" profiles on
 // the run input; "diff" profiles on the train input; both simulate on the
 // run input.
 func Fig9(s *Session) (*stats.Table, error) {
-	t := &stats.Table{
-		Title: "Figure 9. Input-set effects on DMP performance",
-		Cols:  s.Names(), Unit: "% IPC improvement over baseline",
-	}
 	heur := HeuristicConfigs()[4].Params
 	cost := CostConfigs()[4].Params
-	for _, cfg := range []struct {
-		name   string
-		params core.Params
-		train  bool
-	}{
-		{"All-best-heur-same", heur, false},
-		{"All-best-heur-diff", heur, true},
-		{"All-best-cost-same", cost, false},
-		{"All-best-cost-diff", cost, true},
-	} {
-		cfg := cfg
-		imp, _, err := s.runConfigSeries(func(w *Workload) (*core.Result, error) {
-			return w.Select(cfg.params, cfg.train)
-		})
-		if err != nil {
-			return nil, err
-		}
-		t.AddRow(cfg.name, imp)
-	}
-	return t, nil
+	return s.figure("Figure 9. Input-set effects on DMP performance", []series{
+		selecting("All-best-heur-same", heur, false),
+		selecting("All-best-heur-diff", heur, true),
+		selecting("All-best-cost-same", cost, false),
+		selecting("All-best-cost-diff", cost, true),
+	}, false)
 }
 
 // Fig10 reproduces Figure 10: the overlap between the diverge-branch sets
@@ -323,9 +269,9 @@ func Fig10(s *Session) (*stats.Table, error) {
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		onlyRun[w.Bench.Name] = 100 * float64(run) / float64(total)
-		onlyTrain[w.Bench.Name] = 100 * float64(train) / float64(total)
-		either[w.Bench.Name] = 100 * float64(both) / float64(total)
+		onlyRun[w.Name] = 100 * float64(run) / float64(total)
+		onlyTrain[w.Name] = 100 * float64(train) / float64(total)
+		either[w.Name] = 100 * float64(both) / float64(total)
 		return nil
 	})
 	if err != nil {

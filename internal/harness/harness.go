@@ -6,7 +6,6 @@ package harness
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -16,46 +15,30 @@ import (
 	"dmp/internal/isa"
 	"dmp/internal/pipeline"
 	"dmp/internal/profile"
-	"dmp/internal/sample"
 	"dmp/internal/simcache"
 	"dmp/internal/trace"
 	"dmp/internal/verify"
 	"dmp/internal/workpool"
 )
 
-// Options configures a harness session.
+// Options configures a corpus session or a population run: what a corpus
+// adds beside the per-program EvalOptions.
 type Options struct {
+	EvalOptions
 	// Scale multiplies every benchmark's input size (1 = default).
 	Scale int
-	// MaxInsts caps the simulated instructions per run (0 = to completion).
-	MaxInsts uint64
-	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
-	Parallelism int
 	// Benchmarks restricts the corpus (nil = all).
 	Benchmarks []string
-	// Cache memoizes simulations across experiments (nil = a fresh cache
-	// honouring DMP_CACHE_DIR; see internal/simcache).
-	Cache *simcache.Cache
-	// Tracer, when non-nil, receives structured pipeline events from every
-	// simulation the session runs (internal/trace). It must be safe for
-	// concurrent use — simulations run in parallel — and it disables
-	// memoization for the session's runs (see simcache.Cache.Run), so it
-	// is meant for debugging sweeps, not full evaluations.
-	Tracer trace.Tracer
-	// Ctx, when non-nil, cancels the session's pooled runs: workers stop at
-	// the next task boundary and in-flight simulations abort at block-batch
-	// granularity (see pipeline.RunCtx). Per-call contexts on BaselineCtx /
-	// RunDMPCtx compose with it through the simulation cache.
+	// Parallelism bounds concurrent work (0 = GOMAXPROCS).
+	Parallelism int
+	// Ctx, when non-nil, cancels the pooled runs: workers stop at the next
+	// task boundary and in-flight simulations abort at block-batch
+	// granularity (see pipeline.RunCtx).
 	Ctx context.Context
-	// Sample, when Enabled, routes every simulation through the SMARTS
-	// sampled executor (internal/sample) instead of full fidelity: each
-	// Stats the session reports is the sampled estimate projected through
-	// Result.AsStats, and the per-run error bars are aggregated into the
-	// metrics report's sampling block. Sampled runs are memoized under
-	// conf-extended cache keys, disjoint from full-fidelity entries.
-	Sample sample.SampleConf
 }
 
+// withDefaults fills the zero settings; a nil Cache becomes a fresh cache
+// honouring DMP_CACHE_DIR (see internal/simcache).
 func (o Options) withDefaults() Options {
 	if o.Scale <= 0 {
 		o.Scale = 1
@@ -69,25 +52,80 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Workload is one prepared benchmark: compiled binary, both input tapes and
-// both profiles.
-type Workload struct {
-	Bench     *bench.Benchmark
-	Prog      *isa.Program
-	RunInput  []int64
-	TrainIn   []int64
-	ProfRun   *profile.Profile
-	ProfTrain *profile.Profile
+// ctx returns the options' context, or Background when Ctx is nil.
+func (o Options) ctx() context.Context {
+	if o.Ctx != nil {
+		return o.Ctx
+	}
+	return context.Background()
+}
 
-	opts Options
-	sess *Session
-	// baseMu pins the baseline result once computed. A plain mutex instead
-	// of sync.Once: a run aborted by context cancellation must not be
-	// pinned, or the workload would stay poisoned for every later caller.
-	baseMu   sync.Mutex
-	baseDone bool
-	base     pipeline.Stats
-	baseErr  error
+// Workload is one prepared program as the paper's figures see it: the
+// Prepared artifacts (Annotated is All-best-heur from the train profile)
+// plus the run-tape profile that the "same input" selections read.
+type Workload struct {
+	*Prepared
+	// Bench is the corpus benchmark (nil for a generated program).
+	Bench   *bench.Benchmark
+	ProfRun *profile.Profile
+
+	ctx  context.Context
+	opts EvalOptions
+}
+
+// prepareWorkload runs the prepare step with heur selection and then
+// profiles the run tape, both within budget instructions (0 = to
+// completion).
+func prepareWorkload(ctx context.Context, name string, compile func() (*isa.Program, error), runInput, trainInput []int64, budget uint64, opts EvalOptions) (*Workload, error) {
+	p, err := prepare(ctx, name, compile, runInput, trainInput, "heur", budget, opts)
+	if err != nil {
+		return nil, err
+	}
+	w := &Workload{Prepared: p, ctx: ctx, opts: opts}
+	if w.ProfRun, err = profile.CollectCtx(ctx, p.Bare, runInput, profile.Options{MaxInsts: budget}); err != nil {
+		return nil, fmt.Errorf("run profile: %w", err)
+	}
+	return w, nil
+}
+
+// Baseline simulates the bare binary on the run tape.
+func (w *Workload) Baseline() (pipeline.Stats, error) {
+	st, err := w.Simulate(w.ctx, evalConfig(false, w.opts.MaxInsts), w.opts)
+	if err != nil {
+		return st, fmt.Errorf("%s: baseline: %w", w.Name, err)
+	}
+	return st, nil
+}
+
+// RunDMP verifies the annotations and simulates the DMP machine with them on
+// the run tape. Selection configurations that produce identical annotation
+// sidecars (as many of the Figure 5-9 sweeps do) hit the simulation cache.
+func (w *Workload) RunDMP(annots map[int]*isa.DivergeInfo) (pipeline.Stats, error) {
+	annotated := w.Bare.WithAnnots(annots)
+	// A diagnostic here means a selection or experiment bug, and the
+	// simulation result would be meaningless.
+	if err := verify.CheckAnnots(annotated, w.Name); err != nil {
+		return pipeline.Stats{}, fmt.Errorf("%s: dmp: %w", w.Name, err)
+	}
+	st, err := w.opts.simulate(w.ctx, w.Name, annotated, w.RunInput, evalConfig(true, w.opts.MaxInsts))
+	if err != nil {
+		return st, fmt.Errorf("%s: dmp: %w", w.Name, err)
+	}
+	return st, nil
+}
+
+// Select runs a selection configuration against the run-tape profile, or the
+// train-tape profile when train is set.
+func (w *Workload) Select(p core.Params, train bool) (*core.Result, error) {
+	prof := w.ProfRun
+	if train {
+		prof = w.Train
+	}
+	res, err := core.Select(w.Bare, prof, p)
+	if err != nil {
+		return nil, fmt.Errorf("%s: select: %w", w.Name, err)
+	}
+	return res, nil
 }
 
 // Session holds prepared workloads and shared options.
@@ -117,8 +155,12 @@ type Session struct {
 // noteRun folds one simulation result into the session aggregates: DMP runs
 // contribute their session audit, and any run that retired zero instructions
 // (per-kilo-instruction metrics meaningless) is recorded as degenerate so
-// the metrics report can flag it instead of averaging silent zeros.
+// the metrics report can flag it instead of averaging silent zeros. A nil
+// session ignores the run.
 func (s *Session) noteRun(name string, st pipeline.Stats, dmp bool) {
+	if s == nil {
+		return
+	}
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
 	if dmp {
@@ -137,7 +179,9 @@ func (s *Session) noteRun(name string, st pipeline.Stats, dmp bool) {
 // Cache returns the session's simulation cache.
 func (s *Session) Cache() *simcache.Cache { return s.Opts.Cache }
 
-// NewSession compiles and profiles the corpus.
+// NewSession compiles and prepares the corpus. Sessions profile both tapes
+// to completion, whatever opts.MaxInsts caps the simulations at, so the
+// selections do not depend on the simulation budget.
 func NewSession(opts Options) (*Session, error) {
 	opts = opts.withDefaults()
 	list := bench.All()
@@ -152,27 +196,17 @@ func NewSession(opts Options) (*Session, error) {
 		}
 	}
 	s := &Session{Opts: opts, startMallocs: procMallocs()}
+	eval := opts.EvalOptions
+	eval.sess = s
 	s.Workloads = make([]*Workload, len(list))
 	err := s.forEachIdx(len(list), func(i int) error {
 		b := list[i]
-		prog, err := b.Compile()
+		w, err := prepareWorkload(opts.ctx(), b.Name, b.Compile,
+			b.Input(bench.RunInput, opts.Scale), b.Input(bench.TrainInput, opts.Scale), 0, eval)
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", b.Name, err)
 		}
-		w := &Workload{
-			Bench:    b,
-			Prog:     prog,
-			RunInput: b.Input(bench.RunInput, opts.Scale),
-			TrainIn:  b.Input(bench.TrainInput, opts.Scale),
-			opts:     opts,
-			sess:     s,
-		}
-		if w.ProfRun, err = profile.CollectCtx(opts.ctx(), prog, w.RunInput, profile.Options{}); err != nil {
-			return fmt.Errorf("%s: run profile: %w", b.Name, err)
-		}
-		if w.ProfTrain, err = profile.CollectCtx(opts.ctx(), prog, w.TrainIn, profile.Options{}); err != nil {
-			return fmt.Errorf("%s: train profile: %w", b.Name, err)
-		}
+		w.Bench = b
 		s.Workloads[i] = w
 		return nil
 	})
@@ -186,7 +220,7 @@ func NewSession(opts Options) (*Session, error) {
 func (s *Session) Names() []string {
 	out := make([]string, len(s.Workloads))
 	for i, w := range s.Workloads {
-		out[i] = w.Bench.Name
+		out[i] = w.Name
 	}
 	return out
 }
@@ -202,7 +236,7 @@ func (s *Session) forEachIdx(n int, fn func(int) error) error {
 	name := func(i int) string {
 		if i < len(s.Workloads) {
 			if w := s.Workloads[i]; w != nil {
-				return w.Bench.Name
+				return w.Name
 			}
 		}
 		return ""
@@ -210,123 +244,15 @@ func (s *Session) forEachIdx(n int, fn func(int) error) error {
 	return workpool.RunIndexed(s.Opts.Ctx, n, s.Opts.Parallelism, name, s.pool.busy, fn)
 }
 
-// isCtxErr reports whether err stems from a cancelled or expired context.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// simConfig returns the Table 1 machine for this session.
-func (w *Workload) simConfig(dmp bool) pipeline.Config {
-	cfg := pipeline.DefaultConfig()
-	cfg.DMP = dmp
-	cfg.MaxInsts = w.opts.MaxInsts
-	cfg.Tracer = w.opts.Tracer
-	return cfg
-}
-
-// Baseline simulates the un-annotated binary on the run input. The result is
-// pinned per-workload and additionally memoized by the session's
-// content-addressed simulation cache, so cross-experiment and cross-process
-// reuse both apply.
-func (w *Workload) Baseline() (pipeline.Stats, error) {
-	return w.BaselineCtx(w.opts.ctx())
-}
-
-// ctx returns the session's context, or Background when Ctx is nil.
-func (o Options) ctx() context.Context {
-	if o.Ctx != nil {
-		return o.Ctx
-	}
-	return context.Background()
-}
-
-// BaselineCtx is Baseline under a cancellation context. A cancelled run is
-// returned but not pinned, so a later caller with a live context computes
-// the baseline normally.
-func (w *Workload) BaselineCtx(ctx context.Context) (pipeline.Stats, error) {
-	w.baseMu.Lock()
-	defer w.baseMu.Unlock()
-	if w.baseDone {
-		return w.base, w.baseErr
-	}
-	st, err := w.runSim(ctx, w.Prog.WithAnnots(nil), w.simConfig(false))
-	if err != nil {
-		err = fmt.Errorf("%s: baseline: %w", w.Bench.Name, err)
-		if isCtxErr(err) {
-			return st, err
-		}
-	} else if w.sess != nil {
-		w.sess.noteRun(w.Bench.Name, st, false)
-	}
-	w.base, w.baseErr, w.baseDone = st, err, true
-	return w.base, w.baseErr
-}
-
-// RunDMP simulates the binary with the given annotations on the run input,
-// memoized by the simulation cache: selection configurations that produce
-// identical annotation sidecars (as many of the Figure 5-9 sweeps do) hit
-// the cache instead of re-simulating.
-func (w *Workload) RunDMP(annots map[int]*isa.DivergeInfo) (pipeline.Stats, error) {
-	return w.RunDMPCtx(w.opts.ctx(), annots)
-}
-
-// RunDMPCtx is RunDMP under a cancellation context: the simulation aborts at
-// block-batch granularity when ctx ends, and the aborted run is never
-// memoized.
-func (w *Workload) RunDMPCtx(ctx context.Context, annots map[int]*isa.DivergeInfo) (pipeline.Stats, error) {
-	annotated := w.Prog.WithAnnots(annots)
-	// Fail fast on an illegal annotation set before burning simulator (or
-	// cache) time on it: a diagnostic here means a selection or experiment
-	// bug, and the simulation result would be meaningless.
-	if err := verify.CheckAnnots(annotated, w.Bench.Name); err != nil {
-		return pipeline.Stats{}, fmt.Errorf("%s: dmp: %w", w.Bench.Name, err)
-	}
-	st, err := w.runSim(ctx, annotated, w.simConfig(true))
-	if err != nil {
-		return st, fmt.Errorf("%s: dmp: %w", w.Bench.Name, err)
-	}
-	if w.sess != nil {
-		w.sess.noteRun(w.Bench.Name, st, true)
-	}
-	return st, nil
-}
-
-// Improvement returns the DMP speedup over baseline in percent.
-func Improvement(base, dmp pipeline.Stats) float64 {
-	if base.IPC() == 0 {
-		return 0
-	}
-	return (dmp.IPC()/base.IPC() - 1) * 100
-}
-
-// Select runs a selection configuration against the chosen profile.
-func (w *Workload) Select(p core.Params, train bool) (*core.Result, error) {
-	prof := w.ProfRun
-	if train {
-		prof = w.ProfTrain
-	}
-	res, err := core.Select(w.Prog, prof, p)
-	if err != nil {
-		return nil, fmt.Errorf("%s: select: %w", w.Bench.Name, err)
-	}
-	return res, nil
-}
-
-// SelectBaseline runs one of the Section 7.2 simple algorithms.
-func (w *Workload) SelectBaseline(b core.Baseline) (*core.Result, error) {
-	res, err := core.SelectBaseline(w.Prog, w.ProfRun, b, 50)
-	if err != nil {
-		return nil, fmt.Errorf("%s: baseline select: %w", w.Bench.Name, err)
-	}
-	return res, nil
+// SelectionConfig is one named selection configuration of Figure 5.
+type SelectionConfig struct {
+	Name   string
+	Params core.Params
 }
 
 // HeuristicConfigs returns the cumulative Figure 5 (left) configurations in
 // order: exact, exact+freq, +short, +ret, +loop (All-best-heur).
-func HeuristicConfigs() []struct {
-	Name   string
-	Params core.Params
-} {
+func HeuristicConfigs() []SelectionConfig {
 	exact := core.HeuristicParams()
 	exact.EnableFreq = false
 	exact.EnableShort = false
@@ -345,10 +271,7 @@ func HeuristicConfigs() []struct {
 	loop := ret
 	loop.EnableLoops = true
 
-	return []struct {
-		Name   string
-		Params core.Params
-	}{
+	return []SelectionConfig{
 		{"exact", exact},
 		{"exact+freq", freq},
 		{"exact+freq+short", short},
@@ -359,10 +282,7 @@ func HeuristicConfigs() []struct {
 
 // CostConfigs returns the Figure 5 (right) configurations in order:
 // cost-long, cost-edge, cost-edge+short, +ret, +loop (All-best-cost).
-func CostConfigs() []struct {
-	Name   string
-	Params core.Params
-} {
+func CostConfigs() []SelectionConfig {
 	long := core.CostParams(core.LongestPath)
 	long.EnableShort = false
 	long.EnableRetCFM = false
@@ -382,10 +302,7 @@ func CostConfigs() []struct {
 	loop := ret
 	loop.EnableLoops = true
 
-	return []struct {
-		Name   string
-		Params core.Params
-	}{
+	return []SelectionConfig{
 		{"cost-long", long},
 		{"cost-edge", edge},
 		{"cost-edge+short", short},

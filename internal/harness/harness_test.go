@@ -16,8 +16,8 @@ import (
 // (mcf), a frequently-hammock benchmark (vortex), a loop benchmark (parser)
 // and a return-CFM benchmark (twolf).
 var testOpts = Options{
-	Benchmarks: []string{"mcf", "vortex", "parser", "twolf"},
-	MaxInsts:   120_000,
+	Benchmarks:  []string{"mcf", "vortex", "parser", "twolf"},
+	EvalOptions: EvalOptions{MaxInsts: 120_000},
 }
 
 var (
@@ -45,7 +45,7 @@ func TestSessionSetup(t *testing.T) {
 		t.Errorf("names = %v", names)
 	}
 	for _, w := range s.Workloads {
-		if w.ProfRun.TotalRetired == 0 || w.ProfTrain.TotalRetired == 0 {
+		if w.ProfRun.TotalRetired == 0 || w.Train.TotalRetired == 0 {
 			t.Errorf("%s: empty profiles", w.Bench.Name)
 		}
 	}

@@ -1,22 +1,90 @@
 package harness
 
-// Phase-split evaluation: the sweep engine needs compile → profile → select →
-// verify to run once per program while the simulate phase fans out over many
-// machine configurations. Prepared is the config-invariant artifact bundle
-// those phases produce; Simulate is the per-cell phase. EvalSource composes
-// the two, so the monolithic path and the sweep engine cannot drift apart.
+// The evaluation path. Every caller — the paper figures, populations, the
+// static comparison, sweeps and the serve daemon — runs the same phases:
+// prepare (compile → profile → select → verify, once per program, reading no
+// pipeline.Config) and then simulate (once per machine configuration).
+// Prepared is the config-invariant artifact bundle; EvalOptions.simulate is
+// the one run function.
 
 import (
 	"context"
 	"fmt"
 
 	"dmp/internal/codegen"
+	"dmp/internal/core"
 	"dmp/internal/gen"
 	"dmp/internal/isa"
 	"dmp/internal/pipeline"
 	"dmp/internal/profile"
+	"dmp/internal/sample"
+	"dmp/internal/simcache"
+	"dmp/internal/trace"
 	"dmp/internal/verify"
 )
+
+// EvalOptions configures the simulate phase of an evaluation, and the
+// progress of its prepare phase.
+type EvalOptions struct {
+	// Cache memoizes simulations (nil = run uncached).
+	Cache *simcache.Cache
+	// MaxInsts caps simulated instructions per run (0 = to completion).
+	MaxInsts uint64
+	// Tracer, when non-nil, receives every run's pipeline events and
+	// overrides the config's own hook. It must be safe for concurrent use,
+	// and traced runs bypass memoization (see simcache.Cache.RunCtx).
+	Tracer trace.Tracer
+	// Progress, when non-nil, is called at each phase transition with one
+	// of "compile", "profile", "select", "baseline", "dmp".
+	Progress func(phase string)
+	// Sample, when Enabled, routes every simulation through the SMARTS
+	// sampled executor; the reported Stats are the estimates projected
+	// through sample.Result.AsStats. Sampled runs are memoized under
+	// conf-extended keys, disjoint from full-fidelity entries.
+	Sample sample.SampleConf
+
+	// sess, when set, folds every run into that session's aggregates.
+	sess *Session
+}
+
+func (o EvalOptions) note(phase string) {
+	if o.Progress != nil {
+		o.Progress(phase)
+	}
+}
+
+// evalConfig is the Table 1 machine, with or without DMP, capped at
+// maxInsts simulated instructions (0 = to completion).
+func evalConfig(dmp bool, maxInsts uint64) pipeline.Config {
+	cfg := pipeline.DefaultConfig()
+	cfg.DMP = dmp
+	cfg.MaxInsts = maxInsts
+	return cfg
+}
+
+// simulate is the one run function: prog on input under cfg, at full
+// fidelity or sampled per o.Sample, memoized through o.Cache. A run made for
+// a session is folded into its aggregates under name.
+func (o EvalOptions) simulate(ctx context.Context, name string, prog *isa.Program, input []int64, cfg pipeline.Config) (pipeline.Stats, error) {
+	if o.Tracer != nil {
+		cfg.Tracer = o.Tracer
+	}
+	var st pipeline.Stats
+	var err error
+	if o.Sample.Enabled {
+		var r sample.Result
+		if r, err = o.Cache.RunSampledCtx(ctx, prog, input, cfg, o.Sample); err == nil {
+			o.sess.noteSampled(r)
+			st = r.AsStats()
+		}
+	} else {
+		st, err = o.Cache.RunCtx(ctx, prog, input, cfg)
+	}
+	if err == nil {
+		o.sess.noteRun(name, st, cfg.DMP)
+	}
+	return st, err
+}
 
 // Prepared holds one program's config-invariant evaluation artifacts: the
 // compiled bare binary, the annotated binary selected from the train-tape
@@ -38,23 +106,17 @@ type Prepared struct {
 	Annots int
 	// RunInput is the tape the simulate phase consumes.
 	RunInput []int64
+	// Train is the train-tape profile Annotated was selected from.
+	Train *profile.Profile
 }
 
-// PrepareSource runs the config-invariant phases for one DML source: compile,
-// profile on the train tape, select with the named algorithm, verify the
-// annotations. opts.Progress is noted at "compile", "profile" and "select";
-// opts.MaxInsts bounds the profiling run (popEmuBudget when unset). None of
-// these phases reads a pipeline.Config: their artifacts are valid for every
-// cell of a configuration grid.
-func PrepareSource(ctx context.Context, name, source string, runInput, trainInput []int64, algo string, opts EvalOptions) (*Prepared, error) {
-	if algo == "" {
-		algo = "heur"
-	}
-	if trainInput == nil {
-		trainInput = runInput
-	}
+// prepare is the one prepare step: compile, profile the train tape within
+// budget instructions (0 = to completion), select with the named algorithm
+// (see core.Algorithms) and verify the annotations. opts.Progress is noted
+// at "compile", "profile" and "select".
+func prepare(ctx context.Context, name string, compile func() (*isa.Program, error), runInput, trainInput []int64, algo string, budget uint64, opts EvalOptions) (*Prepared, error) {
 	opts.note("compile")
-	prog, err := codegen.CompileSource(source)
+	prog, err := compile()
 	if err != nil {
 		return nil, fmt.Errorf("compile: %w", err)
 	}
@@ -62,11 +124,7 @@ func PrepareSource(ctx context.Context, name, source string, runInput, trainInpu
 		return nil, err
 	}
 	opts.note("profile")
-	profBudget := opts.MaxInsts
-	if profBudget == 0 {
-		profBudget = popEmuBudget
-	}
-	prof, err := profile.CollectCtx(ctx, prog, trainInput, profile.Options{MaxInsts: profBudget})
+	prof, err := profile.CollectCtx(ctx, prog, trainInput, profile.Options{MaxInsts: budget})
 	if err != nil {
 		return nil, fmt.Errorf("profile: %w", err)
 	}
@@ -74,11 +132,11 @@ func PrepareSource(ctx context.Context, name, source string, runInput, trainInpu
 		return nil, err
 	}
 	opts.note("select")
-	annots, err := popSelect(prog, prof, algo)
+	res, err := core.SelectByName(prog, prof, algo)
 	if err != nil {
 		return nil, fmt.Errorf("select %s: %w", algo, err)
 	}
-	annotated := prog.WithAnnots(annots)
+	annotated := prog.WithAnnots(res.Annots)
 	if err := verify.CheckAnnots(annotated, name); err != nil {
 		return nil, err
 	}
@@ -86,34 +144,91 @@ func PrepareSource(ctx context.Context, name, source string, runInput, trainInpu
 		Name:      name,
 		Bare:      prog.WithAnnots(nil),
 		Annotated: annotated,
-		Annots:    len(annots),
+		Annots:    len(res.Annots),
 		RunInput:  runInput,
+		Train:     prof,
 	}, nil
 }
 
-// PrepareGenerated is PrepareSource for a generated program, carrying its
-// preset and idiom attribution through to the result.
-func PrepareGenerated(ctx context.Context, p *gen.Program, algo string, opts EvalOptions) (*Prepared, error) {
-	pr, err := PrepareSource(ctx, p.Name, p.Source, p.RunInput, p.TrainInput, algo, opts)
-	if err != nil {
-		return nil, err
+// compileSource defers compiling a DML source to the prepare step.
+func compileSource(source string) func() (*isa.Program, error) {
+	return func() (*isa.Program, error) { return codegen.CompileSource(source) }
+}
+
+// PrepareSource runs the prepare step for one DML source, selecting with the
+// named algorithm ("heur" when empty) from the profile of trainInput
+// (runInput when nil). The profiling run is bounded by opts.MaxInsts — or by
+// popEmuBudget when unset — so a source program that never halts on its
+// train tape truncates instead of hanging the caller. None of these phases
+// reads a pipeline.Config: their artifacts are valid for every cell of a
+// configuration grid.
+func PrepareSource(ctx context.Context, name, source string, runInput, trainInput []int64, algo string, opts EvalOptions) (*Prepared, error) {
+	if algo == "" {
+		algo = "heur"
 	}
-	pr.Preset, pr.Idiom = p.Preset, p.Idiom
-	return pr, nil
+	if trainInput == nil {
+		trainInput = runInput
+	}
+	budget := opts.MaxInsts
+	if budget == 0 {
+		budget = popEmuBudget
+	}
+	return prepare(ctx, name, compileSource(source), runInput, trainInput, algo, budget, opts)
 }
 
 // Simulate runs the per-cell phase: one simulation of the prepared program
 // under cfg, choosing the annotated binary when cfg.DMP is set and the bare
-// binary otherwise, memoized through opts.Cache and routed through the
-// sampled executor when opts.Sample is enabled. opts.Tracer, when set,
-// overrides cfg's hook (and bypasses memoization, per the cache contract).
+// binary otherwise (see EvalOptions for memoization, sampling and tracing).
 func (p *Prepared) Simulate(ctx context.Context, cfg pipeline.Config, opts EvalOptions) (pipeline.Stats, error) {
 	prog := p.Bare
 	if cfg.DMP {
 		prog = p.Annotated
 	}
-	if opts.Tracer != nil {
-		cfg.Tracer = opts.Tracer
+	return opts.simulate(ctx, p.Name, prog, p.RunInput, cfg)
+}
+
+// EvalGenerated evaluates one generated program end-to-end with the given
+// selection algorithm (see EvalSource).
+func EvalGenerated(ctx context.Context, p *gen.Program, algo string, opts EvalOptions) (ProgramResult, error) {
+	r, err := EvalSource(ctx, p.Name, p.Source, p.RunInput, p.TrainInput, algo, opts)
+	r.Preset, r.Idiom = p.Preset, p.Idiom
+	return r, err
+}
+
+// EvalSource evaluates one DML source end-to-end: PrepareSource, then the
+// baseline and DMP machines on the run tape. Cancelling ctx aborts between
+// phases, mid-profile and mid-simulation.
+func EvalSource(ctx context.Context, name, source string, runInput, trainInput []int64, algo string, opts EvalOptions) (ProgramResult, error) {
+	var r ProgramResult
+	prep, err := PrepareSource(ctx, name, source, runInput, trainInput, algo, opts)
+	if err != nil {
+		return r, err
 	}
-	return opts.runEval(ctx, prog, p.RunInput, cfg)
+	opts.note("baseline")
+	base, err := prep.Simulate(ctx, evalConfig(false, opts.MaxInsts), opts)
+	if err != nil {
+		return r, fmt.Errorf("baseline: %w", err)
+	}
+	opts.note("dmp")
+	dmp, err := prep.Simulate(ctx, evalConfig(true, opts.MaxInsts), opts)
+	if err != nil {
+		return r, fmt.Errorf("dmp: %w", err)
+	}
+	return ProgramResult{
+		Name:     name,
+		Annots:   prep.Annots,
+		BaseIPC:  base.IPC(),
+		DMPIPC:   dmp.IPC(),
+		DeltaPct: Improvement(base, dmp),
+		Retired:  dmp.Retired,
+		Audit:    dmp.AuditTotals(),
+	}, nil
+}
+
+// Improvement returns the DMP speedup over baseline in percent.
+func Improvement(base, dmp pipeline.Stats) float64 {
+	if base.IPC() == 0 {
+		return 0
+	}
+	return (dmp.IPC()/base.IPC() - 1) * 100
 }

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"sort"
 
 	"dmp/internal/codegen"
@@ -23,8 +22,6 @@ import (
 	"dmp/internal/isa"
 	"dmp/internal/pipeline"
 	"dmp/internal/profile"
-	"dmp/internal/sample"
-	"dmp/internal/simcache"
 	"dmp/internal/static"
 	"dmp/internal/trace"
 	"dmp/internal/verify"
@@ -34,29 +31,6 @@ import (
 // winThresholdPct separates wins/losses from noise: IPC deltas within this
 // band count as flat.
 const winThresholdPct = 0.5
-
-// PopulationOptions configures a population run.
-type PopulationOptions struct {
-	// Parallelism bounds concurrent simulations (0 = GOMAXPROCS).
-	Parallelism int
-	// MaxInsts caps simulated instructions per run (0 = to completion;
-	// generated programs terminate by construction).
-	MaxInsts uint64
-	// Cache memoizes simulations (nil = a fresh cache honouring
-	// DMP_CACHE_DIR), so re-running a corpus after a selection change only
-	// pays for the runs that actually changed.
-	Cache *simcache.Cache
-}
-
-func (o PopulationOptions) withDefaults() PopulationOptions {
-	if o.Parallelism <= 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if o.Cache == nil {
-		o.Cache = simcache.FromEnv()
-	}
-	return o
-}
 
 // ProgramResult is one generated program's baseline-vs-DMP outcome.
 type ProgramResult struct {
@@ -102,36 +76,25 @@ type PopulationReport struct {
 	Groups  []IdiomGroup    `json:"groups"`
 }
 
-func popConfig(dmp bool, maxInsts uint64) pipeline.Config {
-	cfg := pipeline.DefaultConfig()
-	cfg.DMP = dmp
-	cfg.MaxInsts = maxInsts
-	return cfg
+// RunPopulation evaluates a generated corpus under opts.Ctx: All-best-heur
+// selection from the train-tape profile, baseline and DMP simulation on the
+// run tape, one ProgramResult per program and one IdiomGroup per dominant
+// idiom.
+func RunPopulation(progs []*gen.Program, opts Options) (*PopulationReport, error) {
+	return RunPopulationCtx(opts.ctx(), progs, opts)
 }
 
-// RunPopulation evaluates a generated corpus: All-best-heur selection from
-// the train-tape profile, baseline and DMP simulation on the run tape, one
-// ProgramResult per program and one IdiomGroup per dominant idiom.
-func RunPopulation(progs []*gen.Program, opts PopulationOptions) (*PopulationReport, error) {
-	return RunPopulationCtx(context.Background(), progs, opts)
-}
-
-// RunPopulationCtx is RunPopulation under a cancellation context: workers
-// stop at the next program boundary and in-flight simulations abort at
-// block-batch granularity, so a cancelled population run returns promptly
-// without leaking goroutines or memoizing partial results.
-func RunPopulationCtx(ctx context.Context, progs []*gen.Program, opts PopulationOptions) (*PopulationReport, error) {
+// RunPopulationCtx is RunPopulation under ctx: workers stop at the next
+// program boundary and in-flight profiles and simulations abort, so a
+// cancelled population run returns promptly without leaking goroutines or
+// memoizing partial results.
+func RunPopulationCtx(ctx context.Context, progs []*gen.Program, opts Options) (*PopulationReport, error) {
 	opts = opts.withDefaults()
 	rep := &PopulationReport{Count: len(progs), Algo: "All-best-heur"}
 	rep.Results = make([]ProgramResult, len(progs))
-	name := func(i int) string { return progs[i].Name }
-	err := workpool.RunIndexed(ctx, len(progs), opts.Parallelism, name, nil, func(i int) error {
-		r, err := EvalGenerated(ctx, progs[i], "heur", EvalOptions{Cache: opts.Cache, MaxInsts: opts.MaxInsts})
-		if err != nil {
-			return fmt.Errorf("%s: %w", progs[i].Name, err)
-		}
-		rep.Results[i] = r
-		return nil
+	err := forEachProgram(ctx, progs, opts.Parallelism, func(i int) (err error) {
+		rep.Results[i], err = EvalGenerated(ctx, progs[i], "heur", opts.EvalOptions)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -140,85 +103,16 @@ func RunPopulationCtx(ctx context.Context, progs []*gen.Program, opts Population
 	return rep, nil
 }
 
-// EvalOptions configures one single-program evaluation (EvalSource /
-// EvalGenerated) — the unit of work a serve daemon job executes.
-type EvalOptions struct {
-	// Cache memoizes the two simulations (nil = run uncached).
-	Cache *simcache.Cache
-	// MaxInsts caps simulated instructions per run (0 = to completion).
-	MaxInsts uint64
-	// Tracer, when non-nil, receives the DMP and baseline runs' pipeline
-	// events; traced runs bypass memoization (see simcache.Cache.RunCtx).
-	Tracer trace.Tracer
-	// Progress, when non-nil, is called at each phase transition with one
-	// of "compile", "profile", "select", "baseline", "dmp".
-	Progress func(phase string)
-	// Sample, when Enabled, routes the baseline and DMP simulations through
-	// the SMARTS sampled executor; the reported IPCs are the estimates
-	// projected through sample.Result.AsStats. Sampled runs are memoized
-	// under conf-extended keys, disjoint from full-fidelity entries.
-	Sample sample.SampleConf
-}
-
-// runEval executes one evaluation simulation honouring the sampling option.
-func (o EvalOptions) runEval(ctx context.Context, prog *isa.Program, input []int64, cfg pipeline.Config) (pipeline.Stats, error) {
-	if !o.Sample.Enabled {
-		return o.Cache.RunCtx(ctx, prog, input, cfg)
-	}
-	r, err := o.Cache.RunSampledCtx(ctx, prog, input, cfg, o.Sample)
-	if err != nil {
-		return pipeline.Stats{}, err
-	}
-	return r.AsStats(), nil
-}
-
-func (o EvalOptions) note(phase string) {
-	if o.Progress != nil {
-		o.Progress(phase)
-	}
-}
-
-// EvalGenerated evaluates one generated program end-to-end with the given
-// selection algorithm (see popAlgoNames): compile, profile on the train
-// tape, select, verify, simulate baseline and DMP on the run tape.
-func EvalGenerated(ctx context.Context, p *gen.Program, algo string, opts EvalOptions) (ProgramResult, error) {
-	r, err := EvalSource(ctx, p.Name, p.Source, p.RunInput, p.TrainInput, algo, opts)
-	r.Preset, r.Idiom = p.Preset, p.Idiom
-	return r, err
-}
-
-// EvalSource evaluates one DML source end-to-end: compile, profile on the
-// train tape, select with the named algorithm, verify the annotations, and
-// simulate baseline and DMP on the run tape (memoized when opts.Cache is
-// set). Cancelling ctx aborts between phases, mid-profile and
-// mid-simulation. The profiling run is bounded by opts.MaxInsts — or by
-// popEmuBudget when unset — so a source program that never halts on its
-// train tape truncates instead of hanging the caller.
-func EvalSource(ctx context.Context, name, source string, runInput, trainInput []int64, algo string, opts EvalOptions) (ProgramResult, error) {
-	var r ProgramResult
-	prep, err := PrepareSource(ctx, name, source, runInput, trainInput, algo, opts)
-	if err != nil {
-		return r, err
-	}
-	opts.note("baseline")
-	base, err := prep.Simulate(ctx, popConfig(false, opts.MaxInsts), opts)
-	if err != nil {
-		return r, fmt.Errorf("baseline: %w", err)
-	}
-	opts.note("dmp")
-	dmp, err := prep.Simulate(ctx, popConfig(true, opts.MaxInsts), opts)
-	if err != nil {
-		return r, fmt.Errorf("dmp: %w", err)
-	}
-	return ProgramResult{
-		Name:     name,
-		Annots:   prep.Annots,
-		BaseIPC:  base.IPC(),
-		DMPIPC:   dmp.IPC(),
-		DeltaPct: Improvement(base, dmp),
-		Retired:  dmp.Retired,
-		Audit:    dmp.AuditTotals(),
-	}, nil
+// forEachProgram runs fn over the programs on the worker pool, at most par
+// at a time, prefixing each failure with its program's name.
+func forEachProgram(ctx context.Context, progs []*gen.Program, par int, fn func(i int) error) error {
+	name := func(i int) string { return progs[i].Name }
+	return workpool.RunIndexed(ctx, len(progs), par, name, nil, func(i int) error {
+		if err := fn(i); err != nil {
+			return fmt.Errorf("%s: %w", progs[i].Name, err)
+		}
+		return nil
+	})
 }
 
 func groupByIdiom(results []ProgramResult) []IdiomGroup {
@@ -321,69 +215,6 @@ func (rep *PopulationReport) Render(w io.Writer) {
 // (which terminate by construction, with statically bounded cost).
 const popEmuBudget = 200_000_000
 
-// popAlgoNames lists the 8 selection algorithms CheckGenerated sweeps.
-var popAlgoNames = []string{
-	"heur", "cost-long", "cost-edge",
-	"every", "random50", "highbp", "immediate", "ifelse",
-}
-
-// Algos returns the selection-algorithm names accepted by EvalSource,
-// EvalGenerated and popSelect.
-func Algos() []string { return append([]string(nil), popAlgoNames...) }
-
-// KnownAlgo reports whether name is a valid selection-algorithm name.
-func KnownAlgo(name string) bool {
-	for _, a := range popAlgoNames {
-		if a == name {
-			return true
-		}
-	}
-	return false
-}
-
-func popSelect(prog *isa.Program, prof *profile.Profile, algo string) (map[int]*isa.DivergeInfo, error) {
-	switch algo {
-	case "heur":
-		r, err := core.Select(prog, prof, core.HeuristicParams())
-		if err != nil {
-			return nil, err
-		}
-		return r.Annots, nil
-	case "cost-long":
-		r, err := core.Select(prog, prof, core.CostParams(core.LongestPath))
-		if err != nil {
-			return nil, err
-		}
-		return r.Annots, nil
-	case "cost-edge":
-		r, err := core.Select(prog, prof, core.CostParams(core.EdgeWeighted))
-		if err != nil {
-			return nil, err
-		}
-		return r.Annots, nil
-	}
-	var b core.Baseline
-	switch algo {
-	case "every":
-		b = core.EveryBranch
-	case "random50":
-		b = core.Random50
-	case "highbp":
-		b = core.HighBP5
-	case "immediate":
-		b = core.Immediate
-	case "ifelse":
-		b = core.IfElse
-	default:
-		return nil, fmt.Errorf("unknown algorithm %q", algo)
-	}
-	r, err := core.SelectBaseline(prog, prof, b, 1)
-	if err != nil {
-		return nil, err
-	}
-	return r.Annots, nil
-}
-
 // CheckGenerated runs one generated program through the full quality gate —
 // compile, static verification of the bare binary and of every selection
 // algorithm's annotations, and an emu-vs-pipeline architectural differential
@@ -427,16 +258,16 @@ func checkGenerated(p *gen.Program, useStatic bool) []string {
 		}
 	}
 	var heurAnnots map[int]*isa.DivergeInfo
-	for _, algo := range popAlgoNames {
-		annots, err := popSelect(prog, prof, algo)
+	for _, algo := range core.Algorithms() {
+		res, err := core.SelectByName(prog, prof, algo)
 		if err != nil {
 			issues = append(issues, fmt.Sprintf("%s: select: %v", algo, err))
 			continue
 		}
 		if algo == "heur" {
-			heurAnnots = annots
+			heurAnnots = res.Annots
 		}
-		for _, d := range verify.Run(prog.WithAnnots(annots), verify.Options{Program: p.Name + "/" + algo}) {
+		for _, d := range verify.Run(prog.WithAnnots(res.Annots), verify.Options{Program: p.Name + "/" + algo}) {
 			issues = append(issues, d.String())
 		}
 	}
@@ -455,7 +286,7 @@ func checkGenerated(p *gen.Program, useStatic bool) []string {
 // diffPipeline checks the cycle-level simulator's architectural transparency
 // against a finished reference emulator run.
 func diffPipeline(label string, prog *isa.Program, input []int64, ref *emu.Machine) []string {
-	sim := pipeline.New(prog, input, popConfig(len(prog.Annots) > 0, 0))
+	sim := pipeline.New(prog, input, evalConfig(len(prog.Annots) > 0, 0))
 	st, err := sim.Run()
 	if err != nil {
 		return []string{fmt.Sprintf("%s: pipeline: %v", label, err)}

@@ -18,26 +18,7 @@ import (
 	"dmp/internal/pipeline"
 	"dmp/internal/sample"
 	"dmp/internal/stats"
-	"dmp/internal/workpool"
 )
-
-// runSim executes one simulation for the workload: full fidelity through the
-// session cache, or — when the session opted into sampling — the SMARTS
-// executor, with the estimate projected into Stats and its error bar folded
-// into the session's sampling aggregates.
-func (w *Workload) runSim(ctx context.Context, prog *isa.Program, cfg pipeline.Config) (pipeline.Stats, error) {
-	if !w.opts.Sample.Enabled {
-		return w.opts.Cache.RunCtx(ctx, prog, w.RunInput, cfg)
-	}
-	r, err := w.opts.Cache.RunSampledCtx(ctx, prog, w.RunInput, cfg, w.opts.Sample)
-	if err != nil {
-		return pipeline.Stats{}, err
-	}
-	if w.sess != nil {
-		w.sess.noteSampled(r)
-	}
-	return r.AsStats(), nil
-}
 
 // sampleAgg accumulates the session's sampled-run statistics (guarded by
 // Session.runMu).
@@ -52,8 +33,12 @@ type sampleAgg struct {
 	relMax    float64
 }
 
-// noteSampled folds one sampled result into the session aggregates.
+// noteSampled folds one sampled result into the session aggregates. A nil
+// session ignores it.
 func (s *Session) noteSampled(r sample.Result) {
+	if s == nil {
+		return
+	}
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
 	a := &s.sampAgg
@@ -234,16 +219,15 @@ func SampleError(s *Session, sc sample.SampleConf) (*stats.Table, *SampleErrorRe
 	var mu sync.Mutex
 	err := s.forEachIdx(len(s.Workloads), func(i int) error {
 		w := s.Workloads[i]
-		ctx := w.opts.ctx()
 		res, err := w.Select(best.Params, false)
 		if err != nil {
 			return err
 		}
-		base, bFull, bSamp, err := diffRow(ctx, w.Bench.Name, "base", w.Prog.WithAnnots(nil), w.RunInput, w.simConfig(false), sc)
+		base, bFull, bSamp, err := diffRow(w.ctx, w.Name, "base", w.Bare, w.RunInput, evalConfig(false, w.opts.MaxInsts), sc)
 		if err != nil {
 			return err
 		}
-		dmp, dFull, dSamp, err := diffRow(ctx, w.Bench.Name, "dmp", w.Prog.WithAnnots(res.Annots), w.RunInput, w.simConfig(true), sc)
+		dmp, dFull, dSamp, err := diffRow(w.ctx, w.Name, "dmp", w.Bare.WithAnnots(res.Annots), w.RunInput, evalConfig(true, w.opts.MaxInsts), sc)
 		if err != nil {
 			return err
 		}
@@ -253,7 +237,7 @@ func SampleError(s *Session, sc sample.SampleConf) (*stats.Table, *SampleErrorRe
 		rep.add(dmp)
 		rep.FullWall += bFull + dFull
 		rep.SampWall += bSamp + dSamp
-		n := w.Bench.Name
+		n := w.Name
 		vals["full base IPC"][n] = base.FullIPC
 		vals["samp base IPC"][n] = base.SampIPC
 		vals["base CI ±%"][n] = base.RelErrPct
@@ -286,14 +270,13 @@ func SampleErrorPopulation(ctx context.Context, progs []*gen.Program, sc sample.
 	rep := &SampleErrorReport{Conf: sc}
 	rows := make([]SampleErrorRow, len(progs))
 	walls := make([][2]time.Duration, len(progs))
-	name := func(i int) string { return progs[i].Name }
-	err := workpool.RunIndexed(ctx, len(progs), par, name, nil, func(i int) error {
+	err := forEachProgram(ctx, progs, par, func(i int) error {
 		p := progs[i]
 		prog, err := codegen.CompileSource(p.Source)
 		if err != nil {
-			return fmt.Errorf("%s: compile: %w", p.Name, err)
+			return fmt.Errorf("compile: %w", err)
 		}
-		cfg := popConfig(false, popEmuBudget)
+		cfg := evalConfig(false, popEmuBudget)
 		row, fw, sw, err := diffRow(ctx, p.Name, "base", prog.WithAnnots(nil), p.RunInput, cfg, sc)
 		if err != nil {
 			return err

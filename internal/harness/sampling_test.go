@@ -62,7 +62,7 @@ func TestSampledSessionStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := sample.DefaultConf()
-	samp, err := NewSession(Options{Benchmarks: benches, Sample: sc})
+	samp, err := NewSession(Options{Benchmarks: benches, EvalOptions: EvalOptions{Sample: sc}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestSampledSessionStats(t *testing.T) {
 // TestSampledFooterLine: the metrics footer includes the sampling line with
 // the detailed share and error-bar summary.
 func TestSampledFooterLine(t *testing.T) {
-	s, err := NewSession(Options{Benchmarks: []string{"gzip"}, Sample: sample.DefaultConf()})
+	s, err := NewSession(Options{Benchmarks: []string{"gzip"}, EvalOptions: EvalOptions{Sample: sample.DefaultConf()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestSampledEvalSource(t *testing.T) {
 // separation end to end through the session path).
 func TestSampledRunsShareNothingWithFull(t *testing.T) {
 	cache := simcache.New("")
-	base := Options{Benchmarks: []string{"compress"}, Cache: cache}
+	base := Options{Benchmarks: []string{"compress"}, EvalOptions: EvalOptions{Cache: cache}}
 	full, err := NewSession(base)
 	if err != nil {
 		t.Fatal(err)

@@ -17,14 +17,11 @@ import (
 	"math"
 	"sort"
 
-	"dmp/internal/codegen"
 	"dmp/internal/core"
 	"dmp/internal/gen"
 	"dmp/internal/profile"
 	"dmp/internal/static"
 	"dmp/internal/trace"
-	"dmp/internal/verify"
-	"dmp/internal/workpool"
 )
 
 // Profile sources of the comparison, in report order.
@@ -89,27 +86,23 @@ type CompareReport struct {
 	Groups  []CompareGroup  `json:"groups"`
 }
 
-// RunPopulationCompare evaluates a generated corpus three ways. The baseline
-// simulation is shared; the three DMP simulations are deduplicated by the
-// simulation cache whenever two sources select identical annotations.
-func RunPopulationCompare(progs []*gen.Program, opts PopulationOptions) (*CompareReport, error) {
-	return RunPopulationCompareCtx(context.Background(), progs, opts)
+// RunPopulationCompare evaluates a generated corpus three ways under
+// opts.Ctx. The baseline simulation is shared; the three DMP simulations are
+// deduplicated by the simulation cache whenever two sources select identical
+// annotations.
+func RunPopulationCompare(progs []*gen.Program, opts Options) (*CompareReport, error) {
+	return RunPopulationCompareCtx(opts.ctx(), progs, opts)
 }
 
-// RunPopulationCompareCtx is RunPopulationCompare under a cancellation
-// context (same semantics as RunPopulationCtx).
-func RunPopulationCompareCtx(ctx context.Context, progs []*gen.Program, opts PopulationOptions) (*CompareReport, error) {
+// RunPopulationCompareCtx is RunPopulationCompare under ctx (same semantics
+// as RunPopulationCtx).
+func RunPopulationCompareCtx(ctx context.Context, progs []*gen.Program, opts Options) (*CompareReport, error) {
 	opts = opts.withDefaults()
 	rep := &CompareReport{Count: len(progs), Algo: "All-best-heur"}
 	rep.Results = make([]CompareResult, len(progs))
-	name := func(i int) string { return progs[i].Name }
-	err := workpool.RunIndexed(ctx, len(progs), opts.Parallelism, name, nil, func(i int) error {
-		r, err := runOneCompare(progs[i], opts)
-		if err != nil {
-			return fmt.Errorf("%s: %w", progs[i].Name, err)
-		}
-		rep.Results[i] = r
-		return nil
+	err := forEachProgram(ctx, progs, opts.Parallelism, func(i int) (err error) {
+		rep.Results[i], err = runOneCompare(ctx, progs[i], opts.EvalOptions)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -118,49 +111,38 @@ func RunPopulationCompareCtx(ctx context.Context, progs []*gen.Program, opts Pop
 	return rep, nil
 }
 
-func runOneCompare(p *gen.Program, opts PopulationOptions) (CompareResult, error) {
+// runOneCompare prepares one program as a Workload, whose train and run
+// profiles are the train and oracle sources, and selects a third time from
+// the static estimate.
+func runOneCompare(ctx context.Context, p *gen.Program, opts EvalOptions) (CompareResult, error) {
 	var r CompareResult
-	prog, err := codegen.CompileSource(p.Source)
-	if err != nil {
-		return r, fmt.Errorf("compile: %w", err)
-	}
-	est, err := static.Analyze(prog, static.Options{Program: p.Name + "/static"})
+	w, err := prepareWorkload(ctx, p.Name, compileSource(p.Source), p.RunInput, p.TrainInput, popEmuBudget, opts)
 	if err != nil {
 		return r, err
 	}
-	train, err := profile.Collect(prog, p.TrainInput, profile.Options{MaxInsts: popEmuBudget})
+	est, err := static.Analyze(w.Bare, static.Options{Program: p.Name + "/static"})
 	if err != nil {
-		return r, fmt.Errorf("train profile: %w", err)
+		return r, err
 	}
-	oracle, err := profile.Collect(prog, p.RunInput, profile.Options{MaxInsts: popEmuBudget})
+	base, err := w.Baseline()
 	if err != nil {
-		return r, fmt.Errorf("oracle profile: %w", err)
-	}
-	profs := [numSources]*profile.Profile{est.Prof, train, oracle}
-
-	base, err := opts.Cache.Run(prog.WithAnnots(nil), p.RunInput, popConfig(false, opts.MaxInsts))
-	if err != nil {
-		return r, fmt.Errorf("baseline: %w", err)
+		return r, err
 	}
 	r = CompareResult{
 		Name:    p.Name,
 		Preset:  p.Preset,
 		Idiom:   p.Idiom,
 		BaseIPC: base.IPC(),
-		Acc:     static.CompareProfiles(prog, est.Prof, oracle),
+		Acc:     static.CompareProfiles(w.Bare, est.Prof, w.ProfRun),
 	}
-	for src, prof := range profs {
-		res, err := core.Select(prog, prof, core.HeuristicParams())
+	for src, prof := range [numSources]*profile.Profile{est.Prof, w.Train, w.ProfRun} {
+		res, err := core.Select(w.Bare, prof, core.HeuristicParams())
 		if err != nil {
 			return r, fmt.Errorf("%s select: %w", SourceNames[src], err)
 		}
-		annotated := prog.WithAnnots(res.Annots)
-		if err := verify.CheckAnnots(annotated, p.Name+"/"+SourceNames[src]); err != nil {
-			return r, err
-		}
-		dmp, err := opts.Cache.Run(annotated, p.RunInput, popConfig(true, opts.MaxInsts))
+		dmp, err := w.RunDMP(res.Annots)
 		if err != nil {
-			return r, fmt.Errorf("%s dmp: %w", SourceNames[src], err)
+			return r, fmt.Errorf("%s: %w", SourceNames[src], err)
 		}
 		r.Annots[src] = len(res.Annots)
 		r.IPC[src] = dmp.IPC()

@@ -14,9 +14,8 @@ import (
 // corpus and budget shrink under -race, where simulation is much slower.
 func tracingOpts(tr trace.Tracer) Options {
 	o := Options{
-		Benchmarks: []string{"mcf", "parser"},
-		MaxInsts:   60_000,
-		Tracer:     tr,
+		Benchmarks:  []string{"mcf", "parser"},
+		EvalOptions: EvalOptions{MaxInsts: 60_000, Tracer: tr},
 	}
 	if raceEnabled {
 		o.MaxInsts = 30_000

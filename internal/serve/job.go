@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"dmp/internal/core"
 	"dmp/internal/gen"
 	"dmp/internal/harness"
 	"dmp/internal/sample"
@@ -97,8 +98,10 @@ func (s *JobSpec) Validate() error {
 		if err := s.Sweep.validate(); err != nil {
 			return err
 		}
-		if s.Algo != "" && !harness.KnownAlgo(s.Algo) {
-			return fmt.Errorf("unknown algorithm %q", s.Algo)
+		if s.Algo != "" {
+			if err := core.CheckAlgorithm(s.Algo); err != nil {
+				return err
+			}
 		}
 		if s.Sample != nil {
 			return s.sampleConf().Validate()
@@ -116,8 +119,8 @@ func (s *JobSpec) Validate() error {
 		}
 	}
 	if s.Algo != "" {
-		if !harness.KnownAlgo(s.Algo) {
-			return fmt.Errorf("unknown algorithm %q", s.Algo)
+		if err := core.CheckAlgorithm(s.Algo); err != nil {
+			return err
 		}
 	}
 	if s.Sample != nil {

@@ -5,6 +5,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -636,26 +638,81 @@ func TestSubmitBodyLimit(t *testing.T) {
 	}
 }
 
-func TestLoadTestSmall(t *testing.T) {
-	if testing.Short() {
-		t.Skip("load test in -short mode")
-	}
-	_, ts := newTestServer(t, Config{Workers: 2, QueueCap: 64})
+// TestConcurrentJobs: 24 HTTP jobs of 5 specs from 8 goroutines all finish, and duplicates hit the cache.
+func TestConcurrentJobs(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 2, QueueCap: 64})
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	rep, err := LoadTest(ctx, ts.URL, LoadOptions{Jobs: 24, Concurrency: 8, UniqueSeeds: 8})
-	if err != nil {
-		t.Fatal(err)
+	errs := make(chan error, 24)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := g; i < 24; i += 8 {
+				body, _ := json.Marshal(JobSpec{Preset: "deep-hammock", Seed: uint64(i % 5)})
+				var st JobStatus
+				resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(body))
+				if err == nil {
+					err = json.NewDecoder(resp.Body).Decode(&st)
+					resp.Body.Close()
+				}
+				if err == nil {
+					st, err = pollJob(ctx, http.DefaultClient, ts.URL, st.ID, time.Millisecond)
+				}
+				if err == nil && st.State != StateDone {
+					err = fmt.Errorf("job %s: %s (%s)", st.ID, st.State, st.Error)
+				}
+				errs <- err
+			}
+		}()
 	}
-	if !rep.OK() {
-		t.Fatalf("load report not OK: %s", mustJSON(rep))
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
 	}
-	if rep.Server.LatencyP99MS <= 0 {
-		t.Errorf("p99 latency not reported: %s", mustJSON(rep))
+	if m := s.Metrics(); m.Completed != 24 || m.Cache.Hits+m.Cache.Dedups == 0 {
+		t.Errorf("completed %d of 24 jobs, %d cache hits, %d dedups", m.Completed, m.Cache.Hits, m.Cache.Dedups)
 	}
 }
 
-func mustJSON(v any) string {
-	b, _ := json.MarshalIndent(v, "", "  ")
-	return string(b)
+// pollJob polls a job's status until it reaches a terminal state.
+func pollJob(ctx context.Context, client *http.Client, baseURL, id string, every time.Duration) (JobStatus, error) {
+	tick := time.NewTicker(every)
+	defer tick.Stop()
+	for {
+		var st JobStatus
+		if err := getJSON(ctx, client, baseURL+"/jobs/"+id, &st); err != nil {
+			return JobStatus{}, err
+		}
+		switch st.State {
+		case StateDone, StateFailed, StateCanceled:
+			return st, nil
+		}
+		select {
+		case <-tick.C:
+		case <-ctx.Done():
+			return JobStatus{}, ctx.Err()
+		}
+	}
+}
+
+func getJSON(ctx context.Context, client *http.Client, url string, out any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
+	if err != nil {
+		return err
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		data, _ := io.ReadAll(resp.Body)
+		return fmt.Errorf("GET %s: HTTP %d: %s", url, resp.StatusCode, bytes.TrimSpace(data))
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"dmp/internal/bench"
+	"dmp/internal/core"
 	"dmp/internal/gen"
 	"dmp/internal/harness"
 	"dmp/internal/pipeline"
@@ -78,7 +79,7 @@ type Options struct {
 	// shares the process-wide workpool helper budget.
 	Parallelism int
 	// Algo is the selection algorithm annotating each program ("heur" when
-	// empty; see harness.Algos).
+	// empty; see core.Algorithms).
 	Algo string
 	// MaxInsts caps simulated instructions per cell run and bounds the
 	// profiling phase (it is also applied to every cell config, so a grid
@@ -164,8 +165,8 @@ func Run(ctx context.Context, progs []Program, grid *GridSpec, opts Options) (*R
 	if opts.Algo == "" {
 		opts.Algo = "heur"
 	}
-	if !harness.KnownAlgo(opts.Algo) {
-		return nil, fmt.Errorf("sweep: unknown selection algorithm %q (valid: %v)", opts.Algo, harness.Algos())
+	if err := core.CheckAlgorithm(opts.Algo); err != nil {
+		return nil, fmt.Errorf("sweep: %w", err)
 	}
 
 	rep := &Report{

@@ -1,4 +1,4 @@
-package harness
+package workpool_test
 
 import (
 	"context"
@@ -196,5 +196,27 @@ func TestRunIndexedPanicAndErrorsCoexist(t *testing.T) {
 	}
 	if !errors.Is(err, plain) {
 		t.Errorf("aggregate missing the plain error from task 2: %v", err)
+	}
+}
+
+// TestForEachBoundedAggregatesAllErrors pins the contract the harness's
+// unbounded fan-outs (population, static, sample-error) rely on from
+// workpool.RunIndexed: every failing workload's error reaches the caller,
+// not just the first (the pre-fix behaviour).
+func TestForEachBoundedAggregatesAllErrors(t *testing.T) {
+	e1, e2 := errors.New("w1 failed"), errors.New("w3 failed")
+	err := workpool.RunIndexed(context.Background(), 4, 2,
+		func(i int) string { return "workload" }, nil,
+		func(i int) error {
+			switch i {
+			case 1:
+				return e1
+			case 3:
+				return e2
+			}
+			return nil
+		})
+	if !errors.Is(err, e1) || !errors.Is(err, e2) {
+		t.Fatalf("RunIndexed dropped an error: got %v, want both %v and %v", err, e1, e2)
 	}
 }

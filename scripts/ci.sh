@@ -14,7 +14,9 @@
 # must hit the shared simulation cache, a /metrics scrape, and a SIGTERM
 # graceful-drain check), the sweep-engine smoke (a small benchmark x config
 # grid through cmd/dmpsweep with CSV streaming, run twice so the second
-# invocation exercises resume), and short deterministic fuzz smokes over the
+# invocation exercises resume), the paper-table pin (scripts/eval_check.sh:
+# the full dmpbench evaluation must match evaluation_output.txt apart from
+# timing lines), and short deterministic fuzz smokes over the
 # DML parser, the emulator differential harness and the perceptron kernel's
 # scalar-reference differential.
 set -eux
@@ -39,6 +41,7 @@ rm -f .sweep-smoke.csv
 go run ./cmd/dmpsweep -bench gzip,mcf -axis ROBSize=128,512 -axis DMP=false,true -max 200000 -q -out .sweep-smoke.csv >/dev/null
 go run ./cmd/dmpsweep -bench gzip,mcf -axis ROBSize=128,512 -axis DMP=false,true -max 200000 -q -out .sweep-smoke.csv >/dev/null
 rm -f .sweep-smoke.csv
+sh scripts/eval_check.sh
 go test -run '^$' -fuzz=FuzzParse -fuzztime=30s ./internal/lang
 go test -run '^$' -fuzz=FuzzEmuDiff -fuzztime=30s ./internal/emu
 go test -run '^$' -fuzz=FuzzPerceptronKernel -fuzztime=30s ./internal/bpred
