@@ -81,10 +81,10 @@ prof-pipeline:
 	$(GO) tool pprof -top -nodecount=25 .prof-pipeline.pprof
 
 # Differential check of the predecoded fast execution paths against the
-# reference interpreter: corpus trace-for-trace, block/batch equivalence,
-# and the hand-written fault matrix.
+# reference interpreter: corpus trace-for-trace, the block executor's state
+# and hook events, batch equivalence, and the hand-written fault matrix.
 emu-diff:
-	$(GO) test -run 'TestFastMatchesReference|TestRunMatchesReference|TestRunBlockMatchesReference|TestStepBatchMatchesReference|TestFaultEquivalence|TestStepBatchFaults' ./internal/emu
+	$(GO) test -run 'TestFastMatchesReference|TestRunMatchesReference|TestRunBlocksMatchesReference|TestRunBlocksLimitsMatchStepRef|TestRunBlocksEventsMatchReference|TestRunBlocksFaultsMatchStepRef|TestStepBatchMatchesReference|TestFaultEquivalence|TestStepBatchFaults' ./internal/emu
 
 # Generated-workload smoke: build a 50-program corpus across every preset
 # and push each program through the full quality gate (all 8 selection

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -103,6 +104,12 @@ func main() {
 	prof := run(dmpprof, "-bin", bin, "-in", tape, "-top", "3")
 	if !strings.Contains(prof, "MPKI") || !strings.Contains(prof, "mispredicted branches") {
 		t.Errorf("dmpprof output: %q", prof)
+	}
+	// A negative -top is a usage error, not a slice-bounds panic.
+	msg, err := exec.Command(dmpprof, "-bin", bin, "-top", "-1").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(msg), "-top must be non-negative") {
+		t.Errorf("dmpprof -top -1: err %v, want exit status 2 and a usage message\n%s", err, msg)
 	}
 
 	base := run(dmpsim, "-bin", bin, "-in", tape)

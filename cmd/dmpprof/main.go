@@ -37,6 +37,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "dmpprof: -bin is required")
 		os.Exit(2)
 	}
+	if *top < 0 {
+		fmt.Fprintf(os.Stderr, "dmpprof: -top must be non-negative, got %d\n", *top)
+		flag.Usage()
+		os.Exit(2)
+	}
 	f, err := os.Open(*bin)
 	check(err)
 	prog, err := isa.ReadProgram(f)

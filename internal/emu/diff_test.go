@@ -192,65 +192,6 @@ func TestRunMatchesReference(t *testing.T) {
 	}
 }
 
-// TestRunBlockMatchesReference drives RunBlock with adversarial budgets and
-// checks every block's branch report against the reference interpreter.
-func TestRunBlockMatchesReference(t *testing.T) {
-	b := bench.ByName("twolf")
-	prog, err := b.Compile()
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	input := b.Input(bench.TrainInput, 1)
-	for _, budget := range []uint64{1, 2, 5, 64, 0} {
-		fast := emu.New(prog, input, 0)
-		ref := emu.New(prog, input, 0)
-		var total uint64
-		for total < 300_000 {
-			br, err := fast.RunBlock(budget)
-			// Replay the same number of instructions on the reference and
-			// check the block's branch summary against the last trace entry.
-			var last emu.Trace
-			var rerr error
-			for i := uint64(0); i < br.N; i++ {
-				last, rerr = ref.StepRef()
-				if rerr != nil {
-					t.Fatalf("budget %d: reference faulted inside a retired block: %v", budget, rerr)
-				}
-			}
-			if br.N > 0 && br.Branch >= 0 {
-				if last.PC != br.Branch || last.Taken != br.Taken {
-					t.Fatalf("budget %d: block branch (pc=%d taken=%v), ref last trace %+v",
-						budget, br.Branch, br.Taken, last)
-				}
-				if !last.Inst.IsCondBranch() {
-					t.Fatalf("budget %d: block reported branch at pc %d but ref retired %v",
-						budget, br.Branch, last.Inst.Op)
-				}
-			}
-			total += br.N
-			if err != nil {
-				if !errors.Is(err, emu.ErrHalted) {
-					t.Fatalf("budget %d: run block: %v", budget, err)
-				}
-				if _, rerr := ref.StepRef(); !errors.Is(rerr, emu.ErrHalted) {
-					// Drain the reference's halt instruction if RunBlock
-					// retired it inside the final block.
-					if rerr != nil {
-						t.Fatalf("budget %d: ref at halt: %v", budget, rerr)
-					}
-					for !ref.Halted() {
-						if _, rerr := ref.StepRef(); rerr != nil && !errors.Is(rerr, emu.ErrHalted) {
-							t.Fatalf("budget %d: ref draining to halt: %v", budget, rerr)
-						}
-					}
-				}
-				break
-			}
-		}
-		diffState(t, fmt.Sprintf("budget %d", budget), fast, ref)
-	}
-}
-
 // TestStepBatchMatchesReference checks StepBatch against StepRef for batch
 // sizes that straddle block boundaries, including fault surfacing order.
 func TestStepBatchMatchesReference(t *testing.T) {
@@ -304,6 +245,17 @@ var faultCases = []struct {
 	{"load-negative", []isa.Inst{
 		{Op: isa.OpMovI, Rd: 1, Imm: -8},
 		{Op: isa.OpLd, Rd: 2, Rs1: 1},
+		{Op: isa.OpHalt},
+	}},
+	{"load-to-r0", []isa.Inst{
+		{Op: isa.OpMovI, Rd: 1, Imm: 3},
+		{Op: isa.OpLd, Rd: 0, Rs1: 1, Imm: 2},
+		{Op: isa.OpOut, Rs1: 0},
+		{Op: isa.OpHalt},
+	}},
+	{"load-to-r0-oor", []isa.Inst{
+		{Op: isa.OpMovI, Rd: 1, Imm: 1 << 40},
+		{Op: isa.OpLd, Rd: 0, Rs1: 1},
 		{Op: isa.OpHalt},
 	}},
 	{"store-oor", []isa.Inst{
@@ -377,12 +329,16 @@ var faultCases = []struct {
 }
 
 // TestFaultEquivalence checks every fault path produces the same error, the
-// same parked PC, and the same partially-applied effects on both engines.
+// same parked PC, and the same partially-applied effects on every engine:
+// Step and the block executor, the latter both in one call and one
+// instruction per call, against the reference interpreter.
 func TestFaultEquivalence(t *testing.T) {
 	for _, tc := range faultCases {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := &isa.Program{Code: tc.code}
 			diffStep(t, tc.name, prog, []int64{5, 6}, 0)
+			diffRunBlocks(t, tc.name+"/blocks", prog, []int64{5, 6}, 0, fixed(0))
+			diffRunBlocks(t, tc.name+"/blocks-by-1", prog, []int64{5, 6}, 0, fixed(1))
 		})
 	}
 }
@@ -439,9 +395,10 @@ func main() {
 
 // FuzzEmuDiff feeds generated DML programs (seeded by the corpus generator's
 // default mix plus the biased-branch and deep-hammock presets) through the
-// compiler and runs both engines in lockstep. Mutated sources that no longer
-// parse or check are skipped; anything that compiles must execute
-// identically on both paths.
+// compiler and runs Step and the reference interpreter in lockstep, then the
+// block executor with every hook under a budget sequence drawn from
+// tapeSeed. Mutated sources that no longer parse or check are skipped;
+// anything that compiles must execute identically on every path.
 func FuzzEmuDiff(f *testing.F) {
 	f.Add(midMemorySource, int64(1))
 	for seed := int64(0); seed < 8; seed++ {
@@ -493,5 +450,18 @@ func FuzzEmuDiff(f *testing.F) {
 			}
 		}
 		diffState(t, "fuzz", fast, ref)
+
+		// Budgets from 1 to 128 instructions, every eighth call unlimited
+		// up to the cap, so runs are cut at arbitrary offsets.
+		x := uint64(tapeSeed)*0x9E3779B97F4A7C15 | 1
+		diffRunBlocks(t, "fuzz/blocks", prog, input, 200_000, func() uint64 {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			if x%8 == 0 {
+				return 0
+			}
+			return 1 + x%128
+		})
 	})
 }

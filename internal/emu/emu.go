@@ -361,25 +361,18 @@ func (m *Machine) StepRef() (Trace, error) {
 }
 
 // Run executes until halt or until maxInsts instructions have retired
-// (maxInsts <= 0 means no limit). It returns the number of instructions
-// retired by this call. Execution proceeds block by block via RunBlock.
+// (maxInsts == 0 means no limit) on the block-batched path, and returns the
+// number of instructions retired by this call. A run that reaches the limit
+// without halting returns an "instruction limit exceeded" error.
 func (m *Machine) Run(maxInsts uint64) (uint64, error) {
-	var n uint64
-	for !m.halted {
-		if maxInsts > 0 && n >= maxInsts {
-			return n, fmt.Errorf("emu: instruction limit %d exceeded", maxInsts)
-		}
-		var budget uint64
-		if maxInsts > 0 {
-			budget = maxInsts - n
-		}
-		br, err := m.RunBlock(budget)
-		n += br.N
-		if err != nil {
-			return n, err
-		}
+	if m.halted {
+		return 0, nil
 	}
-	return n, nil
+	n, err := m.RunBlocks(maxInsts, nil)
+	if err == nil && !m.halted {
+		err = fmt.Errorf("emu: instruction limit %d exceeded", maxInsts)
+	}
+	return n, err
 }
 
 func b2i(b bool) int64 {

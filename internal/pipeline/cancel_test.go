@@ -3,8 +3,12 @@ package pipeline
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 	"time"
+
+	"dmp/internal/emu"
+	"dmp/internal/isa"
 )
 
 // TestRunCtxPreCancelled: an already-cancelled context aborts the run near
@@ -59,5 +63,57 @@ func TestRunCtxBackgroundMatchesRun(t *testing.T) {
 	}
 	if st1.Cycles != st2.Cycles || st1.Retired != st2.Retired {
 		t.Fatalf("RunCtx stats diverge from Run:\n%+v\n%+v", st1, st2)
+	}
+}
+
+// spinProg never halts: a loop with a load, a data-dependent branch and a
+// jump, so a warming skip over it exercises every hook.
+func spinProg(t *testing.T) *isa.Program {
+	t.Helper()
+	b := isa.NewBuilder()
+	b.Func("main")
+	b.Label("loop")
+	b.ALUI(isa.OpAdd, 1, 1, 1)
+	b.ALUI(isa.OpAnd, 2, 1, 1023)
+	b.Ld(3, 2, 0)
+	b.ALUI(isa.OpAnd, 4, 1, 1)
+	b.Beqz(4, "loop")
+	b.Jmp("loop")
+	p, err := b.Link()
+	if err != nil {
+		t.Fatalf("Link: %v", err)
+	}
+	return p
+}
+
+// TestSkipCancelMidFastForward: cancelling a fast-forward over a program
+// that never halts makes the warming and the plain skip alike return
+// promptly with the context error (both poll between instruction chunks).
+func TestSkipCancelMidFastForward(t *testing.T) {
+	prog := spinProg(t)
+	for _, tc := range []struct {
+		name string
+		skip func(*Sim, context.Context) (uint64, error)
+	}{
+		{"Skip", func(s *Sim, ctx context.Context) (uint64, error) { return s.Skip(ctx, math.MaxUint64, 1<<20) }},
+		{"SkipPlain", func(s *Sim, ctx context.Context) (uint64, error) { return s.SkipPlain(ctx, math.MaxUint64) }},
+	} {
+		sim := NewFromMachine(emu.New(prog, nil, 0), DefaultConfig())
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan error, 1)
+		go func() {
+			_, err := tc.skip(sim, ctx)
+			done <- err
+		}()
+		time.Sleep(20 * time.Millisecond)
+		cancel()
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s err = %v, want context.Canceled", tc.name, err)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s did not return within 2s of cancel", tc.name)
+		}
 	}
 }

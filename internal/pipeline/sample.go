@@ -6,7 +6,6 @@ import (
 
 	"dmp/internal/cache"
 	"dmp/internal/emu"
-	"dmp/internal/predecode"
 	"dmp/internal/trace"
 )
 
@@ -38,47 +37,46 @@ import (
 func (s *Sim) Skip(ctx context.Context, n, predTail uint64) (uint64, error) {
 	s.tr.ctx = ctx
 	if predTail >= n {
-		return s.tr.skipWarm(n, s.warmEntryPred, s.predHooks())
+		return s.tr.skip(n, s.warmHooks(true))
 	}
-	done, err := s.tr.skipWarm(n-predTail, s.warmEntry, s.warmHooks())
+	done, err := s.tr.skip(n-predTail, s.warmHooks(false))
 	if err != nil || done < n-predTail {
 		return done, err
 	}
-	k, err := s.tr.skipWarm(predTail, s.warmEntryPred, s.predHooks())
+	k, err := s.tr.skip(predTail, s.warmHooks(true))
 	return done + k, err
 }
 
 // SkipPlain advances the machine past n correct-path instructions with no
-// warming at all — the raw block-batched path. The sampling layer uses it
+// warming at all — the same skip with no hooks. The sampling layer uses it
 // for the stretch beyond the last detailed interval, where warming can no
-// longer influence any measurement and would only burn the warm executor's
+// longer influence any measurement and would only burn the hooks'
 // per-event overhead.
 func (s *Sim) SkipPlain(ctx context.Context, n uint64) (uint64, error) {
 	s.tr.ctx = ctx
-	return s.tr.skip(n)
+	return s.tr.skip(n, nil)
 }
 
-// warmHooks returns the hook set the emulator's block-batched warm executor
-// (emu.RunWarm) drives: the same structures warmEntry touches, fed from
-// block extents and control-flow events instead of per-instruction trace
-// entries.
-func (s *Sim) warmHooks() *emu.WarmHooks {
-	if s.wh == nil {
-		s.wh = s.buildWarmHooks(false)
+// warmHooks returns the functional-warming hook set Skip hands to the
+// emulator's block executor, built on first use. It warms the I-cache at
+// line granularity, the D-cache with load addresses (stores do not access
+// the cache in the detailed model either), the global history with
+// conditional-branch outcomes, the BTB with taken control flow, and the RAS
+// with calls and returns. With trainPred it also trains the perceptron and
+// the confidence estimator on every conditional branch — the Skip tail's
+// hook set.
+func (s *Sim) warmHooks(trainPred bool) *emu.BlockHooks {
+	h := &s.wh
+	if trainPred {
+		h = &s.whPred
 	}
-	return s.wh
-}
-
-// predHooks is warmHooks plus perceptron and confidence-estimator training
-// on every conditional branch — the Skip tail's hook set.
-func (s *Sim) predHooks() *emu.WarmHooks {
-	if s.whPred == nil {
-		s.whPred = s.buildWarmHooks(true)
+	if *h == nil {
+		*h = s.buildWarmHooks(trainPred)
 	}
-	return s.whPred
+	return *h
 }
 
-func (s *Sim) buildWarmHooks(trainPred bool) *emu.WarmHooks {
+func (s *Sim) buildWarmHooks(trainPred bool) *emu.BlockHooks {
 	branch := func(pc int, taken bool, target int) {
 		st := s.streams[0]
 		st.hist = st.hist.Push(taken)
@@ -97,7 +95,7 @@ func (s *Sim) buildWarmHooks(trainPred bool) *emu.WarmHooks {
 			}
 		}
 	}
-	return &emu.WarmHooks{
+	return &emu.BlockHooks{
 		Block: func(start, end int) {
 			st := s.streams[0]
 			first, last := start>>3, end>>3
@@ -123,48 +121,6 @@ func (s *Sim) buildWarmHooks(trainPred bool) *emu.WarmHooks {
 		Jump: func(pc, next int) {
 			s.btb.Update(pc, next)
 		},
-	}
-}
-
-// warmEntry / warmEntryPred feed one already-materialised trace entry
-// (buffered lookahead the reader drained before switching to the
-// block-batched path) to the same warm state the hook sets maintain: the
-// I-cache at line granularity, the D-cache for on-trace load addresses
-// (stores do not access the cache in the detailed model either), the global
-// history for conditional branches, the BTB for taken control flow, and the
-// RAS for calls and returns.
-func (s *Sim) warmEntry(e *emu.Trace) { s.warmTraceEntry(e, false) }
-
-func (s *Sim) warmEntryPred(e *emu.Trace) { s.warmTraceEntry(e, true) }
-
-func (s *Sim) warmTraceEntry(e *emu.Trace, trainPred bool) {
-	st := s.streams[0]
-	if line := e.PC >> 3; line != st.lastLine {
-		s.hier.I.Access(cache.InstAddr(e.PC))
-		st.lastLine = line
-	}
-	rec := &s.recs[e.PC]
-	switch {
-	case rec.Flags&predecode.FlagCondBranch != 0:
-		if trainPred {
-			pred := s.pred.PredictAndTrain(e.PC, st.hist, e.Taken)
-			s.conf.Update(e.PC, st.hist, pred != e.Taken)
-		}
-		st.hist = st.hist.Push(e.Taken)
-		if e.Taken {
-			s.btb.Update(e.PC, e.NextPC)
-		}
-	case rec.Kind == predecode.KCall || rec.Kind == predecode.KCallR:
-		st.ras.Push(e.PC + 1)
-		s.btb.Update(e.PC, e.NextPC)
-	case rec.Kind == predecode.KRet:
-		st.ras.Pop()
-	case rec.Flags&predecode.FlagControl != 0:
-		s.btb.Update(e.PC, e.NextPC)
-	case rec.Lat == predecode.LatLoad:
-		if e.Addr >= 0 {
-			s.hier.D.Access(cache.DataAddr(e.Addr))
-		}
 	}
 }
 

@@ -83,11 +83,11 @@ type Sim struct {
 	// predictable branch for it.
 	win sampleWindow
 	// wh / whPred are the lazily built functional-warming hook sets Skip
-	// hands to the emulator's block-batched warm executor (sample.go):
-	// wh warms caches/BTB/history only, whPred additionally trains the
-	// branch predictor and confidence estimator.
-	wh     *emu.WarmHooks
-	whPred *emu.WarmHooks
+	// hands to the emulator's block executor (sample.go): wh warms
+	// caches/BTB/history only, whPred additionally trains the branch
+	// predictor and confidence estimator.
+	wh     *emu.BlockHooks
+	whPred *emu.BlockHooks
 
 	// audit accumulates the per-branch session audit (always on: its cost
 	// is per dpred session / flush, not per instruction).

@@ -5,6 +5,7 @@ import (
 	"errors"
 
 	"dmp/internal/emu"
+	"dmp/internal/predecode"
 )
 
 // traceBatchSize is how many correct-path entries the reader requests from
@@ -99,19 +100,22 @@ func (t *traceReader) extendBudget(n uint64) {
 	}
 }
 
-// skip functionally advances the machine past n correct-path instructions
-// without materialising trace entries for them: whatever is already buffered
-// is consumed first, the remainder runs on the emulator's block-batched path
-// (no per-instruction trace construction). It returns the number actually
+// skip functionally advances the machine past n correct-path instructions,
+// reporting their retirement events through h (nil: none). Whatever is
+// already buffered is consumed first, each entry replayed through h; the
+// remainder runs on the emulator's block executor (emu.RunBlocks), with no
+// per-instruction trace construction. It returns the number actually
 // skipped, which falls short of n only when the machine halts or faults.
-func (t *traceReader) skip(n uint64) (uint64, error) {
-	var skipped uint64
-	if avail := uint64(t.n - t.pos); avail > 0 {
-		take := min(avail, n)
-		t.pos += int(take)
-		t.count += take
-		skipped += take
+func (t *traceReader) skip(n uint64, h *emu.BlockHooks) (uint64, error) {
+	skipped := min(uint64(t.n-t.pos), n)
+	if h != nil {
+		recs := t.m.Predecoded().Recs
+		for i := t.pos; i < t.pos+int(skipped); i++ {
+			replay(h, &recs[t.buf[i].PC], &t.buf[i])
+		}
 	}
+	t.pos += int(skipped)
+	t.count += skipped
 	if skipped == n {
 		return skipped, nil
 	}
@@ -133,63 +137,7 @@ func (t *traceReader) skip(n uint64) (uint64, error) {
 				return skipped, err
 			}
 		}
-		br, err := t.m.RunBlock(min(n-skipped, skipChunk))
-		skipped += br.N
-		t.count += br.N
-		t.fetched += br.N
-		if err != nil {
-			if errors.Is(err, emu.ErrHalted) {
-				break
-			}
-			t.err = err
-			return skipped, err
-		}
-	}
-	if t.m.Halted() {
-		t.done = true
-		t.halted = true
-	}
-	return skipped, nil
-}
-
-// skipWarm is skip with functional warming: buffered lookahead entries are
-// handed to warm one by one before being dropped, and the remainder runs on
-// the emulator's block-batched warm executor (emu.RunWarm), which reports
-// branch outcomes, load addresses and straight-line extents through hooks.
-// The sampling layer uses it to keep the cache, BTB and history state a
-// detailed interval inherits tracking what a full-fidelity run would have
-// built (the SMARTS warming scheme), at a cost close to skip's plain
-// block-batched path rather than the step-batched one.
-func (t *traceReader) skipWarm(n uint64, warm func(*emu.Trace), hooks *emu.WarmHooks) (uint64, error) {
-	var skipped uint64
-	for t.pos < t.n && skipped < n {
-		warm(&t.buf[t.pos])
-		t.pos++
-		t.count++
-		skipped++
-	}
-	if skipped == n {
-		return skipped, nil
-	}
-	if t.err != nil {
-		return skipped, t.err
-	}
-	if t.pending != nil {
-		// The buffered entries before the fault are gone; the fault is next.
-		t.err = t.pending
-		return skipped, t.err
-	}
-	// Chunked so cancellation has a poll point every few million
-	// instructions even inside one long fast-forward.
-	const warmChunk = 1 << 22
-	for skipped < n && !t.m.Halted() {
-		if t.ctx != nil {
-			if err := t.ctx.Err(); err != nil {
-				t.err = err
-				return skipped, err
-			}
-		}
-		k, err := t.m.RunWarm(min(n-skipped, warmChunk), hooks)
+		k, err := t.m.RunBlocks(min(n-skipped, skipChunk), h)
 		skipped += k
 		t.count += k
 		t.fetched += k
@@ -206,6 +154,37 @@ func (t *traceReader) skipWarm(n uint64, warm func(*emu.Trace), hooks *emu.WarmH
 		t.halted = true
 	}
 	return skipped, nil
+}
+
+// replay reports one buffered trace entry through h the way
+// emu.RunBlocks reports a retired instruction: its one-instruction extent,
+// then its load or control-flow event.
+func replay(h *emu.BlockHooks, rec *predecode.Rec, e *emu.Trace) {
+	if h.Block != nil {
+		h.Block(e.PC, e.PC)
+	}
+	switch rec.Kind {
+	case predecode.KLd, predecode.KLdNoWB:
+		if h.Load != nil {
+			h.Load(e.Addr)
+		}
+	case predecode.KBeqz, predecode.KBnez:
+		if h.Branch != nil {
+			h.Branch(e.PC, e.Taken, int(rec.Target))
+		}
+	case predecode.KCall, predecode.KCallR:
+		if h.Call != nil {
+			h.Call(e.PC, e.NextPC)
+		}
+	case predecode.KRet:
+		if h.Ret != nil {
+			h.Ret(e.PC)
+		}
+	case predecode.KJmp, predecode.KJr:
+		if h.Jump != nil {
+			h.Jump(e.PC, e.NextPC)
+		}
+	}
 }
 
 // Peek returns the next correct-path entry without consuming it. The

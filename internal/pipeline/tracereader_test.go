@@ -1,9 +1,11 @@
 package pipeline
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"dmp/internal/bench"
 	"dmp/internal/emu"
 	"dmp/internal/isa"
 )
@@ -149,5 +151,85 @@ func TestRunMaxInstsRetiresExactly(t *testing.T) {
 	}
 	if st.Retired != 40 {
 		t.Errorf("Retired = %d, want exactly MaxInsts=40", st.Retired)
+	}
+}
+
+// hookLog records block-executor events per kind: extents flattened to
+// retired pcs, and one [3]int per load, branch, call, return or jump.
+type hookLog struct {
+	pcs    []int
+	events map[string][][3]int
+}
+
+func (l *hookLog) hooks() *emu.BlockHooks {
+	l.events = map[string][][3]int{}
+	add := func(kind string, a, b, c int) { l.events[kind] = append(l.events[kind], [3]int{a, b, c}) }
+	return &emu.BlockHooks{
+		Block: func(start, end int) {
+			for pc := start; pc <= end; pc++ {
+				l.pcs = append(l.pcs, pc)
+			}
+		},
+		Load: func(addr int64) { add("load", int(addr), 0, 0) },
+		Branch: func(pc int, taken bool, target int) {
+			tk := 0
+			if taken {
+				tk = 1
+			}
+			add("branch", pc, tk, target)
+		},
+		Call: func(pc, next int) { add("call", pc, next, 0) },
+		Ret:  func(pc int) { add("ret", pc, 0, 0) },
+		Jump: func(pc, next int) { add("jump", pc, next, 0) },
+	}
+}
+
+// TestReplayMatchesBlockExecutor pins the per-entry adapter a skip uses
+// for buffered lookahead: replaying step-batched trace entries through a
+// hook set must report, kind by kind, exactly the events emu.RunBlocks
+// reports over the same instructions.
+func TestReplayMatchesBlockExecutor(t *testing.T) {
+	const n = 100_000
+	for _, name := range []string{"li", "vortex"} {
+		b := bench.ByName(name)
+		prog, err := b.Compile()
+		if err != nil {
+			t.Fatalf("%s: compile: %v", name, err)
+		}
+		input := b.Input(bench.RunInput, 1)
+
+		var want hookLog
+		if _, err := emu.New(prog, input, 0).RunBlocks(n, want.hooks()); err != nil {
+			t.Fatalf("%s: RunBlocks: %v", name, err)
+		}
+
+		var got hookLog
+		h := got.hooks()
+		m := emu.New(prog, input, 0)
+		recs := m.Predecoded().Recs
+		buf := make([]emu.Trace, traceBatchSize)
+		for done := 0; done < n; {
+			k, err := m.StepBatch(buf[:min(len(buf), n-done)], 0)
+			if err != nil {
+				t.Fatalf("%s: StepBatch: %v", name, err)
+			}
+			for i := range buf[:k] {
+				replay(h, &recs[buf[i].PC], &buf[i])
+			}
+			done += k
+		}
+
+		if !slices.Equal(got.pcs, want.pcs) {
+			t.Fatalf("%s: replayed extents cover %d pcs, executor %d, or differ in order", name, len(got.pcs), len(want.pcs))
+		}
+		for _, kind := range []string{"load", "branch", "call", "ret", "jump"} {
+			if len(want.events[kind]) == 0 {
+				t.Fatalf("%s: executor reported no %s events; pick a program that has them", name, kind)
+			}
+			if !slices.Equal(got.events[kind], want.events[kind]) {
+				t.Fatalf("%s: replayed %s events differ from the executor's (%d vs %d)",
+					name, kind, len(got.events[kind]), len(want.events[kind]))
+			}
+		}
 	}
 }

@@ -63,19 +63,20 @@ type predictTrainer interface {
 	PredictAndTrain(pc int, h bpred.History, taken bool) bool
 }
 
-// ctxCheckStride is how many blocks the profiling loop retires between ctx
-// recheck points: blocks can be a couple of instructions, so polling every
-// block would put a lock acquisition in the hot loop.
-const ctxCheckStride = 1024
+// profileChunk is how many instructions the profiling loop retires between
+// ctx recheck points: small enough that cancellation lands within a
+// fraction of a millisecond, large enough that the poll's lock acquisition
+// never shows up next to the instructions it bounds.
+const profileChunk = 1 << 16
 
 // collectWithHook runs the profiler, invoking hook (if non-nil) for every
 // retired conditional branch with its misprediction outcome. The 2D profiler
 // builds its time-sliced view through this hook.
 //
-// Execution is block-batched: emu.RunBlock retires each straight-line run in
-// one call and reports the conditional branch ending it. Because every
-// conditional branch ends a block, the per-branch predictor/hook sequence is
-// identical to a step-by-step loop.
+// Execution is block-batched: emu.RunBlocks reports each retired
+// straight-line extent and each retired conditional branch. Because every
+// conditional branch ends an extent, the per-branch predictor/hook sequence
+// is identical to a step-by-step loop.
 func collectWithHook(ctx context.Context, p *isa.Program, input []int64, opt Options, hook func(pc int, misp bool)) (*Profile, error) {
 	pred := opt.Predictor
 	if pred == nil {
@@ -91,39 +92,24 @@ func collectWithHook(ctx context.Context, p *isa.Program, input []int64, opt Opt
 		Mispred:   make([]uint64, n),
 	}
 	var hist bpred.History
-	for blocks := 0; !m.Halted(); blocks++ {
-		if blocks%ctxCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("profile: %w", err)
+	execCount := prof.ExecCount
+	hooks := &emu.BlockHooks{
+		Block: func(start, end int) {
+			for pc := start; pc <= end; pc++ {
+				execCount[pc]++
 			}
-		}
-		var budget uint64
-		if opt.MaxInsts > 0 {
-			if prof.TotalRetired >= opt.MaxInsts {
-				break
-			}
-			budget = opt.MaxInsts - prof.TotalRetired
-		}
-		br, err := m.RunBlock(budget)
-		if err != nil {
-			return nil, fmt.Errorf("profile: %w", err)
-		}
-		for pc := br.Start; pc < br.Start+int(br.N); pc++ {
-			prof.ExecCount[pc]++
-		}
-		prof.TotalRetired += br.N
-		if br.Branch >= 0 {
-			pc := br.Branch
-			if br.Taken {
+		},
+		Branch: func(pc int, taken bool, _ int) {
+			if taken {
 				prof.Taken[pc]++
 			} else {
 				prof.NotTaken[pc]++
 			}
 			var misp bool
 			if pt != nil {
-				misp = pt.PredictAndTrain(pc, hist, br.Taken) != br.Taken
+				misp = pt.PredictAndTrain(pc, hist, taken) != taken
 			} else {
-				misp = pred.Predict(pc, hist) != br.Taken
+				misp = pred.Predict(pc, hist) != taken
 			}
 			if misp {
 				prof.Mispred[pc]++
@@ -132,9 +118,26 @@ func collectWithHook(ctx context.Context, p *isa.Program, input []int64, opt Opt
 				hook(pc, misp)
 			}
 			if pt == nil {
-				pred.Update(pc, hist, br.Taken)
+				pred.Update(pc, hist, taken)
 			}
-			hist = hist.Push(br.Taken)
+			hist = hist.Push(taken)
+		},
+	}
+	for !m.Halted() {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("profile: %w", err)
+		}
+		budget := uint64(profileChunk)
+		if opt.MaxInsts > 0 {
+			if prof.TotalRetired >= opt.MaxInsts {
+				break
+			}
+			budget = min(budget, opt.MaxInsts-prof.TotalRetired)
+		}
+		k, err := m.RunBlocks(budget, hooks)
+		prof.TotalRetired += k
+		if err != nil {
+			return nil, fmt.Errorf("profile: %w", err)
 		}
 	}
 	return prof, nil

@@ -2,8 +2,10 @@
 # Tier-1 CI gate, and the one list of its steps: `make ci` runs this script,
 # and the Makefile's single-step targets are for local use. The steps are
 # vet, the required pinned-version lint gate (scripts/lint.sh), build, the
-# full test suite under the race detector, the allocation guards, the
-# emulator fast-path differential suite, the dmplint corpus sweep, the
+# full test suite under the race detector, a check that every test name in
+# the gate lists below still matches a test (scripts/check_run_list.sh), the
+# allocation guards, the emulator fast-path differential suite, the dmplint
+# corpus sweep, the
 # benchmark-regression gate (skippable with SKIP_BENCH_COMPARE=1), the
 # generated-corpus smoke (dmpgen -check over 50 programs spanning every
 # preset), the profile-free static-estimate smoke (the same corpus with
@@ -25,9 +27,15 @@ go vet ./...
 sh scripts/lint.sh
 go build ./...
 go test -race ./...
-go test -run 'TestNilTracerEventNoAlloc|TestSteadyStateAllocs|TestSimAllocs' ./internal/pipeline
-go test -run 'TestMachineAllocs' ./internal/emu
-go test -run 'TestFastMatchesReference|TestRunMatchesReference|TestRunBlockMatchesReference|TestStepBatchMatchesReference|TestFaultEquivalence|TestStepBatchFaults' ./internal/emu
+alloc_pipeline='TestNilTracerEventNoAlloc|TestSteadyStateAllocs|TestSimAllocs'
+alloc_emu='TestMachineAllocs'
+emu_diff='TestFastMatchesReference|TestRunMatchesReference|TestRunBlocksMatchesReference|TestRunBlocksLimitsMatchStepRef|TestRunBlocksEventsMatchReference|TestRunBlocksFaultsMatchStepRef|TestStepBatchMatchesReference|TestFaultEquivalence|TestStepBatchFaults'
+sh scripts/check_run_list.sh ./internal/pipeline "$alloc_pipeline"
+sh scripts/check_run_list.sh ./internal/emu "$alloc_emu"
+sh scripts/check_run_list.sh ./internal/emu "$emu_diff"
+go test -run "$alloc_pipeline" ./internal/pipeline
+go test -run "$alloc_emu" ./internal/emu
+go test -run "$emu_diff" ./internal/emu
 sh scripts/bench_compare.sh
 go run ./cmd/dmplint -corpus
 go run ./cmd/dmpgen -preset all -n 50 -seed 1 -check
