@@ -10,6 +10,8 @@
 #               compile+verify targets
 #   make prof-pipeline
 #               CPU profile of the simulator over the corpus, top functions
+#   make prof-toolchain
+#               CPU profile of selection and verification on gcc, top functions
 #
 # Lint is required, not best-effort: scripts/lint.sh pins the tool versions,
 # fails on findings or version drift, and only downgrades to a loud skip
@@ -18,7 +20,7 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test race lint-corpus fuzz-smoke fuzz eval trace-smoke alloc-guard bench-compare prof-pipeline emu-diff gen-smoke static-smoke sample-smoke serve-smoke sweep-smoke eval-check
+.PHONY: ci vet lint build test race lint-corpus fuzz-smoke fuzz eval trace-smoke alloc-guard bench-compare prof-pipeline prof-toolchain emu-diff gen-smoke static-smoke sample-smoke serve-smoke sweep-smoke eval-check
 
 ci:
 	sh scripts/ci.sh
@@ -57,11 +59,13 @@ trace-smoke:
 # must stay near zero, a Sim plus a short run must allocate under 1 MiB
 # (its issue ring and store-forwarding table start small), and an emulator
 # machine run to halt on any corpus program must allocate under 1 MiB (only
-# the memory it writes is backed).
+# the memory it writes is backed), and a heur selection plus a full verifier
+# run on gcc must stay under its allocation count and byte bounds.
 # Runs without -race (race skips alloc counting).
 alloc-guard:
 	$(GO) test -run 'TestNilTracerEventNoAlloc|TestSteadyStateAllocs|TestSimAllocs' ./internal/pipeline
 	$(GO) test -run 'TestMachineAllocs' ./internal/emu
+	$(GO) test -run 'TestSelectVerifyAllocs' ./internal/verify
 
 # Benchmark-regression gate: re-measures the corpus benchmarks, refreshes
 # BENCH_PR9.json, and fails on a >15% throughput drop (or allocs/op growth)
@@ -79,6 +83,14 @@ bench-compare:
 prof-pipeline:
 	DMP_CACHE_DIR= $(GO) run ./cmd/dmpbench -exp fig6 -p 1 -cpuprofile .prof-pipeline.pprof >/dev/null
 	$(GO) tool pprof -top -nodecount=25 .prof-pipeline.pprof
+
+# Host-cost breakdown of the compiler layers: CPU-profiles a heur selection
+# (BenchmarkSelection) and a full verifier run over its annotations
+# (BenchmarkVerifyRun) on gcc, and prints the top functions. The profile stays
+# in .prof-toolchain.pprof (see EXPERIMENTS.md, "Compiler-layer kernels").
+prof-toolchain:
+	$(GO) test -run '^$$' -bench 'BenchmarkSelection$$|BenchmarkVerifyRun$$' -cpuprofile .prof-toolchain.pprof -o .prof-toolchain.test . >/dev/null
+	$(GO) tool pprof -top -nodecount=25 .prof-toolchain.test .prof-toolchain.pprof
 
 # Differential check of the predecoded fast execution paths against the
 # reference interpreter: corpus trace-for-trace, the block executor's state

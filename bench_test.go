@@ -21,6 +21,7 @@ import (
 	"dmp/internal/pipeline"
 	"dmp/internal/profile"
 	"dmp/internal/stats"
+	"dmp/internal/verify"
 )
 
 // benchMaxInsts caps simulated instructions per run inside benchmarks.
@@ -310,6 +311,31 @@ func BenchmarkSelection(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := w.Select(core.HeuristicParams(), false); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkVerifyRun measures a full verifier run (every pass) over gcc
+// carrying its heur annotations, the check each selection in the toolchain
+// is followed by.
+func BenchmarkVerifyRun(b *testing.B) {
+	b.ReportAllocs()
+	s := session(b)
+	var w *harness.Workload
+	for _, c := range s.Workloads {
+		if c.Bench.Name == "gcc" {
+			w = c
+		}
+	}
+	res, err := w.Select(core.HeuristicParams(), false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prog := w.Bare.WithAnnots(res.Annots)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if diags := verify.Run(prog, verify.Options{Program: "gcc"}); len(diags) > 0 {
+			b.Fatal(diags[0])
 		}
 	}
 }

@@ -33,6 +33,7 @@ func TestCLIToolchain(t *testing.T) {
 	dmpprof := build("dmpprof")
 	dmpsim := build("dmpsim")
 	dmplint := build("dmplint")
+	dmptrace := build("dmptrace")
 
 	src := filepath.Join(dir, "prog.dml")
 	err := os.WriteFile(src, []byte(`
@@ -105,12 +106,20 @@ func main() {
 	if !strings.Contains(prof, "MPKI") || !strings.Contains(prof, "mispredicted branches") {
 		t.Errorf("dmpprof output: %q", prof)
 	}
-	// A negative -top is a usage error, not a slice-bounds panic.
-	msg, err := exec.Command(dmpprof, "-bin", bin, "-top", "-1").CombinedOutput()
-	var exit *exec.ExitError
-	if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(msg), "-top must be non-negative") {
-		t.Errorf("dmpprof -top -1: err %v, want exit status 2 and a usage message\n%s", err, msg)
+	// A negative row count is a usage error: not a slice-bounds panic
+	// (dmpprof -top), and not a silent "print every row" (dmpsim -audit-top,
+	// dmptrace -n).
+	wantUsage := func(tool, want string, args ...string) {
+		t.Helper()
+		msg, err := exec.Command(tool, args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(msg), want) {
+			t.Errorf("%s %v: err %v, want exit status 2 and %q\n%s", filepath.Base(tool), args, err, want, msg)
+		}
 	}
+	wantUsage(dmpprof, "-top must be non-negative", "-bin", bin, "-top", "-1")
+	wantUsage(dmpsim, "-audit-top must be non-negative", "-bin", bin, "-in", tape, "-audit-top", "-1")
+	wantUsage(dmptrace, "-n must be non-negative", "-n", "-1")
 
 	base := run(dmpsim, "-bin", bin, "-in", tape)
 	dmp := run(dmpsim, "-bin", bin, "-in", tape, "-dmp")

@@ -66,6 +66,11 @@ func main() {
 	metricsJSON := flag.String("metrics-json", "", "write run metrics as JSON to this file (\"-\" = stdout)")
 	flag.Parse()
 
+	if *auditTop < 0 {
+		fmt.Fprintf(os.Stderr, "dmpsim: -audit-top must be non-negative, got %d\n", *auditTop)
+		flag.Usage()
+		os.Exit(2)
+	}
 	if (*bin == "") == (*benchName == "") {
 		fmt.Fprintln(os.Stderr, "dmpsim: exactly one of -bin or -bench is required")
 		os.Exit(2)

@@ -34,6 +34,11 @@ func main() {
 	requireSessions := flag.Bool("require-sessions", false, "exit non-zero if the stream holds no dpred sessions")
 	flag.Parse()
 
+	if *topN < 0 {
+		fmt.Fprintf(os.Stderr, "dmptrace: -n must be non-negative, got %d\n", *topN)
+		flag.Usage()
+		os.Exit(2)
+	}
 	in := io.Reader(os.Stdin)
 	name := "stdin"
 	if flag.NArg() > 1 {

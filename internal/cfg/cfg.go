@@ -14,7 +14,6 @@ package cfg
 
 import (
 	"fmt"
-	"sort"
 
 	"dmp/internal/isa"
 )
@@ -33,6 +32,8 @@ type Block struct {
 	HasIndirect bool
 	// HasReturn marks a block terminated by a return instruction.
 	HasReturn bool
+	// calls counts the block's call instructions (BlockWeight's surcharge).
+	calls int32
 }
 
 // NumInsts returns the instruction count of the block.
@@ -49,97 +50,150 @@ type Graph struct {
 	ExitID int
 	// exitPreds lists blocks with an edge to the virtual exit.
 	exitPreds []int
-	starts    []int // Blocks[i].Start, for address lookup
+	// blockOf[pc-Fn.Entry] is the ID of the block holding pc.
+	blockOf []int32
 }
 
 // Build recovers the CFG of function fn in program p.
+//
+// Every table is dense over the function's extent: blockOf first marks the
+// leaders and is then overwritten with each address's block ID, the blocks
+// share one backing array, and the successor and predecessor lists are
+// carved from one array each (predecessors by a counting pass, so each list
+// keeps the block order in which its edges are found).
 func Build(p *isa.Program, fn isa.Func) (*Graph, error) {
 	if fn.Entry < 0 || fn.End > len(p.Code) || fn.Entry >= fn.End {
 		return nil, fmt.Errorf("cfg: function %q extent [%d,%d) invalid", fn.Name, fn.Entry, fn.End)
 	}
-	// Pass 1: find leaders.
-	leader := map[int]bool{fn.Entry: true}
-	for pc := fn.Entry; pc < fn.End; pc++ {
-		in := p.Code[pc]
+	code := p.Code[fn.Entry:fn.End]
+	// Pass 1: mark leaders (blockOf[off] = 1) and count them.
+	blockOf := make([]int32, len(code))
+	blockOf[0] = 1
+	nb := 1
+	for off := range code {
+		in := &code[off]
 		if !in.IsControl() || in.Op == isa.OpCall || in.Op == isa.OpCallR {
 			continue // calls are straight-line intra-procedurally
 		}
-		if pc+1 < fn.End {
-			leader[pc+1] = true
+		if off+1 < len(code) && blockOf[off+1] == 0 {
+			blockOf[off+1] = 1
+			nb++
 		}
-		if in.IsDirect() && in.Op != isa.OpCall {
+		if in.IsDirect() {
 			if in.Target < fn.Entry || in.Target >= fn.End {
-				return nil, fmt.Errorf("cfg: %q: branch at %d targets %d outside function", fn.Name, pc, in.Target)
+				return nil, fmt.Errorf("cfg: %q: branch at %d targets %d outside function", fn.Name, fn.Entry+off, in.Target)
 			}
-			leader[in.Target] = true
-		}
-	}
-	starts := make([]int, 0, len(leader))
-	for pc := range leader {
-		starts = append(starts, pc)
-	}
-	sort.Ints(starts)
-
-	g := &Graph{Prog: p, Fn: fn, starts: starts}
-	idOf := make(map[int]int, len(starts))
-	for i, s := range starts {
-		end := fn.End
-		if i+1 < len(starts) {
-			end = starts[i+1]
-		}
-		g.Blocks = append(g.Blocks, &Block{ID: i, Start: s, End: end})
-		idOf[s] = i
-	}
-	g.ExitID = len(g.Blocks)
-
-	// Pass 2: wire successors.
-	for _, b := range g.Blocks {
-		last := p.Code[b.End-1]
-		addSucc := func(target int) {
-			id, ok := idOf[target]
-			if !ok {
-				// Target is not a leader of this function; treat as exit.
-				g.addExitEdge(b)
-				return
+			if t := in.Target - fn.Entry; blockOf[t] == 0 {
+				blockOf[t] = 1
+				nb++
 			}
-			b.Succs = append(b.Succs, id)
-			g.Blocks[id].Preds = append(g.Blocks[id].Preds, b.ID)
 		}
+	}
+
+	// Pass 2: cut the blocks, number every address and count calls.
+	g := &Graph{Prog: p, Fn: fn, ExitID: nb, blockOf: blockOf}
+	blocks := make([]Block, nb)
+	g.Blocks = make([]*Block, nb)
+	id := -1
+	for off := range code {
+		if blockOf[off] != 0 {
+			id++
+			b := &blocks[id]
+			b.ID, b.Start = id, fn.Entry+off
+			if id > 0 {
+				blocks[id-1].End = b.Start
+			}
+			g.Blocks[id] = b
+		}
+		blockOf[off] = int32(id)
+		if op := code[off].Op; op == isa.OpCall || op == isa.OpCallR {
+			blocks[id].calls++
+		}
+	}
+	blocks[nb-1].End = fn.End
+
+	// Pass 3: wire successors. A target that is not a leader of this
+	// function is treated as an exit edge.
+	idAt := func(target int) int {
+		if target < fn.Entry || target >= fn.End {
+			return g.ExitID
+		}
+		if id := int(blockOf[target-fn.Entry]); blocks[id].Start == target {
+			return id
+		}
+		return g.ExitID
+	}
+	nsucc := nb
+	for i := range blocks {
+		if code[blocks[i].End-1-fn.Entry].IsCondBranch() {
+			nsucc++
+		}
+	}
+	succBuf := make([]int, 0, nsucc)
+	predEnd := make([]int, nb+1) // predecessor count, then end offset, per node
+	for i := range blocks {
+		b := &blocks[i]
+		last := &code[b.End-1-fn.Entry]
+		next := g.ExitID
+		if b.End < fn.End {
+			next = idAt(b.End)
+		}
+		lo := len(succBuf)
 		switch {
 		case last.IsCondBranch():
 			// Not-taken (fall-through) first, then taken: successor order is
 			// [fallthrough, taken] and consumers rely on it.
-			if b.End < fn.End {
-				addSucc(b.End)
-			} else {
-				g.addExitEdge(b)
-			}
-			addSucc(last.Target)
+			succBuf = append(succBuf, next, idAt(last.Target))
 		case last.Op == isa.OpJmp:
-			addSucc(last.Target)
+			succBuf = append(succBuf, idAt(last.Target))
 		case last.Op == isa.OpRet:
 			b.HasReturn = true
-			g.addExitEdge(b)
+			succBuf = append(succBuf, g.ExitID)
 		case last.Op == isa.OpHalt:
-			g.addExitEdge(b)
+			succBuf = append(succBuf, g.ExitID)
 		case last.Op == isa.OpJr:
 			b.HasIndirect = true
-			g.addExitEdge(b)
+			succBuf = append(succBuf, g.ExitID)
 		default:
 			// Fall through (includes calls).
-			if b.End < fn.End {
-				addSucc(b.End)
-			} else {
-				g.addExitEdge(b)
-			}
+			succBuf = append(succBuf, next)
+		}
+		b.Succs = succBuf[lo:len(succBuf):len(succBuf)]
+		for _, s := range b.Succs {
+			predEnd[s]++
+		}
+	}
+
+	// Predecessor lists: a counting sort of the edges by target, filled
+	// back to front so that each list holds its sources in block order.
+	for v := 1; v <= nb; v++ {
+		predEnd[v] += predEnd[v-1]
+	}
+	predBuf := make([]int, len(succBuf))
+	for i := nb - 1; i >= 0; i-- {
+		succs := blocks[i].Succs
+		for j := len(succs) - 1; j >= 0; j-- {
+			s := succs[j]
+			predEnd[s]--
+			predBuf[predEnd[s]] = i
+		}
+	}
+	// predEnd now holds each node's start offset.
+	for v := 0; v <= nb; v++ {
+		lo, hi := predEnd[v], len(predBuf)
+		if v < nb {
+			hi = predEnd[v+1]
+		}
+		if lo == hi {
+			continue // no predecessors: the list stays nil
+		}
+		if v == nb {
+			g.exitPreds = predBuf[lo:hi:hi]
+		} else {
+			blocks[v].Preds = predBuf[lo:hi:hi]
 		}
 	}
 	return g, nil
-}
-
-func (g *Graph) addExitEdge(b *Block) {
-	b.Succs = append(b.Succs, g.ExitID)
-	g.exitPreds = append(g.exitPreds, b.ID)
 }
 
 // BlockWeight returns the instruction count of a block with call
@@ -150,15 +204,7 @@ func (g *Graph) BlockWeight(id, callWeight int) int {
 		return 0
 	}
 	b := g.Blocks[id]
-	n := 0
-	for pc := b.Start; pc < b.End; pc++ {
-		if op := g.Prog.Code[pc].Op; op == isa.OpCall || op == isa.OpCallR {
-			n += callWeight
-		} else {
-			n++
-		}
-	}
-	return n
+	return b.End - b.Start + int(b.calls)*(callWeight-1)
 }
 
 // NumNodes returns the node count including the virtual exit.
@@ -170,11 +216,7 @@ func (g *Graph) BlockAt(pc int) *Block {
 	if pc < g.Fn.Entry || pc >= g.Fn.End {
 		return nil
 	}
-	i := sort.SearchInts(g.starts, pc+1) - 1
-	if i < 0 {
-		return nil
-	}
-	return g.Blocks[i]
+	return g.Blocks[g.blockOf[pc-g.Fn.Entry]]
 }
 
 // Succs returns the successor IDs of node id (empty for the virtual exit).

@@ -48,26 +48,26 @@ const entryNode = 0
 func chk(n, root int, succ, pred func(int) []int) *DomTree {
 	// Postorder numbering of the traversal from root.
 	post := make([]int, 0, n) // nodes in postorder
-	postNum := make([]int, n) // node -> postorder number
-	visited := make([]bool, n)
+	postNum := make([]int, n) // node -> postorder number; -1 unvisited, -2 on the stack
 	for i := range postNum {
 		postNum[i] = -1
 	}
-	// Iterative DFS.
+	// Iterative DFS; its depth is at most n.
 	type frame struct {
 		node int
 		next int
 	}
-	stack := []frame{{root, 0}}
-	visited[root] = true
+	stack := make([]frame, 1, n)
+	stack[0] = frame{root, 0}
+	postNum[root] = -2
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		ss := succ(f.node)
 		if f.next < len(ss) {
 			s := ss[f.next]
 			f.next++
-			if !visited[s] {
-				visited[s] = true
+			if postNum[s] == -1 {
+				postNum[s] = -2
 				stack = append(stack, frame{s, 0})
 			}
 			continue

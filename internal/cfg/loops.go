@@ -35,7 +35,8 @@ func (l *Loop) NumInsts(g *Graph) int {
 // NaturalLoops finds all natural loops of the graph, merging loops that
 // share a header. Loops are returned in ascending header order.
 func NaturalLoops(g *Graph, dom *DomTree) []*Loop {
-	byHeader := map[int]*Loop{}
+	byHeader := make([]*Loop, len(g.Blocks))
+	n := 0
 	for _, b := range g.Blocks {
 		for _, s := range b.Succs {
 			if s == g.ExitID {
@@ -47,45 +48,52 @@ func NaturalLoops(g *Graph, dom *DomTree) []*Loop {
 				if l == nil {
 					l = &Loop{Header: s}
 					byHeader[s] = l
+					n++
 				}
 				l.Latches = append(l.Latches, b.ID)
 			}
 		}
 	}
-	var loops []*Loop
+	if n == 0 {
+		return nil
+	}
+	loops := make([]*Loop, 0, n)
+	in := make([]bool, len(g.Blocks)) // loopBody's membership marks, all false between calls
 	for _, l := range byHeader {
-		l.Body = loopBody(g, l.Header, l.Latches)
+		if l == nil {
+			continue
+		}
+		l.Body = loopBody(g, l.Header, l.Latches, in)
 		l.ExitBranches = loopExitBranches(g, l)
 		loops = append(loops, l)
 	}
-	sort.Slice(loops, func(i, j int) bool { return loops[i].Header < loops[j].Header })
 	return loops
 }
 
 // loopBody computes the natural-loop body: header plus all nodes that reach
-// a latch without passing through the header.
-func loopBody(g *Graph, header int, latches []int) []int {
-	in := map[int]bool{header: true}
-	var stack []int
+// a latch without passing through the header. The body list doubles as the
+// worklist; in marks its members and is cleared again before returning.
+func loopBody(g *Graph, header int, latches []int, in []bool) []int {
+	body := []int{header}
+	in[header] = true
 	for _, l := range latches {
 		if !in[l] {
 			in[l] = true
-			stack = append(stack, l)
+			body = append(body, l)
 		}
 	}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, p := range g.Preds(v) {
+	// The header's predecessors are not explored: paths into the loop
+	// through the header do not belong to it.
+	for i := 1; i < len(body); i++ {
+		for _, p := range g.Preds(body[i]) {
 			if !in[p] {
 				in[p] = true
-				stack = append(stack, p)
+				body = append(body, p)
 			}
 		}
 	}
-	body := make([]int, 0, len(in))
-	for id := range in {
-		body = append(body, id)
+	for _, id := range body {
+		in[id] = false
 	}
 	sort.Ints(body)
 	return body

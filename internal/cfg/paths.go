@@ -1,6 +1,9 @@
 package cfg
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Path enumeration for Alg-freq (Section 3.3): a working-list/DFS algorithm
 // that computes all control-flow paths following one direction of a branch,
@@ -102,22 +105,39 @@ type EdgeProb func(g *Graph, from, to int) float64
 // first-reach probability of every block in the explored region.
 type PathSet struct {
 	Paths []Path
-	// Reach maps block ID to the probability that the block is ever reached
-	// on this direction (first-visit probability, summed over DFS prefixes).
-	Reach map[int]float64
+	// Reach is indexed by block ID: the probability that the block is ever
+	// reached on this direction (first-visit probability, summed over DFS
+	// prefixes). It has one entry per block of the graph (none when nothing
+	// was explored). Blocks outside the explored region read 0; under a
+	// positive ProbFloor (the default) every explored block reads more.
+	Reach []float64
 	// Complete is false when MaxPaths truncated the enumeration.
 	Complete bool
 }
 
 // MergeProb returns the probability that this direction reaches block id.
-func (s *PathSet) MergeProb(id int) float64 { return s.Reach[id] }
+func (s *PathSet) MergeProb(id int) float64 {
+	if id < 0 || id >= len(s.Reach) {
+		return 0
+	}
+	return s.Reach[id]
+}
+
+// maxChunk is the largest backing chunk (in block IDs) EnumeratePaths grows
+// to; larger chunks would be zeroed in full for a partly used tail.
+const maxChunk = 4096
 
 // EnumeratePaths explores all paths from startBlock (a successor of a
 // diverge branch), stopping each path at stopBlock (pass -1 for none), at
 // the virtual exit, or at the limits.
+//
+// The current DFS prefix is kept twice: as the ordered block list that
+// becomes each recorded path, and as a per-block count of its occurrences,
+// which answers "first visit on this prefix?" in O(1). The recorded paths'
+// Blocks are carved from shared backing chunks.
 func EnumeratePaths(g *Graph, startBlock, stopBlock int, prob EdgeProb, limits PathLimits) *PathSet {
 	limits = limits.withDefaults()
-	set := &PathSet{Reach: map[int]float64{}, Complete: true}
+	set := &PathSet{Reach: make([]float64, len(g.Blocks)), Complete: true}
 	if startBlock == g.ExitID {
 		return set
 	}
@@ -130,8 +150,16 @@ func EnumeratePaths(g *Graph, startBlock, stopBlock int, prob EdgeProb, limits P
 		cbrs    int
 		nextSuc int
 	}
+	// The stack must keep append's growth from an empty slice. The loop
+	// below holds a pointer (top) to the parent frame across push; when
+	// push outgrows the array, that pointer goes stale and the parent's
+	// successor cursor is lost, so which paths are recorded depends on when
+	// append reallocates. Fixing that changes selections and the paper's
+	// tables, so it is left to a change of its own.
 	stack := []frame{}
-	var blocks []int
+	blocks := make([]int, 0, 32)           // the prefix, in order
+	onPath := make([]int32, len(g.Blocks)) // occurrences of each block on the prefix
+	var backing []int                      // chunk the recorded paths' Blocks are carved from
 
 	record := func(end PathEnd, prob float64, insts, cbrs int, withLast bool) {
 		if len(set.Paths) >= limits.MaxPaths {
@@ -142,19 +170,31 @@ func EnumeratePaths(g *Graph, startBlock, stopBlock int, prob EdgeProb, limits P
 		if withLast {
 			n++
 		}
-		p := Path{Blocks: make([]int, n), Prob: prob, Insts: insts, CondBrs: cbrs, End: end}
-		copy(p.Blocks, blocks)
-		if withLast {
-			p.Blocks[n-1] = stack[len(stack)-1].block
+		if cap(backing)-len(backing) < n {
+			// A fresh chunk, twice the last one up to 32 KiB (the first holds
+			// just this path, as most sets have one): earlier paths keep
+			// theirs, so nothing is copied.
+			backing = make([]int, 0, max(n, min(2*cap(backing), maxChunk)))
 		}
-		set.Paths = append(set.Paths, p)
+		lo := len(backing)
+		backing = append(backing, blocks...)
+		if withLast {
+			backing = append(backing, stack[len(stack)-1].block)
+		}
+		hi := len(backing)
+		if len(set.Paths) == cap(set.Paths) {
+			// Double, where append would grow a long list by a quarter at a
+			// time and allocate about five times its final size in all.
+			set.Paths = slices.Grow(set.Paths, max(len(set.Paths), 1))
+		}
+		set.Paths = append(set.Paths, Path{Blocks: backing[lo:hi:hi], Prob: prob, Insts: insts, CondBrs: cbrs, End: end})
 	}
 
 	// enter pushes a new block onto the DFS and handles terminal conditions.
 	// It returns false if the block terminated the path.
 	push := func(id int, prob float64, insts, cbrs int) bool {
 		stack = append(stack, frame{block: id, prob: prob, insts: insts, cbrs: cbrs})
-		if firstOnPath(blocks, id) {
+		if onPath[id] == 0 {
 			set.Reach[id] += prob
 		}
 		if id == stopBlock {
@@ -176,6 +216,7 @@ func EnumeratePaths(g *Graph, startBlock, stopBlock int, prob EdgeProb, limits P
 			return false
 		}
 		blocks = append(blocks, id)
+		onPath[id]++
 		return true
 	}
 
@@ -210,20 +251,12 @@ func EnumeratePaths(g *Graph, startBlock, stopBlock int, prob EdgeProb, limits P
 				record(EndExit, top.prob, top.insts, top.cbrs, false)
 			}
 			stack = stack[:len(stack)-1]
+			onPath[blocks[len(blocks)-1]]--
 			blocks = blocks[:len(blocks)-1]
 			continue
 		}
 	}
 	return set
-}
-
-func firstOnPath(blocks []int, id int) bool {
-	for _, b := range blocks {
-		if b == id {
-			return false
-		}
-	}
-	return true
 }
 
 // BranchPaths enumerates the taken- and not-taken-side path sets of the
@@ -232,7 +265,7 @@ func firstOnPath(blocks []int, id int) bool {
 func BranchPaths(g *Graph, branchPC, stopBlock int, prob EdgeProb, limits PathLimits) (taken, notTaken *PathSet) {
 	b := g.BlockAt(branchPC)
 	if b == nil || b.End-1 != branchPC || !g.Prog.Code[branchPC].IsCondBranch() {
-		return &PathSet{Reach: map[int]float64{}, Complete: true}, &PathSet{Reach: map[int]float64{}, Complete: true}
+		return &PathSet{Complete: true}, &PathSet{Complete: true}
 	}
 	// Successor order is [fallthrough, taken] (see Build).
 	nt, tk := b.Succs[0], b.Succs[1]
@@ -242,11 +275,12 @@ func BranchPaths(g *Graph, branchPC, stopBlock int, prob EdgeProb, limits PathLi
 }
 
 // CommonBlocks returns the block IDs reached on both directions, sorted by
-// descending joint reach probability (the CFM candidate order of Alg-freq).
+// descending joint reach probability (the CFM candidate order of Alg-freq),
+// ties broken by ascending ID.
 func CommonBlocks(taken, notTaken *PathSet) []int {
 	var out []int
-	for id := range taken.Reach {
-		if notTaken.Reach[id] > 0 {
+	for id, r := range taken.Reach {
+		if r != 0 && notTaken.MergeProb(id) > 0 {
 			out = append(out, id)
 		}
 	}

@@ -141,7 +141,7 @@ func selectHammock(res *Result, g *cfg.Graph, pdom *cfg.DomTree, prof *profile.P
 	case p.EnableFreq:
 		cands = cfg.CommonBlocks(tkSet, ntSet)
 		if !p.DisableChainReduction {
-			cands = reduceChains(tk, nt, cands)
+			cands = reduceChains(len(g.Blocks), tk, nt, cands)
 		}
 		if len(cands) > p.MaxCFM {
 			cands = cands[:p.MaxCFM]
@@ -154,8 +154,8 @@ func selectHammock(res *Result, g *cfg.Graph, pdom *cfg.DomTree, prof *profile.P
 	// Joint first-merge probabilities over the final candidate set
 	// (footnote 3 semantics). Clamped to [0,1]: summing path probabilities
 	// can drift an ulp above 1, which the ISA annotation validator rejects.
-	tkFR := tk.firstReach(cands)
-	ntFR := nt.firstReach(cands)
+	tkFR := tk.firstReach(len(g.Blocks), cands)
+	ntFR := nt.firstReach(len(g.Blocks), cands)
 	mergeP := func(id int) float64 { return clamp01(tkFR[id] * ntFR[id]) }
 	sort.SliceStable(cands, func(i, j int) bool { return mergeP(cands[i]) > mergeP(cands[j]) })
 
@@ -261,21 +261,21 @@ func maxCondBrs(s side) int {
 // reduceChains implements Section 3.3.1: when one CFM candidate lies on a
 // path to another, only the one with the highest first-merge probability in
 // the chain is kept. Candidates are grouped by path co-occurrence
-// (union-find) and each group contributes its best member.
-func reduceChains(tk, nt side, cands []int) []int {
+// (union-find) and each group contributes its best member. nb is the
+// graph's block count.
+func reduceChains(nb int, tk, nt side, cands []int) []int {
 	if len(cands) <= 1 {
 		return cands
 	}
-	idx := make(map[int]int, len(cands))
+	idx := make([]int, nb) // block ID -> candidate index + 1, 0 for none
 	for i, c := range cands {
-		idx[c] = i
+		idx[c] = i + 1
 	}
 	parent := make([]int, len(cands))
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
+	find := func(x int) int {
 		for parent[x] != x {
 			parent[x] = parent[parent[x]]
 			x = parent[x]
@@ -289,7 +289,7 @@ func reduceChains(tk, nt side, cands []int) []int {
 			p := &s.set.Paths[i]
 			prev := -1
 			for _, b := range p.Blocks {
-				if j, ok := idx[b]; ok {
+				if j := idx[b] - 1; j >= 0 {
 					if prev >= 0 {
 						union(prev, j)
 					}
@@ -302,19 +302,22 @@ func reduceChains(tk, nt side, cands []int) []int {
 	link(nt)
 
 	// Per-group winner by joint first-merge probability within the group.
-	groups := map[int][]int{}
+	groups := make([][]int, len(cands)) // indexed by root
 	for i, c := range cands {
 		root := find(i)
 		groups[root] = append(groups[root], c)
 	}
 	var out []int
 	for _, members := range groups {
-		if len(members) == 1 {
+		switch len(members) {
+		case 0:
+			continue
+		case 1:
 			out = append(out, members[0])
 			continue
 		}
-		tkFR := tk.firstReach(members)
-		ntFR := nt.firstReach(members)
+		tkFR := tk.firstReach(nb, members)
+		ntFR := nt.firstReach(nb, members)
 		best, bestP := members[0], -1.0
 		for _, m := range members {
 			if pm := tkFR[m] * ntFR[m]; pm > bestP {

@@ -10,9 +10,6 @@ type side struct {
 	cw int
 }
 
-// reach returns the probability that the direction ever reaches block id.
-func (s side) reach(id int) float64 { return s.set.Reach[id] }
-
 // instsBefore returns the instruction count on path p before the first
 // occurrence of block id; if id is not on the path it returns the whole
 // path's instruction count (those instructions are fetched regardless,
@@ -80,15 +77,16 @@ func (s side) allMergedAt(id int) bool {
 	return true
 }
 
-// firstReach returns, for each block in cands, the probability that it is
-// the first member of cands reached on this side (footnote 3's first-merge
-// probability).
-func (s side) firstReach(cands []int) map[int]float64 {
-	in := make(map[int]bool, len(cands))
+// firstReach returns, indexed by block ID, the probability that each block
+// in cands is the first member of cands reached on this side (footnote 3's
+// first-merge probability); every other entry is 0. nb is the graph's block
+// count.
+func (s side) firstReach(nb int, cands []int) []float64 {
+	in := make([]bool, nb)
 	for _, c := range cands {
 		in[c] = true
 	}
-	out := make(map[int]float64, len(cands))
+	out := make([]float64, nb)
 	for i := range s.set.Paths {
 		p := &s.set.Paths[i]
 		for _, b := range p.Blocks {

@@ -20,13 +20,13 @@ import (
 // of the program, including its annotation sidecar, to dst and returns the
 // extended slice.
 func (p *Program) AppendCanonical(dst []byte) []byte {
-	var buf bytes.Buffer
+	buf := bytes.NewBuffer(dst)
 	// WriteTo cannot fail against a bytes.Buffer: every sub-writer it uses
 	// is infallible on an in-memory buffer.
-	if _, err := p.WriteTo(&buf); err != nil {
+	if _, err := p.WriteTo(buf); err != nil {
 		panic("isa: canonical serialization failed: " + err.Error())
 	}
-	return append(dst, buf.Bytes()...)
+	return buf.Bytes()
 }
 
 // Hash returns the SHA-256 content hash of the program's canonical

@@ -31,9 +31,18 @@ type binHeader struct {
 	Reserved    uint32
 }
 
-// WriteTo serialises the program to w in the DMP1 container format.
+// WriteTo serialises the program to w in the DMP1 container format. A
+// *bytes.Buffer is written into directly; any other writer receives the
+// encoding in one Write.
 func (p *Program) WriteTo(w io.Writer) (int64, error) {
-	var buf bytes.Buffer
+	buf, direct := w.(*bytes.Buffer)
+	if !direct {
+		buf = new(bytes.Buffer)
+	}
+	start := buf.Len()
+	// Room for the header and the instruction records (16 bytes plus a
+	// one-byte immediate each), so that the buffer seldom regrows.
+	buf.Grow(64 + 17*len(p.Code))
 	h := binHeader{
 		Magic:       binMagic,
 		Version:     binVersion,
@@ -43,18 +52,18 @@ func (p *Program) WriteTo(w io.Writer) (int64, error) {
 		GlobalWords: uint32(p.GlobalWords),
 		NumAnnots:   uint32(len(p.Annots)),
 	}
-	if err := binary.Write(&buf, binary.LittleEndian, h); err != nil {
+	if err := binary.Write(buf, binary.LittleEndian, h); err != nil {
 		return 0, err
 	}
 	for _, in := range p.Code {
-		if err := writeInst(&buf, in); err != nil {
+		if err := writeInst(buf, in); err != nil {
 			return 0, err
 		}
 	}
 	for _, f := range p.Funcs {
-		writeString(&buf, f.Name)
-		writeUvarint(&buf, uint64(f.Entry))
-		writeUvarint(&buf, uint64(f.End))
+		writeString(buf, f.Name)
+		writeUvarint(buf, uint64(f.Entry))
+		writeUvarint(buf, uint64(f.End))
 	}
 	pcs := make([]int, 0, len(p.Annots))
 	for pc := range p.Annots {
@@ -63,7 +72,7 @@ func (p *Program) WriteTo(w io.Writer) (int64, error) {
 	sort.Ints(pcs)
 	for _, pc := range pcs {
 		d := p.Annots[pc]
-		writeUvarint(&buf, uint64(pc))
+		writeUvarint(buf, uint64(pc))
 		var flags byte
 		if d.Loop {
 			flags |= 1
@@ -75,16 +84,19 @@ func (p *Program) WriteTo(w io.Writer) (int64, error) {
 			flags |= 4
 		}
 		buf.WriteByte(flags)
-		writeUvarint(&buf, uint64(d.LoopHead))
-		writeUvarint(&buf, uint64(len(d.CFMs)))
+		writeUvarint(buf, uint64(d.LoopHead))
+		writeUvarint(buf, uint64(len(d.CFMs)))
 		for _, c := range d.CFMs {
 			buf.WriteByte(byte(c.Kind))
-			writeUvarint(&buf, uint64(c.Addr))
+			writeUvarint(buf, uint64(c.Addr))
 			// Round, don't truncate: k/1e6 can fall an ulp below k*1e-6, so
 			// truncation would make decode-then-encode drift by one unit,
 			// breaking the container's codec fixed-point property.
-			writeUvarint(&buf, uint64(math.Round(c.MergeProb*1e6)))
+			writeUvarint(buf, uint64(math.Round(c.MergeProb*1e6)))
 		}
+	}
+	if direct {
+		return int64(buf.Len() - start), nil
 	}
 	n, err := w.Write(buf.Bytes())
 	return int64(n), err

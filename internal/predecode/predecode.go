@@ -169,14 +169,18 @@ var aluKinds = map[isa.Op]Kind{
 // map is bounded: fuzzers and generators create tens of thousands of
 // short-lived programs, and an unbounded identity-keyed map would pin every
 // one of their code arrays. On overflow the whole map is dropped — entries
-// are cheap to rebuild and dropping all avoids tracking recency.
+// are cheap to rebuild and dropping all avoids tracking recency. The bound
+// is also the number of dead programs a compile loop can pin: one that
+// compiles fresh binaries of the same sources (every toolchain pass, every
+// daemon job) never hits across iterations. A generated program's code
+// array and records take about 11 KB, so 8192 entries could pin some 90 MB.
 var sharedMemo struct {
 	sync.Mutex
 	m map[*isa.Inst]*Program
 }
 
 // sharedMemoCap bounds the memo; see sharedMemo.
-const sharedMemoCap = 8192
+const sharedMemoCap = 1024
 
 // Shared returns the predecoded form of p, memoized by code-segment
 // identity. Programs with empty code compile fresh (no identity to key on).

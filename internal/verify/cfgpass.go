@@ -162,9 +162,10 @@ func (c *checker) checkDomTree(fa *funcAnalysis, pass, kind string, tree *cfg.Do
 	g := fa.g
 	n := g.NumNodes()
 	sets := naiveDomSets(n, root, preds, succs)
+	got := newBitset(n)
 	for v := 0; v < n; v++ {
 		want := sets[v]
-		got := treeDomSet(tree, v, n)
+		treeDomSet(tree, v, got)
 		if want == nil {
 			// Unreachable in this direction: the tree must not claim an
 			// immediate dominator.
@@ -198,6 +199,11 @@ func (s bitset) fill() {
 		s[i] = ^uint64(0)
 	}
 }
+func (s bitset) clear() {
+	for i := range s {
+		s[i] = 0
+	}
+}
 func (s bitset) and(t bitset) {
 	for i := range s {
 		s[i] &= t[i]
@@ -214,9 +220,15 @@ func (s bitset) equal(t bitset) bool {
 
 // naiveDomSets computes the dominance relation by the classic iterative
 // set-intersection dataflow: Dom(root) = {root}; Dom(v) = {v} ∪ ∩ Dom(p).
-// It returns nil for nodes unreachable from the root.
+// It returns nil for nodes unreachable from the root. It reads only the
+// graph's edges, never the Cooper-Harvey-Kennedy trees it cross-checks. The
+// node sets, the reachability set and the scratch set of each step are rows
+// of one arena, and an updated set is copied into its row in place.
 func naiveDomSets(n, root int, preds, succs func(int) []int) []bitset {
-	reach := newBitset(n)
+	w := (n + 63) / 64
+	arena := make([]uint64, (n+2)*w)
+	row := func(i int) bitset { return bitset(arena[i*w : (i+1)*w : (i+1)*w]) }
+	reach, nw := row(n), row(n+1)
 	stack := []int{root}
 	reach.set(root)
 	for len(stack) > 0 {
@@ -234,7 +246,7 @@ func naiveDomSets(n, root int, preds, succs func(int) []int) []bitset {
 		if !reach.has(v) {
 			continue
 		}
-		sets[v] = newBitset(n)
+		sets[v] = row(v)
 		if v == root {
 			sets[v].set(root)
 		} else {
@@ -247,7 +259,6 @@ func naiveDomSets(n, root int, preds, succs func(int) []int) []bitset {
 			if sets[v] == nil || v == root {
 				continue
 			}
-			nw := newBitset(n)
 			nw.fill()
 			any := false
 			for _, p := range preds(v) {
@@ -258,11 +269,11 @@ func naiveDomSets(n, root int, preds, succs func(int) []int) []bitset {
 				any = true
 			}
 			if !any {
-				nw = newBitset(n)
+				nw.clear()
 			}
 			nw.set(v)
 			if !nw.equal(sets[v]) {
-				sets[v] = nw
+				copy(sets[v], nw)
 				changed = true
 			}
 		}
@@ -270,14 +281,14 @@ func naiveDomSets(n, root int, preds, succs func(int) []int) []bitset {
 	return sets
 }
 
-// treeDomSet materialises a node's dominator set by walking the Idom chain.
-func treeDomSet(tree *cfg.DomTree, v, n int) bitset {
-	s := newBitset(n)
+// treeDomSet materialises a node's dominator set into s by walking the Idom
+// chain.
+func treeDomSet(tree *cfg.DomTree, v int, s bitset) {
+	s.clear()
 	for v != -1 {
 		s.set(v)
 		v = tree.Idom[v]
 	}
-	return s
 }
 
 // loopsPass checks natural-loop sanity: the header dominates every latch,

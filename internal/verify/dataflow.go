@@ -1,6 +1,9 @@
 package verify
 
-import "dmp/internal/isa"
+import (
+	"dmp/internal/cfg"
+	"dmp/internal/isa"
+)
 
 // Register def-before-use checking: a forward definite-assignment dataflow
 // over each function's CFG. The 64-register file maps exactly onto a uint64
@@ -43,49 +46,54 @@ func (c *checker) dataflowPass() {
 	}
 }
 
-func (c *checker) checkDefBeforeUse(fa *funcAnalysis) {
-	g := fa.g
+// instEffect is one instruction's register transfer as a (kill, gen) pair:
+// defined' = defined &^ kill | gen.
+func instEffect(inst *isa.Inst) (kill, gen uint64) {
+	if inst.Op == isa.OpCall || inst.Op == isa.OpCallR {
+		// A call clobbers the caller-saved registers; the callee defines the
+		// return value and the call itself writes the link register.
+		return callClobberMask, (1 << isa.RegRet) | (1 << isa.RegLR)
+	}
+	if w := inst.Writes(); w >= 0 {
+		return 0, 1 << w
+	}
+	return 0, 0
+}
+
+// blockEffect folds a block's instruction effects into one (kill, gen)
+// pair: applying (k1, g1) then (k2, g2) is (k1|k2, g1&^k2 | g2).
+func blockEffect(code []isa.Inst) (kill, gen uint64) {
+	for i := range code {
+		k, g := instEffect(&code[i])
+		kill |= k
+		gen = gen&^k | g
+	}
+	return kill, gen
+}
+
+// definedIn solves the definite-assignment fixpoint over the function's
+// blocks and returns the registers defined on entry to each block. The
+// iteration applies each block's summarised (kill, gen) effect, so it never
+// walks instructions.
+func (c *checker) definedIn(g *cfg.Graph) []uint64 {
 	n := len(g.Blocks)
-	in := make([]uint64, n)
-	out := make([]uint64, n)
-	for i := range in {
+	buf := make([]uint64, 4*n)
+	in, out, kill, gen := buf[:n], buf[n:2*n], buf[2*n:3*n], buf[3*n:]
+	for id, b := range g.Blocks {
+		kill[id], gen[id] = blockEffect(c.p.Code[b.Start:b.End])
 		// Top of the must-analysis lattice: everything defined. Unreachable
 		// blocks keep this value and produce no diagnostics.
-		in[i] = ^uint64(0)
-		out[i] = ^uint64(0)
+		in[id] = ^uint64(0)
+		out[id] = ^uint64(0)
 	}
 	in[0] = entryDefined
-
-	transfer := func(id int, defined uint64, report bool) uint64 {
-		b := g.Blocks[id]
-		var readBuf [4]int
-		for pc := b.Start; pc < b.End; pc++ {
-			inst := c.p.Code[pc]
-			for _, r := range inst.Reads(readBuf[:0]) {
-				if defined&(1<<r) == 0 && report {
-					c.report(PassDataflow, pc, "%s: r%d may be read before definition in %s",
-						inst, r, fa.fn.Name)
-				}
-			}
-			if inst.Op == isa.OpCall || inst.Op == isa.OpCallR {
-				defined &^= callClobberMask
-				// The callee defines the return value and the call itself
-				// writes the link register.
-				defined |= (1 << isa.RegRet) | (1 << isa.RegLR)
-				continue
-			}
-			if w := inst.Writes(); w >= 0 {
-				defined |= 1 << w
-			}
-		}
-		return defined
-	}
 
 	for changed := true; changed; {
 		changed = false
 		for id := 0; id < n; id++ {
+			preds := g.Preds(id)
 			newIn := ^uint64(0)
-			for _, p := range g.Preds(id) {
+			for _, p := range preds {
 				newIn &= out[p]
 			}
 			if id == 0 {
@@ -93,17 +101,37 @@ func (c *checker) checkDefBeforeUse(fa *funcAnalysis) {
 				// (with only the convention's entry set defined), even when a
 				// back edge also targets it.
 				newIn &= entryDefined
-			} else if len(g.Preds(id)) == 0 {
+			} else if len(preds) == 0 {
 				newIn = in[id] // unreachable: keep lattice top
 			}
-			newOut := transfer(id, newIn, false)
+			newOut := newIn&^kill[id] | gen[id]
 			if newIn != in[id] || newOut != out[id] {
 				in[id], out[id] = newIn, newOut
 				changed = true
 			}
 		}
 	}
-	for id := 0; id < n; id++ {
-		transfer(id, in[id], true)
+	return in
+}
+
+// checkDefBeforeUse reports every read of a register that is not definitely
+// assigned, walking each block's instructions once from its fixpoint
+// in-set.
+func (c *checker) checkDefBeforeUse(fa *funcAnalysis) {
+	in := c.definedIn(fa.g)
+	var readBuf [4]int
+	for id, b := range fa.g.Blocks {
+		defined := in[id]
+		for pc := b.Start; pc < b.End; pc++ {
+			inst := &c.p.Code[pc]
+			for _, r := range inst.Reads(readBuf[:0]) {
+				if defined&(1<<r) == 0 {
+					c.report(PassDataflow, pc, "%s: r%d may be read before definition in %s",
+						*inst, r, fa.fn.Name)
+				}
+			}
+			k, g := instEffect(inst)
+			defined = defined&^k | g
+		}
 	}
 }

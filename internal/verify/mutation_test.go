@@ -199,17 +199,20 @@ func TestGoodProgramIsClean(t *testing.T) {
 	}
 }
 
-func TestMutationsAreDetected(t *testing.T) {
-	base := goodProgram(t)
+// mutationCase corrupts a copy of the good program in one way that the
+// named pass must flag.
+type mutationCase struct {
+	name     string
+	wantPass string
+	mutate   func(t *testing.T, p *isa.Program)
+}
+
+func mutationCases() []mutationCase {
 	isShort := func(d *isa.DivergeInfo) bool { return d.Short }
 	isLoop := func(d *isa.DivergeInfo) bool { return d.Loop }
 	isPlain := func(d *isa.DivergeInfo) bool { return !d.Short && !d.Loop && len(d.CFMs) > 0 }
 
-	cases := []struct {
-		name     string
-		wantPass string
-		mutate   func(t *testing.T, p *isa.Program)
-	}{
+	return []mutationCase{
 		{"branch-target-out-of-range", verify.PassBinary, func(t *testing.T, p *isa.Program) {
 			pc := annotOfKind(t, p, isPlain)
 			p.Code[pc].Target = len(p.Code) + 5
@@ -315,8 +318,11 @@ func TestMutationsAreDetected(t *testing.T) {
 			p.Annots[pc].Short = true
 		}},
 	}
+}
 
-	for _, tc := range cases {
+func TestMutationsAreDetected(t *testing.T) {
+	base := goodProgram(t)
+	for _, tc := range mutationCases() {
 		t.Run(tc.name, func(t *testing.T) {
 			mut := deepCopy(base)
 			tc.mutate(t, mut)

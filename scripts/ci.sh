@@ -29,12 +29,15 @@ go build ./...
 go test -race ./...
 alloc_pipeline='TestNilTracerEventNoAlloc|TestSteadyStateAllocs|TestSimAllocs'
 alloc_emu='TestMachineAllocs'
+alloc_verify='TestSelectVerifyAllocs'
 emu_diff='TestFastMatchesReference|TestRunMatchesReference|TestRunBlocksMatchesReference|TestRunBlocksLimitsMatchStepRef|TestRunBlocksEventsMatchReference|TestRunBlocksFaultsMatchStepRef|TestStepBatchMatchesReference|TestFaultEquivalence|TestStepBatchFaults'
 sh scripts/check_run_list.sh ./internal/pipeline "$alloc_pipeline"
 sh scripts/check_run_list.sh ./internal/emu "$alloc_emu"
+sh scripts/check_run_list.sh ./internal/verify "$alloc_verify"
 sh scripts/check_run_list.sh ./internal/emu "$emu_diff"
 go test -run "$alloc_pipeline" ./internal/pipeline
 go test -run "$alloc_emu" ./internal/emu
+go test -run "$alloc_verify" ./internal/verify
 go test -run "$emu_diff" ./internal/emu
 sh scripts/bench_compare.sh
 go run ./cmd/dmplint -corpus
