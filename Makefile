@@ -27,6 +27,7 @@ ci:
 
 vet:
 	$(GO) vet ./...
+	cd perfbench && GOTOOLCHAIN=local GOWORK=off GOFLAGS= $(GO) vet ./...
 
 # Static analysis beyond vet: pinned-version staticcheck + golangci-lint,
 # findings fail the gate (see scripts/lint.sh for the offline policy).

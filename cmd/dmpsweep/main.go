@@ -9,7 +9,7 @@
 //	         [-scale N] [-max N] [-p N] [-algo heur|...]
 //	         [-sample] [-sample-period N] [-sample-interval N]
 //	         [-sample-warmup N] [-sample-seed S]
-//	         [-out sweep.csv] [-json report.json] [-naive] [-list-fields] [-q]
+//	         [-out sweep.csv] [-json report.json] [-list-fields] [-q]
 //
 // The perf core is phase-level artifact reuse: per program, the
 // config-invariant phases (compile → profile → select → verify) run once and
@@ -17,9 +17,11 @@
 // internal/simcache (DMP_CACHE_DIR enables the cross-invocation disk layer).
 // -out streams one CSV row per completed cell and is resumable: re-running
 // with the same grid appends only the missing cells, and a cancelled sweep
-// leaves a well-formed partial file. -naive disables all reuse (the honest
-// same-host baseline for the speedup claim). -sample routes cell simulations
-// through the SMARTS sampled executor for large grids.
+// leaves a well-formed partial file. -sample routes cell simulations
+// through the SMARTS sampled executor for large grids. The reuse-free
+// baseline the speedup is measured against is a shell loop of one-cell
+// invocations with DMP_CACHE_DIR unset (EXPERIMENTS.md, "Configuration
+// sweeps").
 //
 // Example (Section-7-style sensitivity table):
 //
@@ -60,7 +62,6 @@ func main() {
 	sampSeed := flag.Uint64("sample-seed", 0, "stratified placement seed (0 = default)")
 	outPath := flag.String("out", "", "stream CSV rows to this file (appends and resumes if it exists)")
 	jsonPath := flag.String("json", "", "write the full JSON report to this file (\"-\" = stdout)")
-	naive := flag.Bool("naive", false, "disable phase-level artifact reuse (per-cell full re-prepare, fresh cache)")
 	listFields := flag.Bool("list-fields", false, "print the sweepable Config field paths and exit")
 	quiet := flag.Bool("q", false, "suppress per-cell progress on stderr")
 	flag.Parse()
@@ -122,10 +123,7 @@ func main() {
 		Parallelism: *par,
 		Algo:        *algo,
 		MaxInsts:    *maxInsts,
-		Naive:       *naive,
-	}
-	if !*naive {
-		opts.Cache = simcache.FromEnv()
+		Cache:       simcache.FromEnv(),
 	}
 	if *sampled {
 		opts.Sample = sc

@@ -41,7 +41,10 @@ func (b *Block) NumInsts() int { return b.End - b.Start }
 
 // Graph is the control-flow graph of one function, plus a virtual exit node.
 type Graph struct {
-	Prog *isa.Program
+	// Code is the code array of the binary the function belongs to. A graph
+	// depends on nothing else: every annotation variant of the binary
+	// (isa.Program.WithAnnots) shares it.
+	Code []isa.Inst
 	Fn   isa.Func
 	// Blocks are ordered by start address. The virtual exit is not in this
 	// slice; it has ID ExitID == len(Blocks).
@@ -91,7 +94,7 @@ func Build(p *isa.Program, fn isa.Func) (*Graph, error) {
 	}
 
 	// Pass 2: cut the blocks, number every address and count calls.
-	g := &Graph{Prog: p, Fn: fn, ExitID: nb, blockOf: blockOf}
+	g := &Graph{Code: p.Code, Fn: fn, ExitID: nb, blockOf: blockOf}
 	blocks := make([]Block, nb)
 	g.Blocks = make([]*Block, nb)
 	id := -1
@@ -240,7 +243,7 @@ func (g *Graph) Preds(id int) []int {
 func (g *Graph) CondBranches() []int {
 	var out []int
 	for _, b := range g.Blocks {
-		if g.Prog.Code[b.End-1].IsCondBranch() {
+		if g.Code[b.End-1].IsCondBranch() {
 			out = append(out, b.End-1)
 		}
 	}

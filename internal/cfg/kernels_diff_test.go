@@ -139,7 +139,7 @@ func refBlockWeight(g *cfg.Graph, id, callWeight int) int {
 	b := g.Blocks[id]
 	n := 0
 	for pc := b.Start; pc < b.End; pc++ {
-		if op := g.Prog.Code[pc].Op; op == isa.OpCall || op == isa.OpCallR {
+		if op := g.Code[pc].Op; op == isa.OpCall || op == isa.OpCallR {
 			n += callWeight
 		} else {
 			n++
@@ -189,7 +189,7 @@ func refNaturalLoops(g *cfg.Graph, dom *cfg.DomTree) []*cfg.Loop {
 		sort.Ints(l.Body)
 		for _, id := range l.Body {
 			b := g.Blocks[id]
-			if !g.Prog.Code[b.End-1].IsCondBranch() {
+			if !g.Code[b.End-1].IsCondBranch() {
 				continue
 			}
 			for _, s := range b.Succs {
@@ -282,7 +282,7 @@ func refEnumeratePaths(g *cfg.Graph, startBlock, stopBlock int, prob cfg.EdgePro
 		}
 		b := g.Blocks[id]
 		insts += refBlockWeight(g, id, limits.CallWeight)
-		if g.Prog.Code[b.End-1].IsCondBranch() {
+		if g.Code[b.End-1].IsCondBranch() {
 			cbrs++
 		}
 		top := &stack[len(stack)-1]

@@ -103,7 +103,7 @@ func loopExitBranches(g *Graph, l *Loop) []int {
 	var out []int
 	for _, id := range l.Body {
 		b := g.Blocks[id]
-		if !g.Prog.Code[b.End-1].IsCondBranch() {
+		if !g.Code[b.End-1].IsCondBranch() {
 			continue
 		}
 		for _, s := range b.Succs {

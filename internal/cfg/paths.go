@@ -204,7 +204,7 @@ func EnumeratePaths(g *Graph, startBlock, stopBlock int, prob EdgeProb, limits P
 		}
 		b := g.Blocks[id]
 		insts += g.BlockWeight(id, limits.CallWeight)
-		if g.Prog.Code[b.End-1].IsCondBranch() {
+		if g.Code[b.End-1].IsCondBranch() {
 			cbrs++
 		}
 		top := &stack[len(stack)-1]
@@ -264,7 +264,7 @@ func EnumeratePaths(g *Graph, startBlock, stopBlock int, prob EdgeProb, limits P
 // branch (-1 when none).
 func BranchPaths(g *Graph, branchPC, stopBlock int, prob EdgeProb, limits PathLimits) (taken, notTaken *PathSet) {
 	b := g.BlockAt(branchPC)
-	if b == nil || b.End-1 != branchPC || !g.Prog.Code[branchPC].IsCondBranch() {
+	if b == nil || b.End-1 != branchPC || !g.Code[branchPC].IsCondBranch() {
 		return &PathSet{Complete: true}, &PathSet{Complete: true}
 	}
 	// Successor order is [fallthrough, taken] (see Build).

@@ -115,7 +115,7 @@ func TestEnumeratePathsFrequentlyHammock(t *testing.T) {
 	// H must be the top CFM candidate.
 	h := common[0]
 	hBlock := g.Blocks[h]
-	if g.Prog.Code[hBlock.End-1].Op != isa.OpHalt {
+	if g.Code[hBlock.End-1].Op != isa.OpHalt {
 		t.Errorf("top candidate block %d does not end at halt: %v", h, hBlock)
 	}
 	// On the not-taken side (B first), reach(H) = P(B->E) + P(B->D)*P(D->E)

@@ -49,15 +49,14 @@ func (b Baseline) String() string {
 func SelectBaseline(prog *isa.Program, prof *profile.Profile, b Baseline, seed int64) (*Result, error) {
 	res := &Result{Annots: map[int]*isa.DivergeInfo{}}
 	rng := rand.New(rand.NewSource(seed))
-	for _, fn := range prog.Funcs {
-		g, err := cfg.Build(prog, fn)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", fn.Name, err)
+	for _, fa := range cfg.Shared(prog).Funcs {
+		if fa.Err != nil {
+			return nil, fmt.Errorf("core: %s: %w", fa.Fn.Name, fa.Err)
 		}
-		pdom := cfg.PostDominators(g)
+		g := fa.Graph
 		for _, brPC := range g.CondBranches() {
 			res.Stats.CandidatesConsidered++
-			ipos := cfg.IPosDom(g, pdom, brPC)
+			ipos := cfg.IPosDom(g, fa.PDom, brPC)
 			selected := false
 			switch b {
 			case EveryBranch:

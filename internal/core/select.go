@@ -21,14 +21,11 @@ type Result struct {
 // the program, using the given profile.
 func Select(prog *isa.Program, prof *profile.Profile, p Params) (*Result, error) {
 	res := &Result{Annots: map[int]*isa.DivergeInfo{}}
-	for _, fn := range prog.Funcs {
-		g, err := cfg.Build(prog, fn)
-		if err != nil {
-			return nil, fmt.Errorf("core: %s: %w", fn.Name, err)
+	for _, fa := range cfg.Shared(prog).Funcs {
+		if fa.Err != nil {
+			return nil, fmt.Errorf("core: %s: %w", fa.Fn.Name, fa.Err)
 		}
-		pdom := cfg.PostDominators(g)
-		dom := cfg.Dominators(g)
-		loops := cfg.NaturalLoops(g, dom)
+		g := fa.Graph
 		for _, brPC := range g.CondBranches() {
 			if prof.BranchExec(brPC) < p.MinBranchExec {
 				continue
@@ -44,13 +41,13 @@ func Select(prog *isa.Program, prof *profile.Profile, p Params) (*Result, error)
 				}
 			}
 			res.Stats.CandidatesConsidered++
-			if l := loopBranchOf(g, loops, brPC); l != nil {
+			if l := loopBranchOf(g, fa.Loops, brPC); l != nil {
 				if p.EnableLoops {
 					selectLoop(res, g, prof, l, brPC, p)
 				}
 				continue
 			}
-			selectHammock(res, g, pdom, prof, brPC, p)
+			selectHammock(res, g, fa.PDom, prof, brPC, p)
 		}
 	}
 	if err := checkResult(prog, res); err != nil {

@@ -17,7 +17,6 @@ import (
 	"dmp/internal/profile"
 	"dmp/internal/simcache"
 	"dmp/internal/trace"
-	"dmp/internal/verify"
 	"dmp/internal/workpool"
 )
 
@@ -97,17 +96,12 @@ func (w *Workload) Baseline() (pipeline.Stats, error) {
 	return st, nil
 }
 
-// RunDMP verifies the annotations and simulates the DMP machine with them on
-// the run tape. Selection configurations that produce identical annotation
-// sidecars (as many of the Figure 5-9 sweeps do) hit the simulation cache.
+// RunDMP simulates the DMP machine on the run tape with annotations from a
+// core selection, which has checked their legality. Selection
+// configurations that produce identical annotation sidecars (as many of the
+// Figure 5-9 sweeps do) hit the simulation cache.
 func (w *Workload) RunDMP(annots map[int]*isa.DivergeInfo) (pipeline.Stats, error) {
-	annotated := w.Bare.WithAnnots(annots)
-	// A diagnostic here means a selection or experiment bug, and the
-	// simulation result would be meaningless.
-	if err := verify.CheckAnnots(annotated, w.Name); err != nil {
-		return pipeline.Stats{}, fmt.Errorf("%s: dmp: %w", w.Name, err)
-	}
-	st, err := w.opts.simulate(w.ctx, w.Name, annotated, w.RunInput, evalConfig(true, w.opts.MaxInsts))
+	st, err := w.opts.simulate(w.ctx, w.Name, w.Bare.WithAnnots(annots), w.RunInput, evalConfig(true, w.opts.MaxInsts))
 	if err != nil {
 		return st, fmt.Errorf("%s: dmp: %w", w.Name, err)
 	}

@@ -20,7 +20,6 @@ import (
 	"dmp/internal/sample"
 	"dmp/internal/simcache"
 	"dmp/internal/trace"
-	"dmp/internal/verify"
 )
 
 // EvalOptions configures the simulate phase of an evaluation, and the
@@ -111,9 +110,9 @@ type Prepared struct {
 }
 
 // prepare is the one prepare step: compile, profile the train tape within
-// budget instructions (0 = to completion), select with the named algorithm
-// (see core.Algorithms) and verify the annotations. opts.Progress is noted
-// at "compile", "profile" and "select".
+// budget instructions (0 = to completion) and select with the named
+// algorithm (see core.Algorithms), which checks its annotations' legality.
+// opts.Progress is noted at "compile", "profile" and "select".
 func prepare(ctx context.Context, name string, compile func() (*isa.Program, error), runInput, trainInput []int64, algo string, budget uint64, opts EvalOptions) (*Prepared, error) {
 	opts.note("compile")
 	prog, err := compile()
@@ -136,14 +135,10 @@ func prepare(ctx context.Context, name string, compile func() (*isa.Program, err
 	if err != nil {
 		return nil, fmt.Errorf("select %s: %w", algo, err)
 	}
-	annotated := prog.WithAnnots(res.Annots)
-	if err := verify.CheckAnnots(annotated, name); err != nil {
-		return nil, err
-	}
 	return &Prepared{
 		Name:      name,
 		Bare:      prog.WithAnnots(nil),
-		Annotated: annotated,
+		Annotated: prog.WithAnnots(res.Annots),
 		Annots:    len(res.Annots),
 		RunInput:  runInput,
 		Train:     prof,

@@ -216,11 +216,11 @@ func (rep *PopulationReport) Render(w io.Writer) {
 const popEmuBudget = 200_000_000
 
 // CheckGenerated runs one generated program through the full quality gate —
-// compile, static verification of the bare binary and of every selection
-// algorithm's annotations, and an emu-vs-pipeline architectural differential
-// for both the baseline and the DMP machine — returning a list of findings
-// (empty = clean). cmd/dmpgen -check and the population differential test
-// share this path.
+// compile (whose post-compile check verifies the bare binary), static
+// verification of every selection algorithm's annotations, and an
+// emu-vs-pipeline architectural differential for both the baseline and the
+// DMP machine — returning a list of findings (empty = clean). cmd/dmpgen
+// -check and the population differential test share this path.
 func CheckGenerated(p *gen.Program) []string {
 	return checkGenerated(p, false)
 }
@@ -240,9 +240,6 @@ func checkGenerated(p *gen.Program, useStatic bool) []string {
 	prog, err := codegen.CompileSource(p.Source)
 	if err != nil {
 		return []string{fmt.Sprintf("compile: %v", err)}
-	}
-	for _, d := range verify.Run(prog.WithAnnots(nil), verify.Options{Program: p.Name + "/bare"}) {
-		issues = append(issues, d.String())
 	}
 	var prof *profile.Profile
 	if useStatic {

@@ -21,9 +21,8 @@
 package predecode
 
 import (
-	"sync"
-
 	"dmp/internal/isa"
+	"dmp/internal/memo"
 )
 
 // Kind is the dense execution kind the emulator fast path dispatches on.
@@ -166,21 +165,12 @@ var aluKinds = map[isa.Op]Kind{
 // predecoding is a pure function of the code slice, and WithAnnots shares the
 // code array across a binary's annotation variants, so one compiled program
 // serves every machine the harness (or a config sweep) creates for it. The
-// map is bounded: fuzzers and generators create tens of thousands of
-// short-lived programs, and an unbounded identity-keyed map would pin every
-// one of their code arrays. On overflow the whole map is dropped — entries
-// are cheap to rebuild and dropping all avoids tracking recency. The bound
-// is also the number of dead programs a compile loop can pin: one that
-// compiles fresh binaries of the same sources (every toolchain pass, every
-// daemon job) never hits across iterations. A generated program's code
-// array and records take about 11 KB, so 8192 entries could pin some 90 MB.
-var sharedMemo struct {
-	sync.Mutex
-	m map[*isa.Inst]*Program
-}
-
-// sharedMemoCap bounds the memo; see sharedMemo.
-const sharedMemoCap = 1024
+// memo's bound is also the number of dead programs a compile loop can pin:
+// one that compiles fresh binaries of the same sources (every toolchain
+// pass, every daemon job) never hits across iterations. A generated
+// program's code array and records take about 11 KB, so 8192 entries could
+// pin some 90 MB.
+var sharedMemo = memo.Bounded[*isa.Inst, *Program]{Cap: 1024}
 
 // Shared returns the predecoded form of p, memoized by code-segment
 // identity. Programs with empty code compile fresh (no identity to key on).
@@ -188,21 +178,7 @@ func Shared(p *isa.Program) *Program {
 	if len(p.Code) == 0 {
 		return Compile(p)
 	}
-	id := &p.Code[0]
-	sharedMemo.Lock()
-	pre, ok := sharedMemo.m[id]
-	sharedMemo.Unlock()
-	if ok {
-		return pre
-	}
-	pre = Compile(p)
-	sharedMemo.Lock()
-	if len(sharedMemo.m) >= sharedMemoCap || sharedMemo.m == nil {
-		sharedMemo.m = make(map[*isa.Inst]*Program, 64)
-	}
-	sharedMemo.m[id] = pre
-	sharedMemo.Unlock()
-	return pre
+	return sharedMemo.Get(&p.Code[0], func() *Program { return Compile(p) })
 }
 
 // Compile lowers the program's code segment. It is a single linear pass; the

@@ -42,14 +42,11 @@ func TestSharedMemoizesByCodeIdentity(t *testing.T) {
 // TestSharedBounded checks the overflow behaviour: the memo drops and keeps
 // working rather than growing without bound under fuzz-scale program churn.
 func TestSharedBounded(t *testing.T) {
-	for i := 0; i < sharedMemoCap+16; i++ {
+	for i := 0; i < sharedMemo.Cap+16; i++ {
 		Shared(sharedProg(t))
 	}
-	sharedMemo.Lock()
-	n := len(sharedMemo.m)
-	sharedMemo.Unlock()
-	if n > sharedMemoCap {
-		t.Fatalf("memo grew to %d entries, cap is %d", n, sharedMemoCap)
+	if n := sharedMemo.Len(); n > sharedMemo.Cap {
+		t.Fatalf("memo grew to %d entries, cap is %d", n, sharedMemo.Cap)
 	}
 	p := sharedProg(t)
 	if a, b := Shared(p), Shared(p); a != b {

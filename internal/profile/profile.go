@@ -190,7 +190,7 @@ func (p *Profile) MPKI() float64 {
 // control flowing from block `from` to node `to`, given `from` executes.
 func (p *Profile) EdgeProb(g *cfg.Graph, from, to int) float64 {
 	b := g.Blocks[from]
-	last := g.Prog.Code[b.End-1]
+	last := g.Code[b.End-1]
 	succs := b.Succs
 	if !last.IsCondBranch() || len(succs) < 2 {
 		// Single successor: probability 1 to it, 0 elsewhere.
@@ -248,7 +248,7 @@ func (p *Profile) LoopProfile(g *cfg.Graph, l *cfg.Loop) LoopStats {
 	var backEdges uint64
 	for _, latchID := range l.Latches {
 		latch := g.Blocks[latchID]
-		last := g.Prog.Code[latch.End-1]
+		last := g.Code[latch.End-1]
 		switch {
 		case last.IsCondBranch():
 			brPC := latch.End - 1

@@ -189,7 +189,7 @@ func TestEdgeProb(t *testing.T) {
 	}
 	// Single-successor block: probability 1.
 	for _, blk := range g.Blocks {
-		if len(blk.Succs) == 1 && !g.Prog.Code[blk.End-1].IsCondBranch() {
+		if len(blk.Succs) == 1 && !g.Code[blk.End-1].IsCondBranch() {
 			if got := prof.EdgeProb(g, blk.ID, blk.Succs[0]); got != 1 {
 				t.Errorf("single-succ prob = %v", got)
 			}
@@ -206,7 +206,7 @@ func TestEdgeProbUnexecutedBranch(t *testing.T) {
 	}
 	g := graph(t, p, "main")
 	for _, blk := range g.Blocks {
-		if g.Prog.Code[blk.End-1].IsCondBranch() && prof.BranchExec(blk.End-1) == 0 {
+		if g.Code[blk.End-1].IsCondBranch() && prof.BranchExec(blk.End-1) == 0 {
 			if got := prof.EdgeProb(g, blk.ID, blk.Succs[0]); got != 0.5 {
 				t.Errorf("unexecuted branch edge prob = %v, want 0.5", got)
 			}

@@ -40,11 +40,11 @@ func CompareProfiles(p *isa.Program, est, ref *profile.Profile) Accuracy {
 	var a Accuracy
 	var wsum, wtot float64
 	var estC, refC []float64
-	for _, fn := range p.Funcs {
-		g, err := cfg.Build(p, fn)
-		if err != nil {
+	for _, fa := range cfg.Shared(p).Funcs {
+		if fa.Err != nil {
 			continue // a broken function never got estimated either
 		}
+		g := fa.Graph
 		for _, b := range g.Blocks {
 			ev, rv := est.BlockCount(g, b.ID), ref.BlockCount(g, b.ID)
 			if ev == 0 && rv == 0 {

@@ -26,7 +26,7 @@ import "dmp/internal/cfg"
 // handling (successor order [fallthrough, taken]).
 func edgeProb(g *cfg.Graph, probs map[int]float64, from, to int) float64 {
 	b := g.Blocks[from]
-	if !g.Prog.Code[b.End-1].IsCondBranch() || len(b.Succs) < 2 {
+	if !g.Code[b.End-1].IsCondBranch() || len(b.Succs) < 2 {
 		if len(b.Succs) > 0 && b.Succs[0] == to {
 			return 1
 		}
@@ -50,8 +50,8 @@ func edgeProb(g *cfg.Graph, probs map[int]float64, from, to int) float64 {
 // dominate the source. Their flow is kept (the damped solve converges
 // regardless); the count is reported so callers can see how much of the CFG
 // fell outside natural-loop structure.
-func blockFreqs(fa *fnAnalysis, probs map[int]float64, maxCyclic float64) ([]float64, int) {
-	g := fa.g
+func blockFreqs(fa *cfg.FuncAnalysis, probs map[int]float64, maxCyclic float64) ([]float64, int) {
+	g := fa.Graph
 	nb := len(g.Blocks)
 	order, pos := blockRPO(g)
 	m := len(order)
@@ -62,7 +62,7 @@ func blockFreqs(fa *fnAnalysis, probs map[int]float64, maxCyclic float64) ([]flo
 			if i > 0 && g.Blocks[n].Preds[i-1] == p {
 				continue // duplicated pred: both successor slots point here
 			}
-			if pos[p] < 0 || fa.dom.Dominates(n, p) {
+			if pos[p] < 0 || fa.Dom.Dominates(n, p) {
 				continue
 			}
 			if pos[p] >= pos[n] {

@@ -42,18 +42,10 @@ func dsCombine(p, q float64) float64 {
 	return p * q / d
 }
 
-// fnAnalysis bundles the per-function CFG analyses the heuristics consult.
-type fnAnalysis struct {
-	g     *cfg.Graph
-	dom   *cfg.DomTree
-	pdom  *cfg.DomTree
-	loops []*cfg.Loop
-}
-
 // innermostLoopOf returns the smallest-body loop containing block id, or nil.
-func (fa *fnAnalysis) innermostLoopOf(id int) *cfg.Loop {
+func innermostLoopOf(fa *cfg.FuncAnalysis, id int) *cfg.Loop {
 	var best *cfg.Loop
-	for _, l := range fa.loops {
+	for _, l := range fa.Loops {
 		if l.Contains(id) && (best == nil || len(l.Body) < len(best.Body)) {
 			best = l
 		}
@@ -64,13 +56,13 @@ func (fa *fnAnalysis) innermostLoopOf(id int) *cfg.Loop {
 // localDef scans backwards from the branch within its own block for the
 // instruction defining register r. Returns nil when the definition is outside
 // the block (or r is the hardwired zero register).
-func (fa *fnAnalysis) localDef(blk *cfg.Block, brPC, r int) *isa.Inst {
+func localDef(g *cfg.Graph, blk *cfg.Block, brPC, r int) *isa.Inst {
 	if r == isa.RegZero {
 		return nil
 	}
 	for pc := brPC - 1; pc >= blk.Start; pc-- {
-		if fa.g.Prog.Code[pc].Writes() == r {
-			return &fa.g.Prog.Code[pc]
+		if g.Code[pc].Writes() == r {
+			return &g.Code[pc]
 		}
 	}
 	return nil
@@ -105,10 +97,10 @@ func condNonZeroProb(def *isa.Inst) (p float64, ok bool) {
 // branchTakenProb estimates the probability that the conditional branch
 // ending blk is taken, combining every applicable heuristic. The result is
 // clamped to [minProb, maxProb].
-func (fa *fnAnalysis) branchTakenProb(blk *cfg.Block) float64 {
-	g := fa.g
+func branchTakenProb(fa *cfg.FuncAnalysis, blk *cfg.Block) float64 {
+	g := fa.Graph
 	brPC := blk.End - 1
-	br := g.Prog.Code[brPC]
+	br := g.Code[brPC]
 	nt, tk := blk.Succs[0], blk.Succs[1]
 	if nt == tk {
 		return 0.5 // both directions land on the same block
@@ -125,7 +117,7 @@ func (fa *fnAnalysis) branchTakenProb(blk *cfg.Block) float64 {
 	if br.Rs1 == isa.RegZero {
 		return decided(true)
 	}
-	def := fa.localDef(blk, brPC, int(br.Rs1))
+	def := localDef(g, blk, brPC, int(br.Rs1))
 	if def != nil && def.Op == isa.OpMovI {
 		return decided(def.Imm == 0)
 	}
@@ -135,8 +127,8 @@ func (fa *fnAnalysis) branchTakenProb(blk *cfg.Block) float64 {
 
 	// Loop-branch heuristic: a back edge (successor dominating the branch
 	// block) is taken with high probability.
-	backNT := nt != g.ExitID && fa.dom.Dominates(nt, blk.ID)
-	backTK := tk != g.ExitID && fa.dom.Dominates(tk, blk.ID)
+	backNT := nt != g.ExitID && fa.Dom.Dominates(nt, blk.ID)
+	backTK := tk != g.ExitID && fa.Dom.Dominates(tk, blk.ID)
 	if backTK != backNT {
 		if backTK {
 			apply(probLoopBack)
@@ -148,7 +140,7 @@ func (fa *fnAnalysis) branchTakenProb(blk *cfg.Block) float64 {
 	// Loop-exit heuristic: for a branch inside a loop with exactly one
 	// successor leaving it, control stays inside. Skipped when the back-edge
 	// heuristic already voted on the same choice.
-	if l := fa.innermostLoopOf(blk.ID); l != nil && !backTK && !backNT {
+	if l := innermostLoopOf(fa, blk.ID); l != nil && !backTK && !backNT {
 		ntIn := nt != g.ExitID && l.Contains(nt)
 		tkIn := tk != g.ExitID && l.Contains(tk)
 		if ntIn != tkIn {
@@ -163,10 +155,10 @@ func (fa *fnAnalysis) branchTakenProb(blk *cfg.Block) float64 {
 	// Loop-header heuristic: a successor that is the header of a loop not
 	// containing the branch (and does not post-dominate it) is favoured.
 	isFreshHeader := func(s int) bool {
-		if s == g.ExitID || fa.pdom.Dominates(s, blk.ID) {
+		if s == g.ExitID || fa.PDom.Dominates(s, blk.ID) {
 			return false
 		}
-		for _, l := range fa.loops {
+		for _, l := range fa.Loops {
 			if l.Header == s && !l.Contains(blk.ID) {
 				return true
 			}
@@ -199,7 +191,7 @@ func (fa *fnAnalysis) branchTakenProb(blk *cfg.Block) float64 {
 	// avoided with the heuristic's probability. Guard heuristic: a successor
 	// reading the tested register before redefining it is favoured.
 	postdoms := func(s int) bool {
-		return s != g.ExitID && fa.pdom.Dominates(s, blk.ID)
+		return s != g.ExitID && fa.PDom.Dominates(s, blk.ID)
 	}
 	blockHas := func(s int, match func(isa.Inst) bool) bool {
 		if s == g.ExitID || postdoms(s) {
@@ -207,7 +199,7 @@ func (fa *fnAnalysis) branchTakenProb(blk *cfg.Block) float64 {
 		}
 		b := g.Blocks[s]
 		for pc := b.Start; pc < b.End; pc++ {
-			if match(g.Prog.Code[pc]) {
+			if match(g.Code[pc]) {
 				return true
 			}
 		}

@@ -103,16 +103,14 @@ func Analyze(p *isa.Program, opt Options) (*Estimate, error) {
 
 	states := make([]*fnState, 0, len(p.Funcs))
 	fnOfEntry := make(map[int]int, len(p.Funcs))
-	for _, fn := range p.Funcs {
-		g, err := cfg.Build(p, fn)
-		if err != nil {
-			return nil, fmt.Errorf("static: %s: %w", fn.Name, err)
+	for _, fa := range cfg.Shared(p).Funcs {
+		if fa.Err != nil {
+			return nil, fmt.Errorf("static: %s: %w", fa.Fn.Name, fa.Err)
 		}
-		dom := cfg.Dominators(g)
-		fa := &fnAnalysis{g: g, dom: dom, pdom: cfg.PostDominators(g), loops: cfg.NaturalLoops(g, dom)}
+		fn, g := fa.Fn, fa.Graph
 		probs := make(map[int]float64)
 		for _, brPC := range g.CondBranches() {
-			pr := fa.branchTakenProb(g.BlockAt(brPC))
+			pr := branchTakenProb(fa, g.BlockAt(brPC))
 			probs[brPC] = pr
 			est.TakenProb[brPC] = pr
 		}

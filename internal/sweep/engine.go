@@ -92,11 +92,6 @@ type Options struct {
 	// Sample routes cell simulations through the SMARTS sampled executor
 	// when Enabled, making thousand-cell grids tractable.
 	Sample sample.SampleConf
-	// Naive disables phase-level artifact reuse: every (program, cell) pair
-	// re-runs compile → profile → select → verify with a fresh private
-	// simcache, mirroring a loop of independent single-config invocations.
-	// It exists as the honest same-host baseline for the reuse speedup.
-	Naive bool
 	// Skip, when non-nil, elides cells whose (program name, cell label) it
 	// reports true for — the resume filter. Skipped cells produce no row.
 	Skip func(program, cell string) bool
@@ -203,31 +198,27 @@ func Run(ctx context.Context, progs []Program, grid *GridSpec, opts Options) (*R
 
 	evalOpts := harness.EvalOptions{Cache: opts.Cache, MaxInsts: opts.MaxInsts, Sample: opts.Sample}
 
-	if opts.Naive {
-		err = runNaive(ctx, progs, cells, opts, emit)
-	} else {
-		err = workpool.RunIndexed(ctx, len(progs), opts.Parallelism,
-			func(i int) string { return progs[i].Name }, nil, func(pi int) error {
-				p := progs[pi]
-				todo := pendingCells(p, cells, opts, func(ci int) error { return emit(pi*len(cells)+ci, nil, true) })
-				if len(todo) == 0 {
-					return nil
-				}
-				prep, err := prepare(ctx, p, opts.Algo, evalOpts)
-				if err != nil {
-					return fmt.Errorf("%s: %w", p.Name, err)
-				}
-				return workpool.RunIndexed(ctx, len(todo), opts.Parallelism,
-					func(i int) string { return p.Name + " " + cells[todo[i]].Label() }, nil, func(ti int) error {
-						ci := todo[ti]
-						row, err := simulateCell(ctx, prep, p, cells[ci], evalOpts)
-						if err != nil {
-							return fmt.Errorf("%s %s: %w", p.Name, cells[ci].Label(), err)
-						}
-						return emit(pi*len(cells)+ci, row, false)
-					})
-			})
-	}
+	err = workpool.RunIndexed(ctx, len(progs), opts.Parallelism,
+		func(i int) string { return progs[i].Name }, nil, func(pi int) error {
+			p := progs[pi]
+			todo := pendingCells(p, cells, opts, func(ci int) error { return emit(pi*len(cells)+ci, nil, true) })
+			if len(todo) == 0 {
+				return nil
+			}
+			prep, err := prepare(ctx, p, opts.Algo, evalOpts)
+			if err != nil {
+				return fmt.Errorf("%s: %w", p.Name, err)
+			}
+			return workpool.RunIndexed(ctx, len(todo), opts.Parallelism,
+				func(i int) string { return p.Name + " " + cells[todo[i]].Label() }, nil, func(ti int) error {
+					ci := todo[ti]
+					row, err := simulateCell(ctx, prep, p, cells[ci], evalOpts)
+					if err != nil {
+						return fmt.Errorf("%s %s: %w", p.Name, cells[ci].Label(), err)
+					}
+					return emit(pi*len(cells)+ci, row, false)
+				})
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -253,40 +244,6 @@ func pendingCells(p Program, cells []Cell, opts Options, onSkip func(int) error)
 		todo = append(todo, ci)
 	}
 	return todo
-}
-
-// runNaive is the reuse-free baseline: every (program, cell) pair prepares
-// from scratch with a private cache, exactly like looping a single-config
-// tool over the grid.
-func runNaive(ctx context.Context, progs []Program, cells []Cell, opts Options, emit func(int, *Row, bool) error) error {
-	type task struct{ pi, ci int }
-	var tasks []task
-	for pi, p := range progs {
-		for ci, c := range cells {
-			if opts.Skip != nil && opts.Skip(p.Name, c.Label()) {
-				if err := emit(pi*len(cells)+ci, nil, true); err != nil {
-					return err
-				}
-				continue
-			}
-			tasks = append(tasks, task{pi, ci})
-		}
-	}
-	return workpool.RunIndexed(ctx, len(tasks), opts.Parallelism,
-		func(i int) string { return progs[tasks[i].pi].Name + " " + cells[tasks[i].ci].Label() },
-		nil, func(ti int) error {
-			p, c := progs[tasks[ti].pi], cells[tasks[ti].ci]
-			evalOpts := harness.EvalOptions{Cache: simcache.New(""), MaxInsts: opts.MaxInsts, Sample: opts.Sample}
-			prep, err := prepare(ctx, p, opts.Algo, evalOpts)
-			if err != nil {
-				return fmt.Errorf("%s: %w", p.Name, err)
-			}
-			row, err := simulateCell(ctx, prep, p, c, evalOpts)
-			if err != nil {
-				return fmt.Errorf("%s %s: %w", p.Name, c.Label(), err)
-			}
-			return emit(tasks[ti].pi*len(cells)+tasks[ti].ci, row, false)
-		})
 }
 
 func prepare(ctx context.Context, p Program, algo string, opts harness.EvalOptions) (*harness.Prepared, error) {

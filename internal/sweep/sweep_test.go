@@ -242,9 +242,8 @@ func TestSweepMatchesColdRun(t *testing.T) {
 	}
 }
 
-// TestSweepNaiveMatches checks the A/B baseline produces identical rows —
-// the speedup comparison is only honest if both modes compute the same
-// answer.
+// TestSweepNaiveMatches checks that phase-level reuse does not change the
+// answer: the engine's rows must equal the reuse-free reference's.
 func TestSweepNaiveMatches(t *testing.T) {
 	g := &GridSpec{Axes: []Axis{{Field: "DMP", Values: []string{"false", "true"}}}}
 	progs := testCorpus(t)[:1]
@@ -252,20 +251,44 @@ func TestSweepNaiveMatches(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	naive, err := Run(context.Background(), progs, g, Options{MaxInsts: testMaxInsts, Naive: true})
-	if err != nil {
-		t.Fatalf("naive Run: %v", err)
-	}
-	if len(fast.Rows) != len(naive.Rows) {
-		t.Fatalf("row counts differ: %d vs %d", len(fast.Rows), len(naive.Rows))
+	naive := runNaive(t, progs, g, testMaxInsts)
+	if len(fast.Rows) != len(naive) {
+		t.Fatalf("row counts differ: %d vs %d", len(fast.Rows), len(naive))
 	}
 	for i := range fast.Rows {
 		a, _ := pipeline.MarshalStats(fast.Rows[i].Stats)
-		b, _ := pipeline.MarshalStats(naive.Rows[i].Stats)
+		b, _ := pipeline.MarshalStats(naive[i].Stats)
 		if !bytes.Equal(a, b) {
 			t.Fatalf("row %d stats differ between reuse and naive mode", i)
 		}
 	}
+}
+
+// runNaive is the reuse-free reference: every (program, cell) pair prepares
+// from scratch with a private cache, exactly like looping a single-config
+// tool over the grid. It returns the rows in (program, cell) order.
+func runNaive(t *testing.T, progs []Program, g *GridSpec, maxInsts uint64) []Row {
+	t.Helper()
+	cells, err := g.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []Row
+	for _, p := range progs {
+		for _, c := range cells {
+			opts := harness.EvalOptions{Cache: simcache.New(""), MaxInsts: maxInsts}
+			prep, err := prepare(context.Background(), p, "heur", opts)
+			if err != nil {
+				t.Fatalf("%s: %v", p.Name, err)
+			}
+			row, err := simulateCell(context.Background(), prep, p, c, opts)
+			if err != nil {
+				t.Fatalf("%s %s: %v", p.Name, c.Label(), err)
+			}
+			rows = append(rows, *row)
+		}
+	}
+	return rows
 }
 
 // TestSweepCancelMidGrid proves a cancelled sweep leaves well-formed partial

@@ -30,18 +30,18 @@ func (c *checker) checkAnnot(pc int, d *isa.DivergeInfo) {
 		c.report(PassAnnot, pc, "%v", err)
 		return
 	}
-	fa := c.analysisAt(pc)
+	fa := cfg.Shared(c.p).FuncAt(pc)
 	if fa == nil {
 		c.report(PassAnnot, pc, "annotated branch lies outside every function")
 		return
 	}
-	if fa.buildErr != nil {
+	if fa.Err != nil {
 		return // the cfg pass reports the analysis failure
 	}
-	g := fa.g
+	g := fa.Graph
 	blk := g.BlockAt(pc)
 	if blk == nil || blk.End-1 != pc {
-		c.report(PassAnnot, pc, "%s: annotated branch does not terminate a basic block", fa.fn.Name)
+		c.report(PassAnnot, pc, "%s: annotated branch does not terminate a basic block", fa.Fn.Name)
 		return
 	}
 	if d.Loop {
@@ -51,16 +51,16 @@ func (c *checker) checkAnnot(pc int, d *isa.DivergeInfo) {
 	c.checkHammockAnnot(fa, blk, pc, d)
 }
 
-func (c *checker) checkLoopAnnot(fa *funcAnalysis, blk *cfg.Block, pc int, d *isa.DivergeInfo) {
-	g := fa.g
+func (c *checker) checkLoopAnnot(fa *cfg.FuncAnalysis, blk *cfg.Block, pc int, d *isa.DivergeInfo) {
+	g := fa.Graph
 	if d.Short {
-		c.report(PassAnnot, pc, "%s: diverge loop marked as short hammock", fa.fn.Name)
+		c.report(PassAnnot, pc, "%s: diverge loop marked as short hammock", fa.Fn.Name)
 	}
 	if len(d.CFMs) > 0 {
-		c.report(PassAnnot, pc, "%s: diverge loop carries %d CFM point(s); loop branches merge at the next iteration, not at a CFM", fa.fn.Name, len(d.CFMs))
+		c.report(PassAnnot, pc, "%s: diverge loop carries %d CFM point(s); loop branches merge at the next iteration, not at a CFM", fa.Fn.Name, len(d.CFMs))
 	}
 	var loop *cfg.Loop
-	for _, l := range fa.loops {
+	for _, l := range fa.Loops {
 		if g.Blocks[l.Header].Start == d.LoopHead && l.Contains(blk.ID) {
 			if loop == nil || len(l.Body) < len(loop.Body) {
 				loop = l
@@ -68,26 +68,26 @@ func (c *checker) checkLoopAnnot(fa *funcAnalysis, blk *cfg.Block, pc int, d *is
 		}
 	}
 	if loop == nil {
-		c.report(PassAnnot, pc, "%s: LoopHead %d is not the header of a natural loop containing the branch", fa.fn.Name, d.LoopHead)
+		c.report(PassAnnot, pc, "%s: LoopHead %d is not the header of a natural loop containing the branch", fa.Fn.Name, d.LoopHead)
 		return
 	}
 	ntIn := blk.Succs[0] != g.ExitID && loop.Contains(blk.Succs[0])
 	tkIn := blk.Succs[1] != g.ExitID && loop.Contains(blk.Succs[1])
 	if ntIn == tkIn {
-		c.report(PassAnnot, pc, "%s: branch is not a two-way exit of the loop at %d (fallthrough in: %v, taken in: %v)", fa.fn.Name, d.LoopHead, ntIn, tkIn)
+		c.report(PassAnnot, pc, "%s: branch is not a two-way exit of the loop at %d (fallthrough in: %v, taken in: %v)", fa.Fn.Name, d.LoopHead, ntIn, tkIn)
 		return
 	}
 	// The exit-taken bit must point at the direction that leaves the loop:
 	// taken exits exactly when the fallthrough stays in.
 	if d.LoopExitTaken != ntIn {
-		c.report(PassAnnot, pc, "%s: LoopExitTaken=%v contradicts the CFG (fallthrough stays in loop: %v)", fa.fn.Name, d.LoopExitTaken, ntIn)
+		c.report(PassAnnot, pc, "%s: LoopExitTaken=%v contradicts the CFG (fallthrough stays in loop: %v)", fa.Fn.Name, d.LoopExitTaken, ntIn)
 	}
 }
 
-func (c *checker) checkHammockAnnot(fa *funcAnalysis, blk *cfg.Block, pc int, d *isa.DivergeInfo) {
-	g := fa.g
+func (c *checker) checkHammockAnnot(fa *cfg.FuncAnalysis, blk *cfg.Block, pc int, d *isa.DivergeInfo) {
+	g := fa.Graph
 	if d.Short && (len(d.CFMs) != 1 || d.CFMs[0].Kind != isa.CFMAddr) {
-		c.report(PassAnnot, pc, "%s: short hammock must carry exactly one address CFM, has %d", fa.fn.Name, len(d.CFMs))
+		c.report(PassAnnot, pc, "%s: short hammock must carry exactly one address CFM, has %d", fa.Fn.Name, len(d.CFMs))
 	}
 	if len(d.CFMs) == 0 {
 		return // CFM-less dual-path annotation (baseline algorithms)
@@ -115,30 +115,30 @@ func (c *checker) checkHammockAnnot(fa *funcAnalysis, blk *cfg.Block, pc int, d 
 				return false
 			}
 			if !retOK(ntReach, ntLive) || !retOK(tkReach, tkLive) {
-				c.report(PassAnnot, pc, "%s: return CFM but a return instruction is not reachable from both directions", fa.fn.Name)
+				c.report(PassAnnot, pc, "%s: return CFM but a return instruction is not reachable from both directions", fa.Fn.Name)
 			}
 		case isa.CFMAddr:
-			if m.Addr < fa.fn.Entry || m.Addr >= fa.fn.End {
-				c.report(PassAnnot, pc, "%s: CFM %d at %d lies outside the branch's function [%d,%d)", fa.fn.Name, i, m.Addr, fa.fn.Entry, fa.fn.End)
+			if m.Addr < fa.Fn.Entry || m.Addr >= fa.Fn.End {
+				c.report(PassAnnot, pc, "%s: CFM %d at %d lies outside the branch's function [%d,%d)", fa.Fn.Name, i, m.Addr, fa.Fn.Entry, fa.Fn.End)
 				continue
 			}
 			cb := g.BlockAt(m.Addr)
 			if cb == nil || cb.Start != m.Addr {
-				c.report(PassAnnot, pc, "%s: CFM %d at %d is not on a basic-block boundary", fa.fn.Name, i, m.Addr)
+				c.report(PassAnnot, pc, "%s: CFM %d at %d is not on a basic-block boundary", fa.Fn.Name, i, m.Addr)
 				continue
 			}
 			if (ntLive && (ntReach == nil || !ntReach.has(cb.ID))) ||
 				(tkLive && (tkReach == nil || !tkReach.has(cb.ID))) {
-				c.report(PassAnnot, pc, "%s: CFM %d at %d is not reachable from both directions of the branch", fa.fn.Name, i, m.Addr)
+				c.report(PassAnnot, pc, "%s: CFM %d at %d is not reachable from both directions of the branch", fa.Fn.Name, i, m.Addr)
 				continue
 			}
 			if d.Short {
 				bound := c.opts.ShortMaxInsts
 				if n := shortestDist(g, blk.Succs[0], cb.ID, c.opts.CallWeight); n > bound {
-					c.report(PassAnnot, pc, "%s: short hammock fallthrough side is at least %d instructions to the CFM at %d (bound %d)", fa.fn.Name, n, m.Addr, bound)
+					c.report(PassAnnot, pc, "%s: short hammock fallthrough side is at least %d instructions to the CFM at %d (bound %d)", fa.Fn.Name, n, m.Addr, bound)
 				}
 				if n := shortestDist(g, blk.Succs[1], cb.ID, c.opts.CallWeight); n > bound {
-					c.report(PassAnnot, pc, "%s: short hammock taken side is at least %d instructions to the CFM at %d (bound %d)", fa.fn.Name, n, m.Addr, bound)
+					c.report(PassAnnot, pc, "%s: short hammock taken side is at least %d instructions to the CFM at %d (bound %d)", fa.Fn.Name, n, m.Addr, bound)
 				}
 			}
 		}

@@ -15,17 +15,17 @@ import (
 // mirror successor lists, and every direct control-flow target lands on a
 // block boundary.
 func (c *checker) cfgPass() {
-	for _, fa := range c.analyses() {
-		if fa.buildErr != nil {
-			c.report(PassCFG, fa.fn.Entry, "cannot recover CFG of %s: %v", fa.fn.Name, fa.buildErr)
+	for _, fa := range cfg.Shared(c.p).Funcs {
+		if fa.Err != nil {
+			c.report(PassCFG, fa.Fn.Entry, "cannot recover CFG of %s: %v", fa.Fn.Name, fa.Err)
 			continue
 		}
 		c.checkGraph(fa)
 	}
 }
 
-func (c *checker) checkGraph(fa *funcAnalysis) {
-	g, fn := fa.g, fa.fn
+func (c *checker) checkGraph(fa *cfg.FuncAnalysis) {
+	g, fn := fa.Graph, fa.Fn
 	if len(g.Blocks) == 0 {
 		c.report(PassCFG, fn.Entry, "%s: no basic blocks", fn.Name)
 		return
@@ -103,7 +103,7 @@ func (c *checker) checkGraph(fa *funcAnalysis) {
 // expectedSuccs recomputes a block's successor list from its terminating
 // instruction, mirroring the contract documented in cfg.Build.
 func expectedSuccs(g *cfg.Graph, fn isa.Func, b *cfg.Block) []int {
-	code := g.Prog.Code
+	code := g.Code
 	last := code[b.End-1]
 	idAt := func(addr int) int {
 		tb := g.BlockAt(addr)
@@ -146,20 +146,20 @@ func equalInts(a, b []int) bool {
 // post-dominator trees against an independent iterative set-based fixpoint
 // computation of the dominance relation.
 func (c *checker) domPass() {
-	for _, fa := range c.analyses() {
-		if fa.buildErr != nil {
+	for _, fa := range cfg.Shared(c.p).Funcs {
+		if fa.Err != nil {
 			continue // reported by the cfg pass
 		}
-		g := fa.g
-		c.checkDomTree(fa, PassDom, "dominator", fa.dom, 0, g.Preds, g.Succs)
-		c.checkDomTree(fa, PassDom, "post-dominator", fa.pdom, g.ExitID, g.Succs, g.Preds)
+		g := fa.Graph
+		c.checkDomTree(fa, PassDom, "dominator", fa.Dom, 0, g.Preds, g.Succs)
+		c.checkDomTree(fa, PassDom, "post-dominator", fa.PDom, g.ExitID, g.Succs, g.Preds)
 	}
 }
 
 // checkDomTree verifies one tree. preds/succs are given in the traversal
 // direction: for post-dominators the roles are swapped.
-func (c *checker) checkDomTree(fa *funcAnalysis, pass, kind string, tree *cfg.DomTree, root int, preds, succs func(int) []int) {
-	g := fa.g
+func (c *checker) checkDomTree(fa *cfg.FuncAnalysis, pass, kind string, tree *cfg.DomTree, root int, preds, succs func(int) []int) {
+	g := fa.Graph
 	n := g.NumNodes()
 	sets := naiveDomSets(n, root, preds, succs)
 	got := newBitset(n)
@@ -170,21 +170,21 @@ func (c *checker) checkDomTree(fa *funcAnalysis, pass, kind string, tree *cfg.Do
 			// Unreachable in this direction: the tree must not claim an
 			// immediate dominator.
 			if v != root && tree.Idom[v] != -1 {
-				c.report(pass, c.nodeAddr(fa, v), "%s: node %d is unreachable but has an immediate %s %d", fa.fn.Name, v, kind, tree.Idom[v])
+				c.report(pass, c.nodeAddr(fa, v), "%s: node %d is unreachable but has an immediate %s %d", fa.Fn.Name, v, kind, tree.Idom[v])
 			}
 			continue
 		}
 		if !want.equal(got) {
-			c.report(pass, c.nodeAddr(fa, v), "%s: %s set of node %d disagrees with the independent fixpoint", fa.fn.Name, kind, v)
+			c.report(pass, c.nodeAddr(fa, v), "%s: %s set of node %d disagrees with the independent fixpoint", fa.Fn.Name, kind, v)
 		}
 	}
 }
 
-func (c *checker) nodeAddr(fa *funcAnalysis, id int) int {
-	if id >= 0 && id < len(fa.g.Blocks) {
-		return fa.g.Blocks[id].Start
+func (c *checker) nodeAddr(fa *cfg.FuncAnalysis, id int) int {
+	if id >= 0 && id < len(fa.Graph.Blocks) {
+		return fa.Graph.Blocks[id].Start
 	}
-	return fa.fn.Entry
+	return fa.Fn.Entry
 }
 
 // bitset is a simple fixed-size bitset over node IDs.
@@ -296,22 +296,22 @@ func treeDomSet(tree *cfg.DomTree, v int, s bitset) {
 // under predecessors (except at the header), and every recorded exit branch
 // lies in the body with at least one direction leaving the loop.
 func (c *checker) loopsPass() {
-	for _, fa := range c.analyses() {
-		if fa.buildErr != nil {
+	for _, fa := range cfg.Shared(c.p).Funcs {
+		if fa.Err != nil {
 			continue
 		}
-		g := fa.g
-		for _, l := range fa.loops {
+		g := fa.Graph
+		for _, l := range fa.Loops {
 			head := g.Blocks[l.Header]
 			if !l.Contains(l.Header) {
-				c.report(PassLoops, head.Start, "%s: loop header %d not in its own body", fa.fn.Name, l.Header)
+				c.report(PassLoops, head.Start, "%s: loop header %d not in its own body", fa.Fn.Name, l.Header)
 			}
 			for _, latch := range l.Latches {
-				if !fa.dom.Dominates(l.Header, latch) {
-					c.report(PassLoops, g.Blocks[latch].Start, "%s: loop header %d does not dominate latch %d", fa.fn.Name, l.Header, latch)
+				if !fa.Dom.Dominates(l.Header, latch) {
+					c.report(PassLoops, g.Blocks[latch].Start, "%s: loop header %d does not dominate latch %d", fa.Fn.Name, l.Header, latch)
 				}
 				if !l.Contains(latch) {
-					c.report(PassLoops, g.Blocks[latch].Start, "%s: latch %d outside the loop body", fa.fn.Name, latch)
+					c.report(PassLoops, g.Blocks[latch].Start, "%s: latch %d outside the loop body", fa.Fn.Name, latch)
 				}
 				hasBack := false
 				for _, s := range g.Succs(latch) {
@@ -320,7 +320,7 @@ func (c *checker) loopsPass() {
 					}
 				}
 				if !hasBack {
-					c.report(PassLoops, g.Blocks[latch].Start, "%s: latch %d has no back edge to header %d", fa.fn.Name, latch, l.Header)
+					c.report(PassLoops, g.Blocks[latch].Start, "%s: latch %d has no back edge to header %d", fa.Fn.Name, latch, l.Header)
 				}
 			}
 			for _, id := range l.Body {
@@ -329,18 +329,18 @@ func (c *checker) loopsPass() {
 				}
 				for _, p := range g.Preds(id) {
 					if !l.Contains(p) {
-						c.report(PassLoops, g.Blocks[id].Start, "%s: loop body of header %d not closed: block %d has predecessor %d outside", fa.fn.Name, l.Header, id, p)
+						c.report(PassLoops, g.Blocks[id].Start, "%s: loop body of header %d not closed: block %d has predecessor %d outside", fa.Fn.Name, l.Header, id, p)
 					}
 				}
 			}
 			for _, brPC := range l.ExitBranches {
 				blk := g.BlockAt(brPC)
 				if blk == nil || blk.End-1 != brPC || !c.p.Code[brPC].IsCondBranch() {
-					c.report(PassLoops, brPC, "%s: recorded exit branch is not a block-terminating conditional branch", fa.fn.Name)
+					c.report(PassLoops, brPC, "%s: recorded exit branch is not a block-terminating conditional branch", fa.Fn.Name)
 					continue
 				}
 				if !l.Contains(blk.ID) {
-					c.report(PassLoops, brPC, "%s: exit branch outside the loop body of header %d", fa.fn.Name, l.Header)
+					c.report(PassLoops, brPC, "%s: exit branch outside the loop body of header %d", fa.Fn.Name, l.Header)
 				}
 				leaves := false
 				for _, s := range blk.Succs {
@@ -349,7 +349,7 @@ func (c *checker) loopsPass() {
 					}
 				}
 				if !leaves {
-					c.report(PassLoops, brPC, "%s: recorded exit branch never leaves the loop of header %d", fa.fn.Name, l.Header)
+					c.report(PassLoops, brPC, "%s: recorded exit branch never leaves the loop of header %d", fa.Fn.Name, l.Header)
 				}
 			}
 		}

@@ -38,8 +38,8 @@ func rangeMask(lo, hi int) uint64 {
 
 // dataflowPass runs def-before-use over every function.
 func (c *checker) dataflowPass() {
-	for _, fa := range c.analyses() {
-		if fa.buildErr != nil {
+	for _, fa := range cfg.Shared(c.p).Funcs {
+		if fa.Err != nil {
 			continue // the cfg pass reports the build failure
 		}
 		c.checkDefBeforeUse(fa)
@@ -117,17 +117,17 @@ func (c *checker) definedIn(g *cfg.Graph) []uint64 {
 // checkDefBeforeUse reports every read of a register that is not definitely
 // assigned, walking each block's instructions once from its fixpoint
 // in-set.
-func (c *checker) checkDefBeforeUse(fa *funcAnalysis) {
-	in := c.definedIn(fa.g)
+func (c *checker) checkDefBeforeUse(fa *cfg.FuncAnalysis) {
+	in := c.definedIn(fa.Graph)
 	var readBuf [4]int
-	for id, b := range fa.g.Blocks {
+	for id, b := range fa.Graph.Blocks {
 		defined := in[id]
 		for pc := b.Start; pc < b.End; pc++ {
 			inst := &c.p.Code[pc]
 			for _, r := range inst.Reads(readBuf[:0]) {
 				if defined&(1<<r) == 0 {
 					c.report(PassDataflow, pc, "%s: r%d may be read before definition in %s",
-						*inst, r, fa.fn.Name)
+						*inst, r, fa.Fn.Name)
 				}
 			}
 			k, g := instEffect(inst)

@@ -78,8 +78,8 @@ func refTreeDomSet(tree *cfg.DomTree, v, n int) bitset {
 	return s
 }
 
-func (c *checker) refCheckDomTree(fa *funcAnalysis, pass, kind string, tree *cfg.DomTree, root int, preds, succs func(int) []int) {
-	g := fa.g
+func (c *checker) refCheckDomTree(fa *cfg.FuncAnalysis, pass, kind string, tree *cfg.DomTree, root int, preds, succs func(int) []int) {
+	g := fa.Graph
 	n := g.NumNodes()
 	sets := refNaiveDomSets(n, root, preds, succs)
 	for v := 0; v < n; v++ {
@@ -87,32 +87,32 @@ func (c *checker) refCheckDomTree(fa *funcAnalysis, pass, kind string, tree *cfg
 		got := refTreeDomSet(tree, v, n)
 		if want == nil {
 			if v != root && tree.Idom[v] != -1 {
-				c.report(pass, c.nodeAddr(fa, v), "%s: node %d is unreachable but has an immediate %s %d", fa.fn.Name, v, kind, tree.Idom[v])
+				c.report(pass, c.nodeAddr(fa, v), "%s: node %d is unreachable but has an immediate %s %d", fa.Fn.Name, v, kind, tree.Idom[v])
 			}
 			continue
 		}
 		if !want.equal(got) {
-			c.report(pass, c.nodeAddr(fa, v), "%s: %s set of node %d disagrees with the independent fixpoint", fa.fn.Name, kind, v)
+			c.report(pass, c.nodeAddr(fa, v), "%s: %s set of node %d disagrees with the independent fixpoint", fa.Fn.Name, kind, v)
 		}
 	}
 }
 
 func (c *checker) refDomPass() {
-	for _, fa := range c.analyses() {
-		if fa.buildErr != nil {
+	for _, fa := range cfg.Shared(c.p).Funcs {
+		if fa.Err != nil {
 			continue
 		}
-		g := fa.g
-		c.refCheckDomTree(fa, PassDom, "dominator", fa.dom, 0, g.Preds, g.Succs)
-		c.refCheckDomTree(fa, PassDom, "post-dominator", fa.pdom, g.ExitID, g.Succs, g.Preds)
+		g := fa.Graph
+		c.refCheckDomTree(fa, PassDom, "dominator", fa.Dom, 0, g.Preds, g.Succs)
+		c.refCheckDomTree(fa, PassDom, "post-dominator", fa.PDom, g.ExitID, g.Succs, g.Preds)
 	}
 }
 
 // refDefUse runs the per-instruction def-before-use analysis and returns
 // the fixpoint in-sets; with report set it also reports every undefined
 // read.
-func (c *checker) refDefUse(fa *funcAnalysis, report bool) []uint64 {
-	g := fa.g
+func (c *checker) refDefUse(fa *cfg.FuncAnalysis, report bool) []uint64 {
+	g := fa.Graph
 	n := len(g.Blocks)
 	in := make([]uint64, n)
 	out := make([]uint64, n)
@@ -130,7 +130,7 @@ func (c *checker) refDefUse(fa *funcAnalysis, report bool) []uint64 {
 			for _, r := range inst.Reads(readBuf[:0]) {
 				if defined&(1<<r) == 0 && report {
 					c.report(PassDataflow, pc, "%s: r%d may be read before definition in %s",
-						inst, r, fa.fn.Name)
+						inst, r, fa.Fn.Name)
 				}
 			}
 			if inst.Op == isa.OpCall || inst.Op == isa.OpCallR {
@@ -180,8 +180,8 @@ func RunReference(p *isa.Program, opts Options) []Diagnostic {
 	if len(c.diags) > 0 {
 		return c.diags
 	}
-	for _, fa := range c.analyses() {
-		if fa.buildErr == nil {
+	for _, fa := range cfg.Shared(c.p).Funcs {
+		if fa.Err == nil {
 			c.refDefUse(fa, true)
 		}
 	}
@@ -199,11 +199,11 @@ func RunReference(p *isa.Program, opts Options) []Diagnostic {
 func KernelMismatches(p *isa.Program) []string {
 	c := &checker{p: p, opts: Options{}.withDefaults()}
 	var out []string
-	for _, fa := range c.analyses() {
-		if fa.buildErr != nil {
+	for _, fa := range cfg.Shared(c.p).Funcs {
+		if fa.Err != nil {
 			continue
 		}
-		g := fa.g
+		g := fa.Graph
 		n := g.NumNodes()
 		dirs := []struct {
 			kind         string
@@ -211,8 +211,8 @@ func KernelMismatches(p *isa.Program) []string {
 			root         int
 			preds, succs func(int) []int
 		}{
-			{"dominator", fa.dom, 0, g.Preds, g.Succs},
-			{"post-dominator", fa.pdom, g.ExitID, g.Succs, g.Preds},
+			{"dominator", fa.Dom, 0, g.Preds, g.Succs},
+			{"post-dominator", fa.PDom, g.ExitID, g.Succs, g.Preds},
 		}
 		for _, d := range dirs {
 			sets := naiveDomSets(n, d.root, d.preds, d.succs)
@@ -220,18 +220,18 @@ func KernelMismatches(p *isa.Program) []string {
 			got := newBitset(n)
 			for v := 0; v < n; v++ {
 				if (sets[v] == nil) != (want[v] == nil) || (sets[v] != nil && !sets[v].equal(want[v])) {
-					out = append(out, fmt.Sprintf("%s: %s set of node %d = %v, reference %v", fa.fn.Name, d.kind, v, sets[v], want[v]))
+					out = append(out, fmt.Sprintf("%s: %s set of node %d = %v, reference %v", fa.Fn.Name, d.kind, v, sets[v], want[v]))
 				}
 				treeDomSet(d.tree, v, got)
 				if ref := refTreeDomSet(d.tree, v, n); !got.equal(ref) {
-					out = append(out, fmt.Sprintf("%s: %s tree set of node %d = %v, reference %v", fa.fn.Name, d.kind, v, got, ref))
+					out = append(out, fmt.Sprintf("%s: %s tree set of node %d = %v, reference %v", fa.Fn.Name, d.kind, v, got, ref))
 				}
 			}
 		}
 		in, want := c.definedIn(g), c.refDefUse(fa, false)
 		for id := range in {
 			if in[id] != want[id] {
-				out = append(out, fmt.Sprintf("%s: registers defined on entry to block %d = %#x, reference %#x", fa.fn.Name, id, in[id], want[id]))
+				out = append(out, fmt.Sprintf("%s: registers defined on entry to block %d = %#x, reference %#x", fa.Fn.Name, id, in[id], want[id]))
 			}
 		}
 	}

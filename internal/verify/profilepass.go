@@ -15,6 +15,7 @@ package verify
 // catching counts that are structurally wrong.
 
 import (
+	"dmp/internal/cfg"
 	"dmp/internal/isa"
 	"dmp/internal/profile"
 )
@@ -79,11 +80,11 @@ func (c *checker) profilePass(prof *profile.Profile) {
 		c.report(PassProfile, -1, "TotalRetired %d but per-instruction counts sum to %d", prof.TotalRetired, total)
 	}
 
-	for _, fa := range c.analyses() {
-		if fa.buildErr != nil {
+	for _, fa := range cfg.Shared(c.p).Funcs {
+		if fa.Err != nil {
 			continue // the cfg pass owns reporting build failures
 		}
-		g := fa.g
+		g := fa.Graph
 		reach := reachableBlocks(g, 0)
 		for _, b := range g.Blocks {
 			count := prof.ExecCount[b.Start]
@@ -123,7 +124,7 @@ func (c *checker) profilePass(prof *profile.Profile) {
 					continue
 				}
 				pb := g.Blocks[pid]
-				plast := g.Prog.Code[pb.End-1]
+				plast := g.Code[pb.End-1]
 				if plast.IsCondBranch() {
 					if pb.Succs[0] == b.ID {
 						in += prof.NotTaken[pb.End-1]

@@ -37,6 +37,12 @@
 //	          loops on real two-way loop exits with consistent
 //	          direction bits
 //
+// The passes read the per-function analyses shared per code array
+// (cfg.Shared), the same ones the selection compiler and the static
+// estimator use. Sharing does not make the verifier check its own output:
+// the cfg pass re-derives every edge from the instructions and the dom pass
+// recomputes dominance by an independent fixpoint.
+//
 // Every diagnostic carries the pass name, a severity, and a program:addr
 // location; cmd/dmplint exposes the framework as a CLI with -json output.
 package verify
@@ -145,23 +151,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// funcAnalysis caches the per-function graphs the cfg/dom/loops/annot
-// passes share.
-type funcAnalysis struct {
-	fn       isa.Func
-	g        *cfg.Graph
-	dom      *cfg.DomTree
-	pdom     *cfg.DomTree
-	loops    []*cfg.Loop
-	buildErr error
-}
-
 type checker struct {
 	p     *isa.Program
 	opts  Options
 	diags []Diagnostic
-	fas   []*funcAnalysis
-	built bool
 }
 
 func (c *checker) report(pass string, addr int, format string, args ...any) {
@@ -172,40 +165,6 @@ func (c *checker) report(pass string, addr int, format string, args ...any) {
 		Addr:     addr,
 		Msg:      fmt.Sprintf(format, args...),
 	})
-}
-
-// analyses builds (once) the per-function CFGs and derived analyses. Build
-// failures are recorded on the funcAnalysis and reported by the cfg pass.
-func (c *checker) analyses() []*funcAnalysis {
-	if c.built {
-		return c.fas
-	}
-	c.built = true
-	for _, fn := range c.p.Funcs {
-		fa := &funcAnalysis{fn: fn}
-		if fn.Entry < 0 || fn.End > len(c.p.Code) || fn.Entry >= fn.End {
-			fa.buildErr = fmt.Errorf("invalid extent [%d,%d)", fn.Entry, fn.End)
-		} else if g, err := cfg.Build(c.p, fn); err != nil {
-			fa.buildErr = err
-		} else {
-			fa.g = g
-			fa.dom = cfg.Dominators(g)
-			fa.pdom = cfg.PostDominators(g)
-			fa.loops = cfg.NaturalLoops(g, fa.dom)
-		}
-		c.fas = append(c.fas, fa)
-	}
-	return c.fas
-}
-
-// analysisAt returns the analysis of the function containing pc, or nil.
-func (c *checker) analysisAt(pc int) *funcAnalysis {
-	for _, fa := range c.analyses() {
-		if pc >= fa.fn.Entry && pc < fa.fn.End {
-			return fa
-		}
-	}
-	return nil
 }
 
 // Run executes the requested verifier passes over the program and returns
@@ -272,9 +231,8 @@ func Check(p *isa.Program, name string) error {
 }
 
 // CheckAnnots runs only the annotation-legality pass (plus the binary
-// pre-flight it depends on). It is the fail-fast entry point the selection
-// algorithms and the harness use before attaching or simulating an
-// annotation set.
+// pre-flight it depends on). It is the fail-fast check the selection
+// algorithms run on every annotation set before returning it.
 func CheckAnnots(p *isa.Program, name string) error {
 	return asError(Run(p, Options{Program: name, Passes: []string{PassBinary, PassAnnot}}))
 }

@@ -1,7 +1,9 @@
 #!/bin/sh
 # Tier-1 CI gate, and the one list of its steps: `make ci` runs this script,
 # and the Makefile's single-step targets are for local use. The steps are
-# vet, the required pinned-version lint gate (scripts/lint.sh), build, the
+# vet, a build and vet of the perfbench module (a separate module that
+# `go vet ./...` skips, built with the environment perfbench/run.sh uses,
+# so a public signature it calls cannot break unnoticed), the required pinned-version lint gate (scripts/lint.sh), build, the
 # full test suite under the race detector, a check that every test name in
 # the gate lists below still matches a test (scripts/check_run_list.sh), the
 # allocation guards, the emulator fast-path differential suite, the dmplint
@@ -24,6 +26,7 @@
 set -eux
 
 go vet ./...
+(cd perfbench && export GOTOOLCHAIN=local GOWORK=off GOFLAGS= && go build -o /dev/null . && go vet ./...)
 sh scripts/lint.sh
 go build ./...
 go test -race ./...
