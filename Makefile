@@ -87,8 +87,10 @@ prof-pipeline:
 
 # Host-cost breakdown of the compiler layers: CPU-profiles a heur selection
 # (BenchmarkSelection) and a full verifier run over its annotations
-# (BenchmarkVerifyRun) on gcc, and prints the top functions. The profile stays
-# in .prof-toolchain.pprof (see EXPERIMENTS.md, "Compiler-layer kernels").
+# (BenchmarkVerifyRun: "warm" on a code array with a clean verdict, "cold" on
+# a fresh clone, so the code passes stay in the profile) on gcc, and prints
+# the top functions. The profile stays in .prof-toolchain.pprof (see
+# EXPERIMENTS.md, "Compiler-layer kernels").
 prof-toolchain:
 	$(GO) test -run '^$$' -bench 'BenchmarkSelection$$|BenchmarkVerifyRun$$' -cpuprofile .prof-toolchain.pprof -o .prof-toolchain.test . >/dev/null
 	$(GO) tool pprof -top -nodecount=25 .prof-toolchain.test .prof-toolchain.pprof

@@ -12,12 +12,14 @@ package main
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"testing"
 
 	"dmp/internal/bench"
 	"dmp/internal/core"
 	"dmp/internal/harness"
+	"dmp/internal/isa"
 	"dmp/internal/pipeline"
 	"dmp/internal/profile"
 	"dmp/internal/stats"
@@ -317,9 +319,11 @@ func BenchmarkSelection(b *testing.B) {
 
 // BenchmarkVerifyRun measures a full verifier run (every pass) over gcc
 // carrying its heur annotations, the check each selection in the toolchain
-// is followed by.
+// is followed by. In "warm" the code array holds a clean verdict, as after
+// codegen's check, so only the sidecar passes run; "cold" gives each run a
+// fresh clone of the code, so every code pass runs and the profile still
+// shows them.
 func BenchmarkVerifyRun(b *testing.B) {
-	b.ReportAllocs()
 	s := session(b)
 	var w *harness.Workload
 	for _, c := range s.Workloads {
@@ -332,12 +336,27 @@ func BenchmarkVerifyRun(b *testing.B) {
 		b.Fatal(err)
 	}
 	prog := w.Bare.WithAnnots(res.Annots)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if diags := verify.Run(prog, verify.Options{Program: "gcc"}); len(diags) > 0 {
+	run := func(b *testing.B, p *isa.Program) {
+		if diags := verify.Run(p, verify.Options{Program: "gcc"}); len(diags) > 0 {
 			b.Fatal(diags[0])
 		}
 	}
+	b.Run("warm", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			run(b, prog)
+		}
+	})
+	b.Run("cold", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			q := *prog
+			q.Code = slices.Clone(prog.Code)
+			b.StartTimer()
+			run(b, &q)
+		}
+	})
 }
 
 // BenchmarkExtension2DProfiling measures the 2D-profiling extension: the

@@ -80,11 +80,12 @@ type Cache struct {
 	sets    int
 	lineSh  uint
 	setMask uint64
-	// tags[set*ways+way]; lru[set*ways+way] is a recency counter.
+	// tags[set*ways : (set+1)*ways] holds one set's ways, most recently
+	// used first. A way holds its line number plus one, and 0 marks it
+	// invalid; a line number is the address shifted right by log2 of the
+	// line size, so with lines of two bytes or more the increment cannot
+	// wrap. Invalid ways are always at the end of their set.
 	tags   []uint64
-	valid  []bool
-	lru    []uint64
-	tick   uint64
 	stats  Stats
 	next   *Cache // lower level, or nil for memory
 	memLat int    // latency charged when next == nil
@@ -118,8 +119,6 @@ func NewMem(cfg Config, next *Cache, memLat int) *Cache {
 		lineSh:  lineSh,
 		setMask: uint64(sets - 1),
 		tags:    make([]uint64, lines),
-		valid:   make([]bool, lines),
-		lru:     make([]uint64, lines),
 		next:    next,
 		memLat:  memLat,
 	}
@@ -135,14 +134,15 @@ func (c *Cache) Config() Config { return c.cfg }
 // Misses allocate in this level and recurse into the next level.
 func (c *Cache) Access(addr uint64) int {
 	c.stats.Accesses++
-	c.tick++
-	line := addr >> c.lineSh
-	set := int(line & c.setMask)
-	base := set * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == line {
-			c.lru[i] = c.tick
+	tag, set := c.lookup(addr)
+	if set[0] == tag {
+		return c.cfg.HitCycles
+	}
+	for w := 1; w < len(set); w++ {
+		if set[w] == tag {
+			// Hit: move the way to the front.
+			copy(set[1:w+1], set[:w])
+			set[0] = tag
 			return c.cfg.HitCycles
 		}
 	}
@@ -151,37 +151,31 @@ func (c *Cache) Access(addr uint64) int {
 	if c.next != nil {
 		lower = c.next.Access(addr)
 	}
-	// Allocate: victim is the LRU way (or first invalid).
-	victim := base
-	for w := 0; w < c.cfg.Ways; w++ {
-		i := base + w
-		if !c.valid[i] {
-			victim = i
-			break
-		}
-		if c.lru[i] < c.lru[victim] {
-			victim = i
-		}
-	}
-	c.tags[victim] = line
-	c.valid[victim] = true
-	c.lru[victim] = c.tick
+	// Allocate at the front; the last way (the LRU one, or an invalid one)
+	// drops out.
+	copy(set[1:], set[:len(set)-1])
+	set[0] = tag
 	return c.cfg.HitCycles + lower
 }
 
 // Probe reports whether the address currently hits without touching LRU
 // state or statistics.
 func (c *Cache) Probe(addr uint64) bool {
-	line := addr >> c.lineSh
-	set := int(line & c.setMask)
-	base := set * c.cfg.Ways
-	for w := 0; w < c.cfg.Ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == line {
+	tag, set := c.lookup(addr)
+	for _, t := range set {
+		if t == tag {
 			return true
 		}
 	}
 	return false
+}
+
+// lookup returns the address's tag (line number plus one) and its set's
+// ways.
+func (c *Cache) lookup(addr uint64) (uint64, []uint64) {
+	line := addr >> c.lineSh
+	base := int(line&c.setMask) * c.cfg.Ways
+	return line + 1, c.tags[base : base+c.cfg.Ways : base+c.cfg.Ways]
 }
 
 // LineBytes returns the line size.

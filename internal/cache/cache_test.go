@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -172,5 +173,114 @@ func TestQuickCapacityBound(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refCache is the tick-LRU model the recency-ordered ways replaced: a valid
+// bit and a last-use tick per way, victim the first invalid way or else the
+// least recently used one.
+type refCache struct {
+	cfg    Config
+	sets   int
+	lineSh uint
+	tags   []uint64
+	valid  []bool
+	lru    []uint64
+	tick   uint64
+	stats  Stats
+	next   *refCache
+}
+
+func newRefCache(cfg Config, next *refCache) *refCache {
+	lines := cfg.SizeBytes / cfg.LineBytes
+	r := &refCache{cfg: cfg, sets: lines / cfg.Ways, tags: make([]uint64, lines),
+		valid: make([]bool, lines), lru: make([]uint64, lines), next: next}
+	for 1<<r.lineSh < cfg.LineBytes {
+		r.lineSh++
+	}
+	return r
+}
+
+func (c *refCache) Access(addr uint64) int {
+	c.stats.Accesses++
+	c.tick++
+	line := addr >> c.lineSh
+	base := int(line%uint64(c.sets)) * c.cfg.Ways
+	for i := base; i < base+c.cfg.Ways; i++ {
+		if c.valid[i] && c.tags[i] == line {
+			c.lru[i] = c.tick
+			return c.cfg.HitCycles
+		}
+	}
+	c.stats.Misses++
+	lower := MemoryLatency
+	if c.next != nil {
+		lower = c.next.Access(addr)
+	}
+	victim := base
+	for i := base; i < base+c.cfg.Ways; i++ {
+		if !c.valid[i] {
+			victim = i
+			break
+		}
+		if c.lru[i] < c.lru[victim] {
+			victim = i
+		}
+	}
+	c.tags[victim], c.valid[victim], c.lru[victim] = line, true, c.tick
+	return c.cfg.HitCycles + lower
+}
+
+func (c *refCache) Probe(addr uint64) bool {
+	line := addr >> c.lineSh
+	base := int(line%uint64(c.sets)) * c.cfg.Ways
+	for i := base; i < base+c.cfg.Ways; i++ {
+		if c.valid[i] && c.tags[i] == line {
+			return true
+		}
+	}
+	return false
+}
+
+// TestRecencyOrderMatchesTickLRU replays random address streams through a
+// two-level hierarchy and its tick-LRU reference at 1, 2, 4 and 8 ways, and
+// compares every latency, a Probe of a second random address after each
+// access, and both levels' Stats.
+func TestRecencyOrderMatchesTickLRU(t *testing.T) {
+	for _, ways := range []int{1, 2, 4, 8} {
+		for seed := int64(1); seed <= 4; seed++ {
+			l1cfg := Config{Name: "l1", SizeBytes: 1024 * ways, Ways: ways, LineBytes: 64, HitCycles: 2}
+			l2cfg := Config{Name: "l2", SizeBytes: 4096 * ways, Ways: ways, LineBytes: 64, HitCycles: 10}
+			l2 := New(l2cfg, nil)
+			l1 := New(l1cfg, l2)
+			r2 := newRefCache(l2cfg, nil)
+			r1 := newRefCache(l1cfg, r2)
+			rng := rand.New(rand.NewSource(seed))
+			// A footprint a few times the L2's capacity, with a hot region
+			// so that hits, way moves and evictions all occur.
+			span := uint64(4 * l2cfg.SizeBytes)
+			addr := func() uint64 {
+				if rng.Intn(4) == 0 {
+					return uint64(rng.Int63n(int64(span)))
+				}
+				return uint64(rng.Int63n(int64(l1cfg.SizeBytes)))
+			}
+			for i := 0; i < 20_000; i++ {
+				a := addr()
+				if got, want := l1.Access(a), r1.Access(a); got != want {
+					t.Fatalf("ways %d seed %d access %d (addr %#x): latency %d, reference %d", ways, seed, i, a, got, want)
+				}
+				p := addr()
+				if got, want := l1.Probe(p), r1.Probe(p); got != want {
+					t.Fatalf("ways %d seed %d access %d: L1 Probe(%#x) = %v, reference %v", ways, seed, i, p, got, want)
+				}
+				if got, want := l2.Probe(p), r2.Probe(p); got != want {
+					t.Fatalf("ways %d seed %d access %d: L2 Probe(%#x) = %v, reference %v", ways, seed, i, p, got, want)
+				}
+			}
+			if l1.Stats() != r1.stats || l2.Stats() != r2.stats {
+				t.Fatalf("ways %d seed %d: stats L1 %+v L2 %+v, reference %+v %+v", ways, seed, l1.Stats(), l2.Stats(), r1.stats, r2.stats)
+			}
+		}
 	}
 }

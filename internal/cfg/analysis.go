@@ -33,13 +33,27 @@ func (a *Analysis) FuncAt(pc int) *FuncAnalysis {
 	return nil
 }
 
-// binaryKey identifies a binary by its code and symbol arrays. The pointers
-// pin both arrays while the key sits in the memo, so their addresses cannot
-// be reused by other arrays.
-type binaryKey struct {
+// Key identifies a binary by its code and symbol arrays: the layers that
+// memoize artifacts derived from those arrays alone key them this way. The
+// pointers pin both arrays while the key sits in a memo, so their addresses
+// cannot be reused by other arrays. It says nothing of the arrays' contents,
+// which their owner must not modify in place once keyed.
+type Key struct {
 	code         *isa.Inst
 	nCode, nFunc int
 	funcs        *isa.Func
+}
+
+// KeyOf returns the key of p's code and symbol arrays.
+func KeyOf(p *isa.Program) Key {
+	k := Key{nCode: len(p.Code), nFunc: len(p.Funcs)}
+	if len(p.Code) > 0 {
+		k.code = &p.Code[0]
+	}
+	if len(p.Funcs) > 0 {
+		k.funcs = &p.Funcs[0]
+	}
+	return k
 }
 
 // sharedMemo holds one Analysis per binary. The analyses depend only on
@@ -49,7 +63,7 @@ type binaryKey struct {
 // and the code array it pins take about 14 KB for a generated program (8 KB
 // and 6 KB, averaged over a 400-program generated corpus), so the small cap
 // keeps the memo under 1 MiB.
-var sharedMemo = memo.Bounded[binaryKey, *Analysis]{Cap: 64}
+var sharedMemo = memo.Bounded[Key, *Analysis]{Cap: 64}
 
 // Shared returns the analyses of p's functions, built once per code array
 // and symbol table. Neither may be modified in place after the first
@@ -58,11 +72,7 @@ func Shared(p *isa.Program) *Analysis {
 	if len(p.Code) == 0 {
 		return analyze(p)
 	}
-	k := binaryKey{code: &p.Code[0], nCode: len(p.Code), nFunc: len(p.Funcs)}
-	if len(p.Funcs) > 0 {
-		k.funcs = &p.Funcs[0]
-	}
-	return sharedMemo.Get(k, func() *Analysis { return analyze(p) })
+	return sharedMemo.Get(KeyOf(p), func() *Analysis { return analyze(p) })
 }
 
 func analyze(p *isa.Program) *Analysis {

@@ -31,15 +31,31 @@ type binHeader struct {
 	Reserved    uint32
 }
 
-// WriteTo serialises the program to w in the DMP1 container format. A
-// *bytes.Buffer is written into directly; any other writer receives the
-// encoding in one Write.
+// WriteTo serialises the program to w in the DMP1 container format: the
+// code prefix (EncodeCode) followed by the annotation sidecar
+// (EncodeAnnots). A *bytes.Buffer is written into directly; any other
+// writer receives the encoding in one Write.
 func (p *Program) WriteTo(w io.Writer) (int64, error) {
 	buf, direct := w.(*bytes.Buffer)
 	if !direct {
 		buf = new(bytes.Buffer)
 	}
 	start := buf.Len()
+	if err := p.EncodeCode(buf); err != nil {
+		return 0, err
+	}
+	EncodeAnnots(buf, p.Annots)
+	if direct {
+		return int64(buf.Len() - start), nil
+	}
+	n, err := w.Write(buf.Bytes())
+	return int64(n), err
+}
+
+// EncodeCode appends the container's code prefix to buf: the header (whose
+// annotation count is len(p.Annots)), the code segment and the function
+// symbol table. With no annotations it is a complete container.
+func (p *Program) EncodeCode(buf *bytes.Buffer) error {
 	// Room for the header and the instruction records (16 bytes plus a
 	// one-byte immediate each), so that the buffer seldom regrows.
 	buf.Grow(64 + 17*len(p.Code))
@@ -53,25 +69,29 @@ func (p *Program) WriteTo(w io.Writer) (int64, error) {
 		NumAnnots:   uint32(len(p.Annots)),
 	}
 	if err := binary.Write(buf, binary.LittleEndian, h); err != nil {
-		return 0, err
+		return err
 	}
 	for _, in := range p.Code {
-		if err := writeInst(buf, in); err != nil {
-			return 0, err
-		}
+		writeInst(buf, in)
 	}
 	for _, f := range p.Funcs {
 		writeString(buf, f.Name)
 		writeUvarint(buf, uint64(f.Entry))
 		writeUvarint(buf, uint64(f.End))
 	}
-	pcs := make([]int, 0, len(p.Annots))
-	for pc := range p.Annots {
+	return nil
+}
+
+// EncodeAnnots appends the annotation sidecar to buf, one entry per
+// annotated branch in ascending address order. DecodeAnnots reads it back.
+func EncodeAnnots(buf *bytes.Buffer, annots map[int]*DivergeInfo) {
+	pcs := make([]int, 0, len(annots))
+	for pc := range annots {
 		pcs = append(pcs, pc)
 	}
 	sort.Ints(pcs)
 	for _, pc := range pcs {
-		d := p.Annots[pc]
+		d := annots[pc]
 		writeUvarint(buf, uint64(pc))
 		var flags byte
 		if d.Loop {
@@ -95,11 +115,12 @@ func (p *Program) WriteTo(w io.Writer) (int64, error) {
 			writeUvarint(buf, uint64(math.Round(c.MergeProb*1e6)))
 		}
 	}
-	if direct {
-		return int64(buf.Len() - start), nil
-	}
-	n, err := w.Write(buf.Bytes())
-	return int64(n), err
+}
+
+// DecodeAnnots reads n sidecar entries written by EncodeAnnots. It checks
+// the encoding only; annotation legality is Program.Validate's.
+func DecodeAnnots(r io.Reader, n int) (map[int]*DivergeInfo, error) {
+	return readAnnots(newByteReader(r), n)
 }
 
 // ReadProgram parses a DMP1 container from r.
@@ -118,12 +139,16 @@ func ReadProgram(r io.Reader) (*Program, error) {
 	if h.NumInsts == 0 || h.NumInsts > maxInsts {
 		return nil, fmt.Errorf("isa: implausible instruction count %d", h.NumInsts)
 	}
+	// At most one annotation per instruction; the count also sizes the map
+	// before any entry is read.
+	if h.NumAnnots > h.NumInsts {
+		return nil, fmt.Errorf("isa: %d annotations for %d instructions", h.NumAnnots, h.NumInsts)
+	}
 	br := newByteReader(r)
 	p := &Program{
 		Code:        make([]Inst, h.NumInsts),
 		Entry:       int(h.Entry),
 		GlobalWords: int(h.GlobalWords),
-		Annots:      make(map[int]*DivergeInfo, h.NumAnnots),
 	}
 	for i := range p.Code {
 		in, err := readInst(br)
@@ -147,7 +172,23 @@ func ReadProgram(r io.Reader) (*Program, error) {
 		}
 		p.Funcs = append(p.Funcs, Func{Name: name, Entry: int(entry), End: int(end)})
 	}
-	for i := 0; i < int(h.NumAnnots); i++ {
+	annots, err := readAnnots(br, int(h.NumAnnots))
+	if err != nil {
+		return nil, err
+	}
+	p.Annots = annots
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+func readAnnots(br *byteReader, n int) (map[int]*DivergeInfo, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("isa: negative annotation count %d", n)
+	}
+	annots := make(map[int]*DivergeInfo, n)
+	for i := 0; i < n; i++ {
 		pc, err := readUvarint(br)
 		if err != nil {
 			return nil, fmt.Errorf("isa: reading annot %d: %w", i, err)
@@ -183,15 +224,12 @@ func ReadProgram(r io.Reader) (*Program, error) {
 			}
 			d.CFMs = append(d.CFMs, CFM{Kind: CFMKind(kind), Addr: int(addr), MergeProb: float64(mp) / 1e6})
 		}
-		p.Annots[int(pc)] = d
+		annots[int(pc)] = d
 	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return annots, nil
 }
 
-func writeInst(buf *bytes.Buffer, in Inst) error {
+func writeInst(buf *bytes.Buffer, in Inst) {
 	var flags byte
 	if in.UseImm {
 		flags = 1
@@ -204,7 +242,6 @@ func writeInst(buf *bytes.Buffer, in Inst) error {
 	var tmp [binary.MaxVarintLen64]byte
 	n := binary.PutVarint(tmp[:], in.Imm)
 	buf.Write(tmp[:n])
-	return nil
 }
 
 func readInst(br *byteReader) (Inst, error) {

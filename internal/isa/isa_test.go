@@ -2,6 +2,7 @@ package isa
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"strings"
 	"testing"
@@ -348,6 +349,13 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 	if _, err := ReadProgram(bytes.NewReader(buf.Bytes()[:40])); err == nil {
 		t.Error("truncated body accepted")
+	}
+	// A header claiming more annotations than instructions is rejected
+	// before the count sizes anything.
+	bad := bytes.Clone(buf.Bytes())
+	binary.LittleEndian.PutUint32(bad[24:], uint32(len(p.Code)+1)) // NumAnnots
+	if _, err := ReadProgram(bytes.NewReader(bad)); err == nil || !strings.Contains(err.Error(), "annotations for") {
+		t.Errorf("annotation count above the instruction count: err = %v", err)
 	}
 }
 

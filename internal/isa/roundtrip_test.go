@@ -15,7 +15,9 @@ import (
 
 	"dmp/internal/bench"
 	"dmp/internal/codegen"
+	"dmp/internal/core"
 	"dmp/internal/isa"
+	"dmp/internal/profile"
 )
 
 func encode(t *testing.T, p *isa.Program) []byte {
@@ -104,6 +106,58 @@ func TestRoundTripAnnotated(t *testing.T) {
 		branches[3]: {CFMs: []isa.CFM{{Kind: isa.CFMAddr, Addr: branches[3] + 1, MergeProb: 1}}, Short: true},
 	}
 	checkRoundTrip(t, "vortex+annots", p.WithAnnots(annots))
+}
+
+// TestSidecarEncoding checks the container's split on the annotation sets
+// the selection algorithms produce, for every corpus program and algorithm:
+// WriteTo writes the code prefix followed by the sidecar, and the sidecar
+// round-trips on its own, decoding as the whole container decodes it and
+// re-encoding to the same bytes.
+func TestSidecarEncoding(t *testing.T) {
+	for _, b := range bench.All() {
+		prog, err := b.Compile()
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		prof, err := profile.Collect(prog, b.Input(bench.TrainInput, 1), profile.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+		for _, algo := range core.Algorithms() {
+			name := b.Name + "/" + algo
+			res, err := core.SelectByName(prog, prof, algo)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			p := prog.WithAnnots(res.Annots)
+			var split bytes.Buffer
+			if err := p.EncodeCode(&split); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			codeLen := split.Len()
+			isa.EncodeAnnots(&split, p.Annots)
+			full := encode(t, p)
+			if !bytes.Equal(full, split.Bytes()) {
+				t.Fatalf("%s: WriteTo differs from the code prefix plus the sidecar", name)
+			}
+			r := bytes.NewReader(full[codeLen:])
+			back, err := isa.DecodeAnnots(r, len(p.Annots))
+			if err != nil {
+				t.Fatalf("%s: decoding the sidecar: %v", name, err)
+			}
+			if r.Len() != 0 {
+				t.Errorf("%s: %d sidecar bytes left undecoded", name, r.Len())
+			}
+			if whole := decode(t, full); !reflect.DeepEqual(back, whole.Annots) {
+				t.Errorf("%s: the sidecar decodes unlike the whole container's annotations", name)
+			}
+			var again bytes.Buffer
+			isa.EncodeAnnots(&again, back)
+			if !bytes.Equal(again.Bytes(), full[codeLen:]) {
+				t.Errorf("%s: re-encoding the decoded sidecar changed the bytes", name)
+			}
+		}
+	}
 }
 
 // TestHashStableAcrossCompiles pins the cache-key property: two independent

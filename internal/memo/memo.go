@@ -19,10 +19,7 @@ type Bounded[K comparable, V any] struct {
 // one. build runs unlocked, so racing first uses may each build, but all of
 // them return the value stored first.
 func (b *Bounded[K, V]) Get(k K, build func() V) V {
-	b.mu.Lock()
-	v, ok := b.m[k]
-	b.mu.Unlock()
-	if ok {
+	if v, ok := b.Load(k); ok {
 		return v
 	}
 	nv := build()
@@ -31,11 +28,34 @@ func (b *Bounded[K, V]) Get(k K, build func() V) V {
 	if v, ok := b.m[k]; ok {
 		return v
 	}
-	if b.m == nil || len(b.m) >= b.Cap {
+	b.store(k, nv)
+	return nv
+}
+
+// Load returns the value stored under k, if any.
+func (b *Bounded[K, V]) Load(k K) (V, bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	v, ok := b.m[k]
+	return v, ok
+}
+
+// Put stores v under k, replacing any value stored there. It suits values
+// that are only worth keeping under a condition the caller checks, which
+// Get's build cannot decline.
+func (b *Bounded[K, V]) Put(k K, v V) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.store(k, v)
+}
+
+// store adds or replaces k's value, dropping every entry first when a new
+// key would exceed the cap. b.mu must be held.
+func (b *Bounded[K, V]) store(k K, v V) {
+	if _, ok := b.m[k]; !ok && (b.m == nil || len(b.m) >= b.Cap) {
 		b.m = make(map[K]V)
 	}
-	b.m[k] = nv
-	return nv
+	b.m[k] = v
 }
 
 // Len returns the number of entries held.

@@ -45,3 +45,28 @@ func TestGetBounded(t *testing.T) {
 		t.Fatal("memo stopped memoizing after a drop")
 	}
 }
+
+// TestPutReplacesAndBounds checks that Put replaces a stored value without
+// counting it twice, that Load sees it, and that new keys respect the cap.
+func TestPutReplacesAndBounds(t *testing.T) {
+	b := Bounded[int, int]{Cap: 2}
+	if _, ok := b.Load(1); ok {
+		t.Fatal("empty memo holds a value")
+	}
+	b.Put(1, 10)
+	b.Put(2, 20)
+	b.Put(1, 11) // a replacement, not a new key: nothing is dropped
+	if v, ok := b.Load(1); !ok || v != 11 {
+		t.Fatalf("Load(1) = %d, %v after replacing it with 11", v, ok)
+	}
+	if v, ok := b.Load(2); !ok || v != 20 {
+		t.Fatalf("Load(2) = %d, %v; a replacement dropped it", v, ok)
+	}
+	b.Put(3, 30)
+	if n := b.Len(); n > b.Cap {
+		t.Fatalf("%d entries, cap %d", n, b.Cap)
+	}
+	if v, ok := b.Load(3); !ok || v != 30 {
+		t.Fatalf("Load(3) = %d, %v after a drop", v, ok)
+	}
+}

@@ -31,41 +31,79 @@ func (c *checker) binaryPass() {
 	}
 }
 
-// encodePass checks container self-consistency: serializing the program and
-// reparsing the bytes must reproduce it field-for-field (merge probabilities
-// up to the 1e-6 quantization of the wire format), and re-encoding the
-// decoded program must be a byte-level fixed point.
-func (c *checker) encodePass() {
+// The encode pass checks container self-consistency in two halves that
+// round-trip separately: the code prefix (header, code, function symbols)
+// and the annotation sidecar. Each half is serialized and reparsed, must
+// reproduce the program field-for-field (merge probabilities up to the 1e-6
+// quantization of the wire format), and re-encoding what was decoded must
+// be a byte-level fixed point.
+
+// encodeCodePass round-trips the code prefix. It reports whether the code
+// is valid: decoding revalidates, so invalid code would be reported here as
+// a decode failure, masking the root cause the binary pass reports
+// precisely. Such code is left to the binary pass.
+func (c *checker) encodeCodePass() bool {
 	p := c.p
-	// ReadProgram revalidates; a locally invalid annotation would be
-	// reported here as a decode failure, masking the root cause the annot
-	// pass reports precisely. Leave those programs to the annot pass.
-	if err := p.Validate(); err != nil {
-		return
+	if p.ValidateCode() != nil || p.ValidateFuncs() != nil {
+		return false
 	}
+	// With no annotations the code prefix is a whole container.
+	bare := *p
+	bare.Annots = nil
 	var buf bytes.Buffer
-	if _, err := p.WriteTo(&buf); err != nil {
+	if err := bare.EncodeCode(&buf); err != nil {
 		c.report(PassEncode, -1, "serialization failed: %v", err)
-		return
+		return true
 	}
 	enc := buf.Bytes()
 	back, err := isa.ReadProgram(bytes.NewReader(enc))
 	if err != nil {
 		c.report(PassEncode, -1, "decoding our own serialization failed: %v", err)
-		return
+		return true
 	}
-	c.compareDecoded(back)
+	c.compareCode(back)
 	var again bytes.Buffer
-	if _, err := back.WriteTo(&again); err != nil {
+	if err := back.EncodeCode(&again); err != nil {
 		c.report(PassEncode, -1, "re-serialization failed: %v", err)
-		return
+		return true
 	}
 	if !bytes.Equal(enc, again.Bytes()) {
 		c.report(PassEncode, -1, "container is not a codec fixed point: re-encoding the decoded program changed the bytes")
 	}
+	return true
 }
 
-func (c *checker) compareDecoded(back *isa.Program) {
+// encodeAnnotsPass round-trips the annotation sidecar of a program whose
+// code is valid. Locally invalid annotations are left to the annot pass,
+// for the reason encodeCodePass leaves invalid code to the binary pass.
+func (c *checker) encodeAnnotsPass() {
+	p := c.p
+	if annotsValid(p) != nil {
+		return
+	}
+	var buf bytes.Buffer
+	isa.EncodeAnnots(&buf, p.Annots)
+	enc := buf.Bytes()
+	back, err := isa.DecodeAnnots(bytes.NewReader(enc), len(p.Annots))
+	if err == nil {
+		// Decoding a whole container revalidates its annotations.
+		dec := *p
+		dec.Annots = back
+		err = annotsValid(&dec)
+	}
+	if err != nil {
+		c.report(PassEncode, -1, "decoding our own annotation sidecar failed: %v", err)
+		return
+	}
+	c.compareAnnots(back)
+	var again bytes.Buffer
+	isa.EncodeAnnots(&again, back)
+	if !bytes.Equal(enc, again.Bytes()) {
+		c.report(PassEncode, -1, "annotation sidecar is not a codec fixed point: re-encoding the decoded annotations changed the bytes")
+	}
+}
+
+func (c *checker) compareCode(back *isa.Program) {
 	p := c.p
 	if len(back.Code) != len(p.Code) {
 		c.report(PassEncode, -1, "round trip changed instruction count: %d -> %d", len(p.Code), len(back.Code))
@@ -83,19 +121,23 @@ func (c *checker) compareDecoded(back *isa.Program) {
 	}
 	if len(back.Funcs) != len(p.Funcs) {
 		c.report(PassEncode, -1, "round trip changed function count: %d -> %d", len(p.Funcs), len(back.Funcs))
-	} else {
-		for i := range p.Funcs {
-			if p.Funcs[i] != back.Funcs[i] {
-				c.report(PassEncode, p.Funcs[i].Entry, "round trip changed function %q", p.Funcs[i].Name)
-			}
+		return
+	}
+	for i := range p.Funcs {
+		if p.Funcs[i] != back.Funcs[i] {
+			c.report(PassEncode, p.Funcs[i].Entry, "round trip changed function %q", p.Funcs[i].Name)
 		}
 	}
-	if len(back.Annots) != len(p.Annots) {
-		c.report(PassEncode, -1, "round trip changed annotation count: %d -> %d", len(p.Annots), len(back.Annots))
+}
+
+func (c *checker) compareAnnots(back map[int]*isa.DivergeInfo) {
+	p := c.p
+	if len(back) != len(p.Annots) {
+		c.report(PassEncode, -1, "round trip changed annotation count: %d -> %d", len(p.Annots), len(back))
 		return
 	}
 	for _, pc := range sortedAnnotPCs(p) {
-		d, b := p.Annots[pc], back.Annots[pc]
+		d, b := p.Annots[pc], back[pc]
 		if b == nil {
 			c.report(PassEncode, pc, "round trip dropped the annotation")
 			continue
@@ -116,4 +158,15 @@ func (c *checker) compareDecoded(back *isa.Program) {
 			}
 		}
 	}
+}
+
+// annotsValid returns the error of an annotation of p that breaks the
+// binary-local rules (isa.Program.ValidateAnnot), or nil when none does.
+func annotsValid(p *isa.Program) error {
+	for pc := range p.Annots {
+		if err := p.ValidateAnnot(pc); err != nil {
+			return err
+		}
+	}
+	return nil
 }

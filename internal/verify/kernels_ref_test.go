@@ -185,7 +185,9 @@ func RunReference(p *isa.Program, opts Options) []Diagnostic {
 			c.refDefUse(fa, true)
 		}
 	}
-	c.encodePass()
+	if c.encodeCodePass() {
+		c.encodeAnnotsPass()
+	}
 	c.cfgPass()
 	c.refDomPass()
 	c.loopsPass()

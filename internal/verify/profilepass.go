@@ -30,13 +30,15 @@ const PassProfile = "profile"
 const profileSlackRel = 0.02
 
 // ProfileDiagnostics validates prof against p, returning every finding. The
-// binary pass runs first (its findings are returned alone when the binary
-// itself is broken, matching Run's fail-at-root-cause behaviour).
+// binary pass runs first, unless a clean verdict on the code covers it (its
+// findings are returned alone when the binary itself is broken, matching
+// Run's fail-at-root-cause behaviour).
 func ProfileDiagnostics(p *isa.Program, prof *profile.Profile, name string) []Diagnostic {
 	c := &checker{p: p, opts: Options{Program: name}.withDefaults()}
-	c.binaryPass()
-	if len(c.diags) > 0 {
-		return c.diags
+	if !codeClean(p) {
+		if c.binaryPass(); len(c.diags) > 0 {
+			return c.diags
+		}
 	}
 	c.profilePass(prof)
 	return c.diags

@@ -22,7 +22,8 @@
 //	          analysis over each function's CFG flags reads of
 //	          caller-clobbered registers that no path has written
 //	encode    container self-consistency: serialize + reparse must
-//	          reproduce the program and re-encode to identical bytes
+//	          reproduce the program and re-encode to identical bytes,
+//	          for the code prefix and the annotation sidecar apart
 //	cfg       recovered CFG matches the binary: block partition,
 //	          edge/instruction agreement, pred/succ symmetry
 //	dom       dominator and post-dominator trees agree with an
@@ -36,6 +37,11 @@
 //	          bound, return CFMs only in returning functions, diverge
 //	          loops on real two-way loop exits with consistent
 //	          direction bits
+//
+// All but annot and the sidecar half of encode read only the code, symbols,
+// entry and globals. When they all find nothing, the run records a clean
+// verdict for the code array (verdict.go); later runs on the same, unchanged
+// code skip them and check only the sidecar.
 //
 // The passes read the per-function analyses shared per code array
 // (cfg.Shared), the same ones the selection compiler and the static
@@ -192,7 +198,11 @@ func Run(p *isa.Program, opts Options) []Diagnostic {
 		}
 	}
 
-	if want[PassBinary] {
+	// A clean verdict on the code covers every code pass, so only the
+	// sidecar checks run. On a miss, a run of every code pass that finds
+	// nothing records one.
+	clean := codeClean(p)
+	if want[PassBinary] && !clean {
 		before := len(c.diags)
 		c.binaryPass()
 		// A structurally broken binary makes the downstream passes report
@@ -202,20 +212,32 @@ func Run(p *isa.Program, opts Options) []Diagnostic {
 			return c.diags
 		}
 	}
-	if want[PassDataflow] {
+	if want[PassDataflow] && !clean {
 		c.dataflowPass()
 	}
+	sidecar := 0 // diagnostics of the encode pass's sidecar half
 	if want[PassEncode] {
-		c.encodePass()
+		codeOK := clean || c.encodeCodePass()
+		before := len(c.diags)
+		if codeOK {
+			c.encodeAnnotsPass()
+		}
+		sidecar = len(c.diags) - before
 	}
-	if want[PassCFG] {
-		c.cfgPass()
-	}
-	if want[PassDom] {
-		c.domPass()
-	}
-	if want[PassLoops] {
-		c.loopsPass()
+	if !clean {
+		if want[PassCFG] {
+			c.cfgPass()
+		}
+		if want[PassDom] {
+			c.domPass()
+		}
+		if want[PassLoops] {
+			c.loopsPass()
+		}
+		if len(c.diags) == sidecar && want[PassBinary] && want[PassDataflow] && want[PassEncode] &&
+			want[PassCFG] && want[PassDom] && want[PassLoops] {
+			recordClean(p)
+		}
 	}
 	if want[PassAnnot] {
 		c.annotPass()
@@ -231,8 +253,9 @@ func Check(p *isa.Program, name string) error {
 }
 
 // CheckAnnots runs only the annotation-legality pass (plus the binary
-// pre-flight it depends on). It is the fail-fast check the selection
-// algorithms run on every annotation set before returning it.
+// pre-flight it depends on, which a clean verdict on the code already
+// covers). It is the fail-fast check the selection algorithms run on every
+// annotation set before returning it.
 func CheckAnnots(p *isa.Program, name string) error {
 	return asError(Run(p, Options{Program: name, Passes: []string{PassBinary, PassAnnot}}))
 }
