@@ -60,12 +60,13 @@ trace-smoke:
 # must stay near zero, a Sim plus a short run must allocate under 1 MiB
 # (its issue ring and store-forwarding table start small), and an emulator
 # machine run to halt on any corpus program must allocate under 1 MiB (only
-# the memory it writes is backed), and a heur selection plus a full verifier
+# the memory it writes is backed), the emulator's trace feed must allocate
+# nothing per batch, and a heur selection plus a full verifier
 # run on gcc must stay under its allocation count and byte bounds.
 # Runs without -race (race skips alloc counting).
 alloc-guard:
 	$(GO) test -run 'TestNilTracerEventNoAlloc|TestSteadyStateAllocs|TestSimAllocs' ./internal/pipeline
-	$(GO) test -run 'TestMachineAllocs' ./internal/emu
+	$(GO) test -run 'TestMachineAllocs|TestStepBatchAllocs' ./internal/emu
 	$(GO) test -run 'TestSelectVerifyAllocs' ./internal/verify
 
 # Benchmark-regression gate: re-measures the corpus benchmarks, refreshes

@@ -32,3 +32,25 @@ func TestMachineAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestStepBatchAllocs pins the trace feed allocation-free: once the first
+// call has built the machine's trace recorder, a 256-entry StepBatch over a
+// corpus program allocates nothing.
+func TestStepBatchAllocs(t *testing.T) {
+	b := bench.ByName("gcc")
+	prog, err := b.Compile()
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	m := emu.New(prog, b.Input(bench.RunInput, 1), 0)
+	buf := make([]emu.Trace, 256)
+	batch := func() {
+		if _, err := m.StepBatch(buf); err != nil {
+			t.Fatalf("StepBatch: %v", err)
+		}
+	}
+	batch()
+	if n := testing.AllocsPerRun(200, batch); n != 0 {
+		t.Errorf("StepBatch allocated %v times per 256-entry batch, want 0", n)
+	}
+}

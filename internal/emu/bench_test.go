@@ -30,6 +30,32 @@ func BenchmarkEmuRun(b *testing.B) {
 	b.ReportMetric(float64(benchEmuInsts*b.N)/b.Elapsed().Seconds(), "sim-insts/s")
 }
 
+// BenchmarkStepBatch measures the pipeline's trace feed: the block executor
+// recording trace entries in 256-entry batches, up to benchEmuInsts or the
+// halt.
+func BenchmarkStepBatch(b *testing.B) {
+	b.ReportAllocs()
+	w := bench.ByName("compress")
+	prog, err := w.Compile()
+	if err != nil {
+		b.Fatal(err)
+	}
+	input := w.Input(bench.RunInput, 1)
+	buf := make([]emu.Trace, 256)
+	var insts uint64
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := emu.New(prog, input, 0)
+		for m.Retired < benchEmuInsts && !m.Halted() {
+			if _, err := m.StepBatch(buf); err != nil {
+				b.Fatal(err)
+			}
+		}
+		insts += m.Retired
+	}
+	b.ReportMetric(float64(insts)/b.Elapsed().Seconds(), "sim-insts/s")
+}
+
 // BenchmarkEmuStepRef measures the reference interpreter for comparison.
 func BenchmarkEmuStepRef(b *testing.B) {
 	b.ReportAllocs()

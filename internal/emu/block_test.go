@@ -16,10 +16,11 @@ import (
 // (per-kind streams sidestep the deliberate Block-vs-Load interleaving
 // difference: RunBlocks reports a straight-line extent after its loads).
 type blockEvents struct {
-	pcs      []int // flattened Block extents, in retirement order
-	loads    []int64
-	branches [][3]int // pc, taken (0/1), taken-target
-	calls    [][2]int // pc, target
+	pcs      []int      // flattened Block extents, in retirement order
+	loads    [][2]int64 // pc, address
+	stores   [][2]int64 // pc, address
+	branches [][3]int   // pc, taken (0/1), taken-target
+	calls    [][2]int   // pc, target
 	rets     []int
 	jumps    [][2]int // pc, target
 }
@@ -31,7 +32,8 @@ func (ev *blockEvents) hooks() *emu.BlockHooks {
 				ev.pcs = append(ev.pcs, pc)
 			}
 		},
-		Load: func(addr int64) { ev.loads = append(ev.loads, addr) },
+		Load:  func(pc int, addr int64) { ev.loads = append(ev.loads, [2]int64{int64(pc), addr}) },
+		Store: func(pc int, addr int64) { ev.stores = append(ev.stores, [2]int64{int64(pc), addr}) },
 		Branch: func(pc int, taken bool, target int) {
 			tk := 0
 			if taken {
@@ -47,8 +49,8 @@ func (ev *blockEvents) hooks() *emu.BlockHooks {
 
 // classify folds one reference trace entry into the expected event streams,
 // applying the same event model RunBlocks implements: every retired pc, loads
-// by latency class, control flow by predecode kind (halts retire but carry
-// no control-flow event).
+// by latency class, stores and control flow by predecode kind (halts retire
+// but carry no control-flow event).
 func (ev *blockEvents) classify(recs []predecode.Rec, e *emu.Trace) {
 	ev.pcs = append(ev.pcs, e.PC)
 	rec := &recs[e.PC]
@@ -67,7 +69,9 @@ func (ev *blockEvents) classify(recs []predecode.Rec, e *emu.Trace) {
 		ev.jumps = append(ev.jumps, [2]int{e.PC, e.NextPC})
 	case rec.Kind == predecode.KHalt:
 	case rec.Lat == predecode.LatLoad:
-		ev.loads = append(ev.loads, e.Addr)
+		ev.loads = append(ev.loads, [2]int64{int64(e.PC), e.Addr})
+	case rec.Kind == predecode.KSt:
+		ev.stores = append(ev.stores, [2]int64{int64(e.PC), e.Addr})
 	}
 }
 
@@ -75,6 +79,7 @@ func (ev *blockEvents) check(t *testing.T, tag string, want *blockEvents) {
 	t.Helper()
 	checkInts(t, tag+"/pcs", ev.pcs, want.pcs)
 	checkInts(t, tag+"/loads", ev.loads, want.loads)
+	checkInts(t, tag+"/stores", ev.stores, want.stores)
 	checkInts(t, tag+"/branches", ev.branches, want.branches)
 	checkInts(t, tag+"/calls", ev.calls, want.calls)
 	checkInts(t, tag+"/rets", ev.rets, want.rets)

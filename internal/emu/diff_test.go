@@ -13,7 +13,7 @@ import (
 	"dmp/internal/lang"
 )
 
-// diffStep runs the predecoded fast path and the reference interpreter in
+// diffStep runs one-entry trace batches and the reference interpreter in
 // lockstep, insisting on identical traces, identical faults, and identical
 // architectural state. maxSteps == 0 means run to halt/fault.
 func diffStep(t *testing.T, tag string, prog *isa.Program, input []int64, maxSteps uint64) {
@@ -192,6 +192,38 @@ func TestRunMatchesReference(t *testing.T) {
 	}
 }
 
+// diffStepBatch runs prog's trace feed, StepBatch, with successive batch
+// sizes from size (at most 300) against the reference interpreter, and
+// insists on the same entries, the same fault in the same position and the
+// same final state. It stops at a fault, a halt, or once limit entries have
+// been produced (limit == 0: no limit).
+func diffStepBatch(t *testing.T, tag string, prog *isa.Program, input []int64, limit uint64, size func() uint64) {
+	t.Helper()
+	fast := emu.New(prog, input, 0)
+	ref := emu.New(prog, input, 0)
+	buf := make([]emu.Trace, 300)
+	for total := uint64(0); limit == 0 || total < limit; {
+		k, err := fast.StepBatch(buf[:int(size())])
+		for i := range buf[:k] {
+			rt, rerr := ref.StepRef()
+			if rerr != nil {
+				t.Fatalf("%s: entry %d: reference faulted behind the batch: %v", tag, total+uint64(i), rerr)
+			}
+			if buf[i] != rt {
+				t.Fatalf("%s: entry %d = %+v, ref %+v", tag, total+uint64(i), buf[i], rt)
+			}
+		}
+		total += uint64(k)
+		if err != nil {
+			if _, rerr := ref.StepRef(); !errsEqual(err, rerr) {
+				t.Fatalf("%s: after %d entries: fast err %v, ref err %v", tag, total, err, rerr)
+			}
+			break
+		}
+	}
+	diffState(t, tag, fast, ref)
+}
+
 // TestStepBatchMatchesReference checks StepBatch against StepRef for batch
 // sizes that straddle block boundaries, including fault surfacing order.
 func TestStepBatchMatchesReference(t *testing.T) {
@@ -201,32 +233,8 @@ func TestStepBatchMatchesReference(t *testing.T) {
 		t.Fatalf("compile: %v", err)
 	}
 	input := b.Input(bench.RunInput, 1)
-	for _, size := range []int{1, 3, 5, 64, 256} {
-		fast := emu.New(prog, input, 0)
-		ref := emu.New(prog, input, 0)
-		buf := make([]emu.Trace, size)
-		var total uint64
-		for total < 200_000 {
-			k, err := fast.StepBatch(buf, 0)
-			for i := 0; i < k; i++ {
-				rt, rerr := ref.StepRef()
-				if rerr != nil {
-					t.Fatalf("size %d: reference faulted behind the batch: %v", size, rerr)
-				}
-				if buf[i] != rt {
-					t.Fatalf("size %d: batch[%d] = %+v, ref %+v", size, i, buf[i], rt)
-				}
-			}
-			total += uint64(k)
-			if err != nil {
-				rt, rerr := ref.StepRef()
-				if !errsEqual(err, rerr) {
-					t.Fatalf("size %d: fast err %v, ref err %v (trace %+v)", size, err, rerr, rt)
-				}
-				break
-			}
-		}
-		diffState(t, fmt.Sprintf("size %d", size), fast, ref)
+	for _, size := range []uint64{1, 3, 5, 64, 256} {
+		diffStepBatch(t, fmt.Sprintf("size %d", size), prog, input, 200_000, fixed(size))
 	}
 }
 
@@ -276,6 +284,27 @@ var faultCases = []struct {
 	{"fall-off-end", []isa.Inst{
 		{Op: isa.OpAdd, Rd: 1, Rs1: 1, UseImm: true, Imm: 1},
 		{Op: isa.OpAdd, Rd: 1, Rs1: 1, UseImm: true, Imm: 2},
+	}},
+	// The last instruction executes, is not retired, and reports no event;
+	// the load or store before it retires and reports one.
+	{"fall-off-end-load", []isa.Inst{
+		{Op: isa.OpMovI, Rd: 1, Imm: 3},
+		{Op: isa.OpLd, Rd: 2, Rs1: 1},
+		{Op: isa.OpLd, Rd: 3, Rs1: 1, Imm: 1},
+	}},
+	{"fall-off-end-load-oor", []isa.Inst{
+		{Op: isa.OpMovI, Rd: 1, Imm: 1 << 40},
+		{Op: isa.OpLd, Rd: 2, Rs1: 1},
+	}},
+	{"fall-off-end-store", []isa.Inst{
+		{Op: isa.OpMovI, Rd: 1, Imm: 3},
+		{Op: isa.OpMovI, Rd: 2, Imm: 9},
+		{Op: isa.OpSt, Rs1: 1, Rs2: 2},
+		{Op: isa.OpSt, Rs1: 1, Rs2: 2, Imm: 700},
+	}},
+	{"fall-off-end-out", []isa.Inst{
+		{Op: isa.OpMovI, Rd: 1, Imm: 4},
+		{Op: isa.OpOut, Rs1: 1},
 	}},
 	{"branch-oor", []isa.Inst{
 		{Op: isa.OpMovI, Rd: 1, Imm: 1},
@@ -329,9 +358,9 @@ var faultCases = []struct {
 }
 
 // TestFaultEquivalence checks every fault path produces the same error, the
-// same parked PC, and the same partially-applied effects on every engine:
-// Step and the block executor, the latter both in one call and one
-// instruction per call, against the reference interpreter.
+// same parked PC, and the same partially-applied effects on the block
+// executor — through one-entry trace batches, in one call, and one
+// instruction per call — as on the reference interpreter.
 func TestFaultEquivalence(t *testing.T) {
 	for _, tc := range faultCases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -344,34 +373,11 @@ func TestFaultEquivalence(t *testing.T) {
 }
 
 // TestStepBatchFaults checks the batched path surfaces the same faults in
-// the same position as the per-step engines.
+// the same position as the reference interpreter.
 func TestStepBatchFaults(t *testing.T) {
 	for _, tc := range faultCases {
 		t.Run(tc.name, func(t *testing.T) {
-			prog := &isa.Program{Code: tc.code}
-			fast := emu.New(prog, []int64{5, 6}, 0)
-			ref := emu.New(prog, []int64{5, 6}, 0)
-			buf := make([]emu.Trace, 4)
-			for {
-				k, err := fast.StepBatch(buf, 0)
-				for i := 0; i < k; i++ {
-					rt, rerr := ref.StepRef()
-					if rerr != nil {
-						t.Fatalf("reference faulted behind the batch: %v", rerr)
-					}
-					if buf[i] != rt {
-						t.Fatalf("batch[%d] = %+v, ref %+v", i, buf[i], rt)
-					}
-				}
-				if err != nil {
-					_, rerr := ref.StepRef()
-					if !errsEqual(err, rerr) {
-						t.Fatalf("fast err %v, ref err %v", err, rerr)
-					}
-					break
-				}
-			}
-			diffState(t, tc.name, fast, ref)
+			diffStepBatch(t, tc.name, &isa.Program{Code: tc.code}, []int64{5, 6}, 0, fixed(4))
 		})
 	}
 }
@@ -395,8 +401,9 @@ func main() {
 
 // FuzzEmuDiff feeds generated DML programs (seeded by the corpus generator's
 // default mix plus the biased-branch and deep-hammock presets) through the
-// compiler and runs Step and the reference interpreter in lockstep, then the
-// block executor with every hook under a budget sequence drawn from
+// compiler and runs one-entry trace batches and the reference interpreter in
+// lockstep, then the trace feed under a batch-size sequence and the block
+// executor with every hook under a budget sequence, both drawn from
 // tapeSeed. Mutated sources that no longer parse or check are skipped;
 // anything that compiles must execute identically on every path.
 func FuzzEmuDiff(f *testing.F) {
@@ -450,6 +457,18 @@ func FuzzEmuDiff(f *testing.F) {
 			}
 		}
 		diffState(t, "fuzz", fast, ref)
+
+		// Batches of 1 to 300 entries, every fourth one the pipeline's 256.
+		y := uint64(tapeSeed)*0xBF58476D1CE4E5B9 | 1
+		diffStepBatch(t, "fuzz/batch", prog, input, 200_000, func() uint64 {
+			y ^= y << 13
+			y ^= y >> 7
+			y ^= y << 17
+			if y%4 == 0 {
+				return 256
+			}
+			return 1 + y%300
+		})
 
 		// Budgets from 1 to 128 instructions, every eighth call unlimited
 		// up to the cap, so runs are cut at arbitrary offsets.

@@ -1,9 +1,11 @@
 // Package emu implements a functional (architectural) emulator for DISA
-// binaries. It executes one instruction per Step and reports a retirement
-// trace entry that downstream consumers use: the edge profiler replays the
-// trace to collect profiles, and the cycle-level pipeline model consumes it
-// as the correct execution path while synthesising wrong-path activity
-// itself.
+// binaries. Its block executor (RunBlocks) retires whole straight-line runs
+// and reports their retirement events through hooks: the edge profiler and
+// the pipeline's functional warming consume the events, and StepBatch
+// records them as trace entries, which the cycle-level pipeline model
+// consumes as the correct execution path while synthesising wrong-path
+// activity itself. StepRef, a one-instruction reference interpreter, is the
+// oracle the block executor is tested against.
 package emu
 
 import (
@@ -17,15 +19,14 @@ import (
 // DefaultMemWords is the default data-memory size in 8-byte words.
 const DefaultMemWords = 1 << 20
 
-// ErrHalted is returned by Step after the machine has executed a halt.
+// ErrHalted is returned by StepRef, StepBatch and RunBlocks after the
+// machine has executed a halt.
 var ErrHalted = errors.New("emu: machine halted")
 
 // Trace describes one architecturally retired instruction.
 type Trace struct {
 	// PC is the address of the retired instruction.
 	PC int
-	// Inst is the instruction itself.
-	Inst isa.Inst
 	// NextPC is the address of the next instruction in program order.
 	NextPC int
 	// Taken is valid for conditional branches.
@@ -47,7 +48,7 @@ type Trace struct {
 type Machine struct {
 	prog *isa.Program
 	// pre is the predecoded form of prog.Code, built once per machine and
-	// consumed by the fast execution paths in fast.go.
+	// executed by the block executor in fast.go.
 	pre *predecode.Program
 	// Regs holds the 64 architectural registers. Regs[0] stays zero.
 	Regs [isa.NumRegs]int64
@@ -65,6 +66,8 @@ type Machine struct {
 	halted bool
 	// Retired counts architecturally executed instructions.
 	Retired uint64
+	// rec is StepBatch's trace recorder, built on its first call.
+	rec *traceRecorder
 }
 
 // stackWords is the size of the stack segment New backs below the top of
@@ -191,27 +194,6 @@ func (m *Machine) Halted() bool { return m.halted }
 // InputRemaining returns the number of unread input-tape values.
 func (m *Machine) InputRemaining() int { return len(m.input) - m.inPos }
 
-// Step executes one instruction on the predecoded fast path and returns its
-// trace entry. After the machine halts, Step returns ErrHalted. It is
-// observationally identical to StepRef (enforced by the differential suite).
-func (m *Machine) Step() (Trace, error) {
-	if m.halted {
-		return Trace{}, ErrHalted
-	}
-	pc := m.PC
-	if uint(pc) >= uint(len(m.prog.Code)) {
-		return Trace{}, fmt.Errorf("emu: pc %d out of range", pc)
-	}
-	next, taken, addr, err := m.exec1(pc)
-	if err != nil {
-		return Trace{}, err
-	}
-	tr := Trace{PC: pc, Inst: m.prog.Code[pc], NextPC: next, Taken: taken, Addr: addr}
-	m.PC = next
-	m.Retired++
-	return tr, nil
-}
-
 // setRd writes v to the destination register unless it is the hardwired
 // zero register.
 func (m *Machine) setRd(rd uint8, v int64) {
@@ -221,8 +203,8 @@ func (m *Machine) setRd(rd uint8, v int64) {
 }
 
 // StepRef is the reference interpreter: a direct transcription of the ISA
-// semantics as one switch over isa.Inst, kept as the oracle the predecoded
-// fast path is differentially tested against (and as readable documentation
+// semantics as one switch over isa.Inst, kept as the oracle the block
+// executor is differentially tested against (and as readable documentation
 // of the instruction set's behaviour).
 func (m *Machine) StepRef() (Trace, error) {
 	if m.halted {
@@ -233,7 +215,7 @@ func (m *Machine) StepRef() (Trace, error) {
 	}
 	pc := m.PC
 	in := m.prog.Code[pc]
-	tr := Trace{PC: pc, Inst: in}
+	tr := Trace{PC: pc}
 	next := pc + 1
 
 	// The second ALU operand, resolved once for the opcodes that use it.

@@ -122,14 +122,14 @@ func TestBranchesAndTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tr.Inst.IsCondBranch() {
+		if p.Code[tr.PC].IsCondBranch() {
 			branches = append(branches, tr)
 		}
 	}
 	if len(branches) != 2 {
 		t.Fatalf("branches = %d, want 2", len(branches))
 	}
-	if !branches[0].Taken || branches[0].NextPC != branches[0].Inst.Target {
+	if !branches[0].Taken || branches[0].NextPC != p.Code[branches[0].PC].Target {
 		t.Errorf("beqz trace = %+v", branches[0])
 	}
 	if !branches[1].Taken {
@@ -217,7 +217,7 @@ func TestLoadStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tr.Inst.Op == isa.OpLd || tr.Inst.Op == isa.OpSt {
+		if op := p.Code[tr.PC].Op; op == isa.OpLd || op == isa.OpSt {
 			addrs = append(addrs, tr.Addr)
 		}
 	}

@@ -7,20 +7,17 @@ import (
 	"dmp/internal/predecode"
 )
 
-// This file is the predecoded fast path of the emulator. It executes the
-// per-PC records produced by predecode.Compile instead of re-interpreting
-// isa.Inst words, in two shapes:
+// This file is the predecoded fast path of the emulator. RunBlocks executes
+// the per-PC records produced by predecode.Compile instead of re-interpreting
+// isa.Inst words: it retires whole straight-line runs per step, with the PC
+// bounds check and the branch-class test hoisted out of the inner loop, and
+// reports retirement events through optional hooks. It is the one engine
+// behind Run, the profiler, the pipeline's sampled fast-forward and, through
+// StepBatch's trace recorder, the pipeline's correct-path trace feed.
 //
-//   - exec1 runs a single record and is the engine behind Step and
-//     StepBatch (the pipeline's batched trace feed);
-//   - RunBlocks retires whole straight-line runs per step, with the PC
-//     bounds check and the branch-class test hoisted out of the inner loop,
-//     and reports retirement events through optional hooks — the engine
-//     behind Run, the profiler and the pipeline's sampled fast-forward.
-//
-// Both must be observationally identical to StepRef, the reference
-// interpreter in emu.go; the differential suite in diff_test.go and
-// FuzzEmuDiff enforce that trace-for-trace and fault-for-fault.
+// It must be observationally identical to StepRef, the reference interpreter
+// in emu.go; the differential suite in diff_test.go and FuzzEmuDiff enforce
+// that trace-for-trace and fault-for-fault.
 
 // BlockHooks receives the retirement events of a block-batched run
 // (RunBlocks), in retirement order: retired straight-line extents, retired
@@ -29,17 +26,21 @@ import (
 //
 // There is deliberately no per-instruction hook: per-instruction callbacks
 // are what makes step-based execution an order of magnitude slower than
-// block-batched execution. Events fire only at loads (~1 in 4 instructions)
-// and at the control flow ending each run (~1 in 6), so the straight-line
-// majority runs at full speed.
+// block-batched execution. Events fire only at loads (~1 in 4 instructions),
+// at stores and at the control flow ending each run (~1 in 6), so the
+// straight-line majority runs at full speed.
 type BlockHooks struct {
 	// Block is called with each retired straight-line extent [start, end]
 	// (pc bounds, inclusive; the ending control-flow instruction is
-	// included when it retired). It fires after the extent's loads.
+	// included when it retired). It fires after the extent's loads and
+	// stores.
 	Block func(start, end int)
-	// Load is called with each retired load's effective word address,
-	// after its bounds check passed.
-	Load func(addr int64)
+	// Load is called with each retired load's pc and effective word
+	// address, after its bounds check passed.
+	Load func(pc int, addr int64)
+	// Store is called with each retired store's pc and effective word
+	// address, after the store was applied.
+	Store func(pc int, addr int64)
 	// Branch is called for each retired conditional branch with its outcome
 	// and its taken target.
 	Branch func(pc int, taken bool, target int)
@@ -55,10 +56,10 @@ type BlockHooks struct {
 // RunBlocks executes up to max instructions (unlimited when max == 0), one
 // straight-line run per step, and returns the number retired. It stops
 // early only at a halt or a fault. Because every conditional branch ends a
-// run, h observes exactly the per-branch sequence a Step loop would — the
+// run, h observes exactly the per-branch sequence a StepRef loop would — the
 // contract the profiler's predictor hook depends on.
 //
-// Faults match Step: the faulting instruction's side effects are applied,
+// Faults match StepRef: the faulting instruction's side effects are applied,
 // it is not counted, reports no event, and the PC is left pointing at it.
 // A halt is counted; calls on a halted machine return ErrHalted.
 func (m *Machine) RunBlocks(max uint64, h *BlockHooks) (uint64, error) {
@@ -71,7 +72,7 @@ func (m *Machine) RunBlocks(max uint64, h *BlockHooks) (uint64, error) {
 	if h != nil {
 		hk = *h
 	}
-	load := hk.Load
+	load, store := hk.Load, hk.Store
 	recs := m.pre.Recs
 	regs := &m.Regs
 	var done uint64
@@ -92,12 +93,14 @@ func (m *Machine) RunBlocks(max uint64, h *BlockHooks) (uint64, error) {
 			runEnder = false
 		}
 		// A run that reaches the end of the code segment has no ender: its
-		// last instruction executes and then faults on the fall-through,
-		// exactly like the reference interpreter.
-		fellOff := false
-		if limit == len(recs) {
+		// last instruction, a straight-line one, executes and then faults on
+		// the fall-through, exactly like the reference interpreter, so it is
+		// never retired and reports no event. Without hooks it runs with the
+		// rest of the run. With hooks the run stops before it and a hook-less
+		// call runs it.
+		fellOff := limit == len(recs)
+		if fellOff && h != nil {
 			limit--
-			fellOff = true
 		}
 
 		for ; pc < limit; pc++ {
@@ -196,7 +199,7 @@ func (m *Machine) RunBlocks(max uint64, h *BlockHooks) (uint64, error) {
 				}
 				regs[r.Rd] = v
 				if load != nil {
-					load(a)
+					load(pc, a)
 				}
 			case predecode.KLdNoWB:
 				a := regs[r.R1] + r.Imm
@@ -204,12 +207,15 @@ func (m *Machine) RunBlocks(max uint64, h *BlockHooks) (uint64, error) {
 					return m.retireRun(h, done, start, pc), fmt.Errorf("emu: pc %d: load address %d out of range", pc, a)
 				}
 				if load != nil {
-					load(a)
+					load(pc, a)
 				}
 			case predecode.KSt:
 				a := regs[r.R1] + r.Imm
 				if v := regs[r.R2]; !m.store(a, v) && !m.grow(a, v) {
 					return m.retireRun(h, done, start, pc), fmt.Errorf("emu: pc %d: store address %d out of range", pc, a)
+				}
+				if store != nil {
+					store(pc, a)
 				}
 			case predecode.KIn:
 				if m.inPos < len(m.input) {
@@ -230,12 +236,12 @@ func (m *Machine) RunBlocks(max uint64, h *BlockHooks) (uint64, error) {
 		}
 
 		if fellOff {
-			// Execute the final instruction (its effects are architecturally
-			// visible), then report whichever fault it raises: its own, or
-			// the fall-through off the end of the code segment.
-			done = m.retireRun(h, done, start, pc)
-			_, _, _, err := m.exec1(pc)
-			return done, err
+			if pc < len(recs) {
+				done = m.retireRun(h, done, start, pc)
+				_, err := m.RunBlocks(1, nil)
+				return done, err
+			}
+			return m.retireRun(h, done, start, pc-1), badTransfer(pc-1, pc)
 		}
 		if !runEnder {
 			// Budget exhausted mid-run.
@@ -361,198 +367,64 @@ func (m *Machine) retireRun(h *BlockHooks, done uint64, start, pc int) uint64 {
 	return done + n
 }
 
-// StepBatch executes up to len(dst) instructions (at most max when max > 0),
+// StepBatch executes up to len(dst) instructions on the block executor,
 // filling dst with their trace entries, and returns the number filled.
-// Entries before a fault are valid; the fault is returned on the call that
-// would produce no entries otherwise or alongside the partial batch. After
-// the machine halts, the halt's entry ends a batch and the next call returns
+// Entries before a fault are valid and the fault is returned alongside them
+// (alone when it is the batch's first instruction). After the machine
+// halts, the halt's entry ends a batch and the next call returns
 // (0, ErrHalted).
-func (m *Machine) StepBatch(dst []Trace, max uint64) (int, error) {
-	lim := len(dst)
-	if max > 0 && uint64(lim) > max {
-		lim = int(max)
+func (m *Machine) StepBatch(dst []Trace) (int, error) {
+	if len(dst) == 0 {
+		return 0, nil
 	}
-	code := m.prog.Code
-	n := 0
-	for n < lim {
-		if m.halted {
-			if n == 0 {
-				return 0, ErrHalted
-			}
-			return n, nil
-		}
-		pc := m.PC
-		if uint(pc) >= uint(len(code)) {
-			return n, fmt.Errorf("emu: pc %d out of range", pc)
-		}
-		next, taken, addr, err := m.exec1(pc)
-		if err != nil {
-			return n, err
-		}
-		dst[n] = Trace{PC: pc, Inst: code[pc], NextPC: next, Taken: taken, Addr: addr}
-		m.PC = next
-		m.Retired++
-		n++
+	if m.rec == nil {
+		m.rec = newTraceRecorder(m)
 	}
-	return n, nil
+	r := m.rec
+	clear(dst)
+	r.dst, r.n = dst, 0
+	k, err := m.RunBlocks(uint64(len(dst)), &r.hooks)
+	r.dst = nil
+	if k > 0 {
+		dst[k-1].NextPC = m.PC
+	}
+	return int(k), err
 }
 
-// exec1 executes the single predecoded instruction at pc (which must be in
-// range) and returns its control outcome. Like the reference interpreter, a
-// faulting instruction's earlier side effects remain applied; the caller
-// must not advance the PC or count the instruction as retired on error.
-func (m *Machine) exec1(pc int) (next int, taken bool, addr int64, err error) {
-	r := &m.pre.Recs[pc]
-	regs := &m.Regs
-	next = pc + 1
-	switch r.Kind {
-	case predecode.KNop:
-	case predecode.KAddRR:
-		regs[r.Rd] = regs[r.R1] + regs[r.R2]
-	case predecode.KAddRI:
-		regs[r.Rd] = regs[r.R1] + r.Imm
-	case predecode.KSubRR:
-		regs[r.Rd] = regs[r.R1] - regs[r.R2]
-	case predecode.KSubRI:
-		regs[r.Rd] = regs[r.R1] - r.Imm
-	case predecode.KMulRR:
-		regs[r.Rd] = regs[r.R1] * regs[r.R2]
-	case predecode.KMulRI:
-		regs[r.Rd] = regs[r.R1] * r.Imm
-	case predecode.KDivRR:
-		if d := regs[r.R2]; d == 0 {
-			regs[r.Rd] = 0
-		} else {
-			regs[r.Rd] = regs[r.R1] / d
-		}
-	case predecode.KDivRI:
-		if r.Imm == 0 {
-			regs[r.Rd] = 0
-		} else {
-			regs[r.Rd] = regs[r.R1] / r.Imm
-		}
-	case predecode.KRemRR:
-		if d := regs[r.R2]; d == 0 {
-			regs[r.Rd] = 0
-		} else {
-			regs[r.Rd] = regs[r.R1] % d
-		}
-	case predecode.KRemRI:
-		if r.Imm == 0 {
-			regs[r.Rd] = 0
-		} else {
-			regs[r.Rd] = regs[r.R1] % r.Imm
-		}
-	case predecode.KAndRR:
-		regs[r.Rd] = regs[r.R1] & regs[r.R2]
-	case predecode.KAndRI:
-		regs[r.Rd] = regs[r.R1] & r.Imm
-	case predecode.KOrRR:
-		regs[r.Rd] = regs[r.R1] | regs[r.R2]
-	case predecode.KOrRI:
-		regs[r.Rd] = regs[r.R1] | r.Imm
-	case predecode.KXorRR:
-		regs[r.Rd] = regs[r.R1] ^ regs[r.R2]
-	case predecode.KXorRI:
-		regs[r.Rd] = regs[r.R1] ^ r.Imm
-	case predecode.KShlRR:
-		regs[r.Rd] = regs[r.R1] << (uint64(regs[r.R2]) & 63)
-	case predecode.KShlRI:
-		regs[r.Rd] = regs[r.R1] << (uint64(r.Imm) & 63)
-	case predecode.KShrRR:
-		regs[r.Rd] = regs[r.R1] >> (uint64(regs[r.R2]) & 63)
-	case predecode.KShrRI:
-		regs[r.Rd] = regs[r.R1] >> (uint64(r.Imm) & 63)
-	case predecode.KCmpEQRR:
-		regs[r.Rd] = b2i(regs[r.R1] == regs[r.R2])
-	case predecode.KCmpEQRI:
-		regs[r.Rd] = b2i(regs[r.R1] == r.Imm)
-	case predecode.KCmpNERR:
-		regs[r.Rd] = b2i(regs[r.R1] != regs[r.R2])
-	case predecode.KCmpNERI:
-		regs[r.Rd] = b2i(regs[r.R1] != r.Imm)
-	case predecode.KCmpLTRR:
-		regs[r.Rd] = b2i(regs[r.R1] < regs[r.R2])
-	case predecode.KCmpLTRI:
-		regs[r.Rd] = b2i(regs[r.R1] < r.Imm)
-	case predecode.KCmpLERR:
-		regs[r.Rd] = b2i(regs[r.R1] <= regs[r.R2])
-	case predecode.KCmpLERI:
-		regs[r.Rd] = b2i(regs[r.R1] <= r.Imm)
-	case predecode.KCmpGTRR:
-		regs[r.Rd] = b2i(regs[r.R1] > regs[r.R2])
-	case predecode.KCmpGTRI:
-		regs[r.Rd] = b2i(regs[r.R1] > r.Imm)
-	case predecode.KCmpGERR:
-		regs[r.Rd] = b2i(regs[r.R1] >= regs[r.R2])
-	case predecode.KCmpGERI:
-		regs[r.Rd] = b2i(regs[r.R1] >= r.Imm)
-	case predecode.KMovI:
-		regs[r.Rd] = r.Imm
-	case predecode.KMov:
-		regs[r.Rd] = regs[r.R1]
-	case predecode.KLd:
-		addr = regs[r.R1] + r.Imm
-		v, ok := m.load(addr)
-		if !ok {
-			return 0, false, 0, fmt.Errorf("emu: pc %d: load address %d out of range", pc, addr)
-		}
-		regs[r.Rd] = v
-	case predecode.KLdNoWB:
-		addr = regs[r.R1] + r.Imm
-		if uint64(addr) >= uint64(m.size) {
-			return 0, false, 0, fmt.Errorf("emu: pc %d: load address %d out of range", pc, addr)
-		}
-	case predecode.KSt:
-		addr = regs[r.R1] + r.Imm
-		if v := regs[r.R2]; !m.store(addr, v) && !m.grow(addr, v) {
-			return 0, false, 0, fmt.Errorf("emu: pc %d: store address %d out of range", pc, addr)
-		}
-	case predecode.KBeqz:
-		if regs[r.R1] == 0 {
-			taken = true
-			next = int(r.Target)
-		}
-	case predecode.KBnez:
-		if regs[r.R1] != 0 {
-			taken = true
-			next = int(r.Target)
-		}
-	case predecode.KJmp:
-		next = int(r.Target)
-	case predecode.KCall:
-		regs[isa.RegLR] = int64(pc + 1)
-		next = int(r.Target)
-	case predecode.KCallR:
-		regs[isa.RegLR] = int64(pc + 1)
-		next = int(regs[r.R1])
-	case predecode.KRet:
-		next = int(regs[r.R1]) // R1 == RegLR
-	case predecode.KJr:
-		next = int(regs[r.R1])
-	case predecode.KIn:
-		if m.inPos < len(m.input) {
-			regs[r.Rd] = m.input[m.inPos]
-			m.inPos++
-		} else {
-			regs[r.Rd] = 0
-		}
-	case predecode.KInNoWB:
-		if m.inPos < len(m.input) {
-			m.inPos++
-		}
-	case predecode.KInAvail:
-		regs[r.Rd] = int64(len(m.input) - m.inPos)
-	case predecode.KOut:
-		m.Output = append(m.Output, regs[r.R1])
-	case predecode.KHalt:
-		m.halted = true
-		next = pc
-	default: // KBad
-		return 0, false, 0, fmt.Errorf("emu: pc %d: unimplemented opcode %s", pc, m.prog.Code[pc].Op)
+// traceRecorder is StepBatch's hook set: it writes the block executor's
+// retirement events into cleared trace entries. A reported extent fills
+// its entries' PC and fall-through NextPC; the entry ending the previous
+// extent learns its NextPC from this extent's start (the last entry of a
+// batch from the PC the call leaves). Loads and stores fire before their
+// extent is reported, while the machine's PC still holds the run's start,
+// so their entry is found from their pc; a branch fires after its extent
+// and marks the entry just written.
+type traceRecorder struct {
+	dst   []Trace
+	n     int // entries filled by the extents reported so far
+	hooks BlockHooks
+}
+
+func newTraceRecorder(m *Machine) *traceRecorder {
+	r := &traceRecorder{}
+	mem := func(pc int, addr int64) { r.dst[r.n+pc-m.PC].Addr = addr }
+	r.hooks = BlockHooks{
+		Block: func(start, end int) {
+			if r.n > 0 {
+				r.dst[r.n-1].NextPC = start
+			}
+			d := r.dst[r.n : r.n+end-start+1]
+			for i := range d {
+				d[i].PC = start + i
+				d[i].NextPC = start + i + 1
+			}
+			r.n += len(d)
+		},
+		Load:  mem,
+		Store: mem,
+		Branch: func(_ int, taken bool, _ int) {
+			r.dst[r.n-1].Taken = taken
+		},
 	}
-	if !m.halted && uint(next) >= uint(len(m.pre.Recs)) {
-		return 0, false, 0, fmt.Errorf("emu: pc %d: control transfer to %d out of range", pc, next)
-	}
-	return next, taken, addr, nil
+	return r
 }

@@ -38,11 +38,12 @@ func firstDivergence(prog *isa.Program, input []int64, gotOut []int64) string {
 	m := emu.New(prog, input, 0)
 	outIdx := 0
 	for !m.Halted() {
-		tr, err := m.Step()
+		tr, err := m.StepRef()
 		if err != nil {
 			return fmt.Sprintf("reference replay failed after %d insts: %v", m.Retired, err)
 		}
-		if tr.Inst.Op != isa.OpOut {
+		in := prog.Code[tr.PC]
+		if in.Op != isa.OpOut {
 			continue
 		}
 		if outIdx < len(gotOut) && gotOut[outIdx] == m.Output[outIdx] {
@@ -54,7 +55,7 @@ func firstDivergence(prog *isa.Program, input []int64, gotOut []int64) string {
 			got = fmt.Sprint(gotOut[outIdx])
 		}
 		return fmt.Sprintf("first divergence at retired inst #%d, pc %d (%s): output[%d] = %s, reference %d",
-			m.Retired, tr.PC, tr.Inst, outIdx, got, m.Output[outIdx])
+			m.Retired, tr.PC, in, outIdx, got, m.Output[outIdx])
 	}
 	if outIdx < len(gotOut) {
 		return fmt.Sprintf("pipeline emitted %d extra output value(s) starting with output[%d] = %d",

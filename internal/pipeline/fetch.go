@@ -174,7 +174,7 @@ func (s *Sim) fetchOnTrace(st *stream) (bool, int) {
 		return false, 0
 	}
 	s.tr.Next()
-	in := tre.Inst
+	in := s.code[tre.PC]
 	e := s.newEntry(st, st.pc, in, true)
 	e.taken = tre.Taken
 	e.addr = tre.Addr

@@ -107,7 +107,7 @@ func (s *Sim) buildWarmHooks(trainPred bool) *emu.BlockHooks {
 			}
 			st.lastLine = last
 		},
-		Load: func(addr int64) {
+		Load: func(_ int, addr int64) {
 			s.hier.D.Access(cache.DataAddr(addr))
 		},
 		Branch: branch,

@@ -74,7 +74,7 @@ func (t *traceReader) fill() {
 			lim = rem
 		}
 	}
-	k, err := t.m.StepBatch(t.buf[:lim], 0)
+	k, err := t.m.StepBatch(t.buf[:lim])
 	t.pos, t.n = 0, k
 	t.fetched += uint64(k)
 	if err != nil {
@@ -166,7 +166,11 @@ func replay(h *emu.BlockHooks, rec *predecode.Rec, e *emu.Trace) {
 	switch rec.Kind {
 	case predecode.KLd, predecode.KLdNoWB:
 		if h.Load != nil {
-			h.Load(e.Addr)
+			h.Load(e.PC, e.Addr)
+		}
+	case predecode.KSt:
+		if h.Store != nil {
+			h.Store(e.PC, e.Addr)
 		}
 	case predecode.KBeqz, predecode.KBnez:
 		if h.Branch != nil {

@@ -155,7 +155,7 @@ func TestRunMaxInstsRetiresExactly(t *testing.T) {
 }
 
 // hookLog records block-executor events per kind: extents flattened to
-// retired pcs, and one [3]int per load, branch, call, return or jump.
+// retired pcs, and one [3]int per load, store, branch, call, return or jump.
 type hookLog struct {
 	pcs    []int
 	events map[string][][3]int
@@ -170,7 +170,8 @@ func (l *hookLog) hooks() *emu.BlockHooks {
 				l.pcs = append(l.pcs, pc)
 			}
 		},
-		Load: func(addr int64) { add("load", int(addr), 0, 0) },
+		Load:  func(pc int, addr int64) { add("load", pc, int(addr), 0) },
+		Store: func(pc int, addr int64) { add("store", pc, int(addr), 0) },
 		Branch: func(pc int, taken bool, target int) {
 			tk := 0
 			if taken {
@@ -209,7 +210,7 @@ func TestReplayMatchesBlockExecutor(t *testing.T) {
 		recs := m.Predecoded().Recs
 		buf := make([]emu.Trace, traceBatchSize)
 		for done := 0; done < n; {
-			k, err := m.StepBatch(buf[:min(len(buf), n-done)], 0)
+			k, err := m.StepBatch(buf[:min(len(buf), n-done)])
 			if err != nil {
 				t.Fatalf("%s: StepBatch: %v", name, err)
 			}
@@ -222,7 +223,7 @@ func TestReplayMatchesBlockExecutor(t *testing.T) {
 		if !slices.Equal(got.pcs, want.pcs) {
 			t.Fatalf("%s: replayed extents cover %d pcs, executor %d, or differ in order", name, len(got.pcs), len(want.pcs))
 		}
-		for _, kind := range []string{"load", "branch", "call", "ret", "jump"} {
+		for _, kind := range []string{"load", "store", "branch", "call", "ret", "jump"} {
 			if len(want.events[kind]) == 0 {
 				t.Fatalf("%s: executor reported no %s events; pick a program that has them", name, kind)
 			}

@@ -93,8 +93,8 @@ func (c *checker) checkHammockAnnot(fa *cfg.FuncAnalysis, blk *cfg.Block, pc int
 		return // CFM-less dual-path annotation (baseline algorithms)
 	}
 
-	ntReach := reachableBlocks(g, blk.Succs[0])
-	tkReach := reachableBlocks(g, blk.Succs[1])
+	ntReach := c.reachable(g, blk.Succs[0], 0)
+	tkReach := c.reachable(g, blk.Succs[1], 1)
 	// A direction that cannot reach the function exit never merges; CFM
 	// reachability is vacuous on that side (statically infinite loops).
 	ntLive := ntReach == nil || ntReach.has(g.ExitID)
@@ -134,10 +134,10 @@ func (c *checker) checkHammockAnnot(fa *cfg.FuncAnalysis, blk *cfg.Block, pc int
 			}
 			if d.Short {
 				bound := c.opts.ShortMaxInsts
-				if n := shortestDist(g, blk.Succs[0], cb.ID, c.opts.CallWeight); n > bound {
+				if n := c.shortestDist(g, blk.Succs[0], cb.ID, c.opts.CallWeight); n > bound {
 					c.report(PassAnnot, pc, "%s: short hammock fallthrough side is at least %d instructions to the CFM at %d (bound %d)", fa.Fn.Name, n, m.Addr, bound)
 				}
-				if n := shortestDist(g, blk.Succs[1], cb.ID, c.opts.CallWeight); n > bound {
+				if n := c.shortestDist(g, blk.Succs[1], cb.ID, c.opts.CallWeight); n > bound {
 					c.report(PassAnnot, pc, "%s: short hammock taken side is at least %d instructions to the CFM at %d (bound %d)", fa.Fn.Name, n, m.Addr, bound)
 				}
 			}
@@ -145,15 +145,17 @@ func (c *checker) checkHammockAnnot(fa *cfg.FuncAnalysis, blk *cfg.Block, pc int
 	}
 }
 
-// reachableBlocks returns the set of nodes reachable from the given node
-// (inclusive), or nil when the start is the virtual exit.
-func reachableBlocks(g *cfg.Graph, start int) bitset {
+// reachable returns the set of nodes reachable from the given node
+// (inclusive), or nil when the start is the virtual exit. The set is the
+// checker's scratch slot, valid until that slot is used again.
+func (c *checker) reachable(g *cfg.Graph, start, slot int) bitset {
 	if start == g.ExitID {
 		return nil
 	}
-	reach := newBitset(g.NumNodes())
+	reach := c.reach[slot].reset(g.NumNodes())
+	c.reach[slot] = reach
 	reach.set(start)
-	stack := []int{start}
+	stack := append(c.stack[:0], start)
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
@@ -167,6 +169,7 @@ func reachableBlocks(g *cfg.Graph, start int) bitset {
 			}
 		}
 	}
+	c.stack = stack
 	return reach
 }
 
@@ -177,7 +180,7 @@ func reachableBlocks(g *cfg.Graph, start int) bitset {
 // enumerated maximum is by definition longer than this lower bound, so a
 // bound violation here is a sound (never spurious) diagnostic. Returns a
 // large value when the target is unreachable.
-func shortestDist(g *cfg.Graph, start, target, callWeight int) int {
+func (c *checker) shortestDist(g *cfg.Graph, start, target, callWeight int) int {
 	const inf = int(^uint(0) >> 2)
 	if start == g.ExitID {
 		return inf
@@ -186,12 +189,15 @@ func shortestDist(g *cfg.Graph, start, target, callWeight int) int {
 		return 0
 	}
 	n := g.NumNodes()
-	dist := make([]int, n)
+	if cap(c.dist) < n {
+		c.dist, c.done = make([]int, n), make([]bool, n)
+	}
+	dist, done := c.dist[:n], c.done[:n]
 	for i := range dist {
 		dist[i] = inf
 	}
+	clear(done)
 	dist[start] = 0
-	done := make([]bool, n)
 	for {
 		u, best := -1, inf
 		for v := 0; v < n; v++ {

@@ -192,6 +192,18 @@ type bitset []uint64
 
 func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
 
+// reset returns an empty set of n bits, reusing s's storage when it is
+// large enough.
+func (s bitset) reset(n int) bitset {
+	w := (n + 63) / 64
+	if cap(s) < w {
+		return make(bitset, w)
+	}
+	s = s[:w]
+	clear(s)
+	return s
+}
+
 func (s bitset) set(i int)      { s[i/64] |= 1 << (i % 64) }
 func (s bitset) has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
 func (s bitset) fill() {

@@ -87,7 +87,7 @@ func (c *checker) profilePass(prof *profile.Profile) {
 			continue // the cfg pass owns reporting build failures
 		}
 		g := fa.Graph
-		reach := reachableBlocks(g, 0)
+		reach := c.reachable(g, 0, 0)
 		for _, b := range g.Blocks {
 			count := prof.ExecCount[b.Start]
 			uniform := true

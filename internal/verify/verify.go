@@ -161,6 +161,12 @@ type checker struct {
 	p     *isa.Program
 	opts  Options
 	diags []Diagnostic
+
+	// Scratch reused across annotations by reachable and shortestDist.
+	reach [2]bitset
+	stack []int
+	dist  []int
+	done  []bool
 }
 
 func (c *checker) report(pass string, addr int, format string, args ...any) {

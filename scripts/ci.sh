@@ -31,7 +31,7 @@ sh scripts/lint.sh
 go build ./...
 go test -race ./...
 alloc_pipeline='TestNilTracerEventNoAlloc|TestSteadyStateAllocs|TestSimAllocs'
-alloc_emu='TestMachineAllocs'
+alloc_emu='TestMachineAllocs|TestStepBatchAllocs'
 alloc_verify='TestSelectVerifyAllocs'
 emu_diff='TestFastMatchesReference|TestRunMatchesReference|TestRunBlocksMatchesReference|TestRunBlocksLimitsMatchStepRef|TestRunBlocksEventsMatchReference|TestRunBlocksFaultsMatchStepRef|TestStepBatchMatchesReference|TestFaultEquivalence|TestStepBatchFaults'
 sh scripts/check_run_list.sh ./internal/pipeline "$alloc_pipeline"
