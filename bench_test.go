@@ -300,8 +300,14 @@ func BenchmarkPipelineDMP(b *testing.B) {
 	b.ReportMetric(float64(100_000*b.N)/b.Elapsed().Seconds(), "sim-insts/s")
 }
 
+// BenchmarkSelection measures heur and both cost-model selections over gcc's
+// run-tape profile. "cold" hands each run counters no earlier run had, so
+// the run enumerates its paths as the first selection under a profile does;
+// they differ only at the last pc, which holds no branch (a code segment
+// ends in straight-line code), so the selection itself is unchanged. "warm"
+// reuses one profile, so the run finds its hammock analyses memoized and
+// only decides, as cost-edge does after cost-long in the toolchain.
 func BenchmarkSelection(b *testing.B) {
-	b.ReportAllocs()
 	s := session(b)
 	var w *harness.Workload
 	for _, c := range s.Workloads {
@@ -309,10 +315,29 @@ func BenchmarkSelection(b *testing.B) {
 			w = c
 		}
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.Select(core.HeuristicParams(), false); err != nil {
-			b.Fatal(err)
+	for _, sel := range []struct {
+		name string
+		p    core.Params
+	}{
+		{"heur", core.HeuristicParams()},
+		{"cost-long", core.CostParams(core.LongestPath)},
+		{"cost-edge", core.CostParams(core.EdgeWeighted)},
+	} {
+		for _, mode := range []string{"cold", "warm"} {
+			b.Run(sel.name+"/"+mode, func(b *testing.B) {
+				b.ReportAllocs()
+				prof := *w.ProfRun
+				prof.Taken = slices.Clone(prof.Taken)
+				last := len(prof.Taken) - 1
+				for i := 0; i < b.N; i++ {
+					if mode == "cold" {
+						prof.Taken[last] = uint64(i + 1)
+					}
+					if _, err := core.Select(w.Bare, &prof, sel.p); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package core
 
-import "dmp/internal/cfg"
-
 // The Section 4 analytical cost-benefit model.
 //
 // Eq. 1:  dpred_cost = dpred_overhead * P(enter dpred | correct)
@@ -14,30 +12,22 @@ func dpredCost(overhead float64, p Params) float64 {
 	return overhead*(1-p.AccConf) + (overhead-p.MispPenalty)*p.AccConf
 }
 
-// sideInsts estimates N(BH)/N(CH) — the instructions fetched on one side
-// until merging at block id — using the configured method.
-func sideInsts(g *cfg.Graph, s side, id int, p Params) float64 {
-	if p.Method == LongestPath {
-		return float64(s.maxInsts(g, id))
+// useless computes Eq. 13 for merging at candidate i (len(h.cands) for no
+// block): the expected fetched instructions minus the useful
+// (correct-path) ones, Eq. 5/12, with N(BH)/N(CH) estimated by method m.
+func (h *hammock) useless(i int, takenProb float64, m OverheadMethod) float64 {
+	nT, nNT := h.tk[i].expected, h.nt[i].expected
+	if m == LongestPath {
+		nT, nNT = float64(h.tk[i].longest), float64(h.nt[i].longest)
 	}
-	return s.expInsts(g, id)
-}
-
-// uselessInsts computes Eq. 13 for a single CFM point: the expected fetched
-// instructions minus the useful (correct-path) ones, Eq. 5/12.
-func uselessInsts(g *cfg.Graph, tk, nt side, id int, takenProb float64, p Params) float64 {
-	nT := sideInsts(g, tk, id, p)
-	nNT := sideInsts(g, nt, id, p)
 	total := nT + nNT
 	useful := takenProb*nT + (1-takenProb)*nNT
-	u := total - useful
-	if u < 0 {
-		return 0
-	}
-	return u
+	return max(total-useful, 0)
 }
 
-// hammockOverhead computes the dpred overhead in fetch cycles:
+// overhead computes the dpred overhead in fetch cycles of selecting every
+// candidate, or a return CFM when retMerge is positive (there are no
+// candidates then):
 //
 //   - a single exact CFM uses Eq. 14 (merging is certain);
 //   - frequently-hammocks with multiple CFM points use Eq. 17, charging
@@ -45,24 +35,15 @@ func uselessInsts(g *cfg.Graph, tk, nt side, id int, takenProb float64, p Params
 //     (Eq. 16's generalisation);
 //   - a return CFM contributes like an address CFM with its own merge
 //     probability, with the whole explored region as its fetched cost.
-func hammockOverhead(g *cfg.Graph, tk, nt side, cands []int, mergeP func(int) float64, retMerge, takenProb float64, p Params) float64 {
+func (h *hammock) overhead(retMerge, takenProb float64, p Params) float64 {
 	var sum, pm float64
-	for _, c := range cands {
-		m := mergeP(c)
-		sum += uselessInsts(g, tk, nt, c, takenProb, p) * m
+	for i, m := range h.mergeP {
+		sum += h.useless(i, takenProb, p.Method) * m
 		pm += m
 	}
 	if retMerge > 0 {
-		// Return CFM: merge happens at function exit; all explored
-		// instructions on the wrong side are the cost. Use a block id that
-		// matches nothing so the estimators count whole paths.
-		const noBlock = -1
-		sum += uselessInsts(g, tk, nt, noBlock, takenProb, p) * retMerge
+		sum += h.useless(len(h.cands), takenProb, p.Method) * retMerge
 		pm += retMerge
 	}
-	if pm > 1 {
-		pm = 1
-	}
-	resolHalf := p.MispPenalty / 2
-	return sum/p.FetchWidth + (1-pm)*resolHalf
+	return sum/p.FetchWidth + (1-min(pm, 1))*(p.MispPenalty/2)
 }

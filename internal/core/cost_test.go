@@ -1,8 +1,8 @@
 package core
 
-// Boundary tests for the Section 4 cost model: uselessInsts and
-// hammockOverhead at the takenProb extremes, an empty CFM candidate list,
-// and merge-probability clamping at both edges.
+// Boundary tests for the Section 4 cost model: Eq. 13's useless
+// instructions and the hammock overhead at the takenProb extremes, an
+// empty CFM candidate list, and merge-probability clamping at both edges.
 
 import (
 	"math"
@@ -12,11 +12,11 @@ import (
 	"dmp/internal/isa"
 )
 
-// hammockSides builds the canonical input-driven hammock, profiles it, and
-// returns the CFG, both path sets wrapped as sides, the merge block id, and
-// the parameters used. Arm lengths are asymmetric (taken arm 3 ALUs,
+// hammockAnalysis builds the canonical input-driven hammock, profiles it,
+// and returns its analysis under p's scope, with the merge block first
+// among its candidates. Arm lengths are asymmetric (taken arm 3 ALUs,
 // not-taken arm 5) so the two sides are distinguishable in the accounting.
-func hammockSides(t *testing.T, p Params) (*cfg.Graph, side, side, int) {
+func hammockAnalysis(t *testing.T, p Params) *hammock {
 	t.Helper()
 	prog, brPC, _ := asymmetricHammock(t)
 	prof := collect(t, prog, randBits(7, 400))
@@ -24,27 +24,23 @@ func hammockSides(t *testing.T, p Params) (*cfg.Graph, side, side, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pdom := cfg.PostDominators(g)
-	ipos := cfg.IPosDom(g, pdom, brPC)
-	if ipos < 0 {
-		t.Fatalf("hammock branch %d has no post-dominator merge block", brPC)
+	h := analyseHammock(g, cfg.PostDominators(g), prof, brPC, hammocksOf(prog, prof, p).key)
+	if h == nil || !h.exact {
+		t.Fatalf("hammock branch %d: no exact analysis", brPC)
 	}
-	cw := p.CallWeight
-	if cw == 0 {
-		cw = cfg.DefaultCallWeight
+	return h
+}
+
+// withMergeP returns a copy of h whose candidates are all h's first, with
+// the given merge probabilities; no probabilities leaves no candidates.
+func withMergeP(h *hammock, ps ...float64) *hammock {
+	c := &hammock{mergeP: ps}
+	for range ps {
+		c.cands = append(c.cands, h.cands[0])
+		c.tk, c.nt = append(c.tk, h.tk[0]), append(c.nt, h.nt[0])
 	}
-	limits := cfg.PathLimits{
-		MaxInsts:    p.MaxInstr,
-		MaxCondBrs:  p.MaxCbr,
-		MinExecProb: p.MinExecProb,
-		CallWeight:  cw,
-	}
-	tkSet, ntSet := cfg.BranchPaths(g, brPC, ipos, prof.EdgeProb, limits)
-	tk, nt := side{tkSet, cw}, side{ntSet, cw}
-	if len(tkSet.Paths) == 0 || len(ntSet.Paths) == 0 {
-		t.Fatalf("path enumeration found no paths: taken=%d notTaken=%d", len(tkSet.Paths), len(ntSet.Paths))
-	}
-	return g, tk, nt, ipos
+	c.tk, c.nt = append(c.tk, h.tk[len(h.cands)]), append(c.nt, h.nt[len(h.cands)])
+	return c
 }
 
 func asymmetricHammock(t *testing.T) (prog *isa.Program, brPC, mergePC int) {
@@ -77,10 +73,11 @@ func asymmetricHammock(t *testing.T) (prog *isa.Program, brPC, mergePC int) {
 
 func TestUselessInstsTakenProbExtremes(t *testing.T) {
 	for _, method := range []OverheadMethod{LongestPath, EdgeWeighted} {
-		p := CostParams(method)
-		g, tk, nt, merge := hammockSides(t, p)
-		nT := sideInsts(g, tk, merge, p)
-		nNT := sideInsts(g, nt, merge, p)
+		h := hammockAnalysis(t, CostParams(method))
+		nT, nNT := h.tk[0].expected, h.nt[0].expected
+		if method == LongestPath {
+			nT, nNT = float64(h.tk[0].longest), float64(h.nt[0].longest)
+		}
 		if nT <= 0 || nNT <= 0 {
 			t.Fatalf("method %v: degenerate side sizes nT=%v nNT=%v", method, nT, nNT)
 		}
@@ -89,44 +86,41 @@ func TestUselessInstsTakenProbExtremes(t *testing.T) {
 		}
 		// takenProb 1: every fetched not-taken instruction is useless,
 		// every taken one useful — and symmetrically for takenProb 0.
-		if got := uselessInsts(g, tk, nt, merge, 1, p); math.Abs(got-nNT) > 1e-9 {
-			t.Errorf("method %v: uselessInsts(takenProb=1) = %v, want nNT %v", method, got, nNT)
+		if got := h.useless(0, 1, method); math.Abs(got-nNT) > 1e-9 {
+			t.Errorf("method %v: useless(takenProb=1) = %v, want nNT %v", method, got, nNT)
 		}
-		if got := uselessInsts(g, tk, nt, merge, 0, p); math.Abs(got-nT) > 1e-9 {
-			t.Errorf("method %v: uselessInsts(takenProb=0) = %v, want nT %v", method, got, nT)
+		if got := h.useless(0, 0, method); math.Abs(got-nT) > 1e-9 {
+			t.Errorf("method %v: useless(takenProb=0) = %v, want nT %v", method, got, nT)
 		}
 		// Interior probabilities stay between the extremes and non-negative.
-		mid := uselessInsts(g, tk, nt, merge, 0.5, p)
+		mid := h.useless(0, 0.5, method)
 		if mid < 0 || mid > nT+nNT {
-			t.Errorf("method %v: uselessInsts(0.5) = %v out of [0, %v]", method, mid, nT+nNT)
+			t.Errorf("method %v: useless(0.5) = %v out of [0, %v]", method, mid, nT+nNT)
 		}
 	}
 }
 
 func TestHammockOverheadEmptyCandidates(t *testing.T) {
 	p := CostParams(EdgeWeighted)
-	g, tk, nt, _ := hammockSides(t, p)
+	h := withMergeP(hammockAnalysis(t, p))
 	// No CFM candidates and no return CFM: nothing ever merges, so the
 	// overhead degenerates to the non-merging penalty of half the branch
 	// resolution time (Eq. 16 with pm = 0).
-	got := hammockOverhead(g, tk, nt, nil, func(int) float64 {
-		t.Fatal("mergeP must not be consulted for an empty candidate list")
-		return 0
-	}, 0, 0.5, p)
+	got := h.overhead(0, 0.5, p)
 	want := p.MispPenalty / 2
 	if math.Abs(got-want) > 1e-9 {
-		t.Errorf("hammockOverhead(no cands) = %v, want resolution-half %v", got, want)
+		t.Errorf("overhead(no cands) = %v, want resolution-half %v", got, want)
 	}
 }
 
 func TestHammockOverheadMergeProbClamping(t *testing.T) {
 	p := CostParams(EdgeWeighted)
-	g, tk, nt, merge := hammockSides(t, p)
+	h := hammockAnalysis(t, p)
 
 	// Certain merge (pm = 1): the (1-pm) resolution penalty vanishes and
 	// the overhead is exactly the useless instructions over fetch width.
-	useless := uselessInsts(g, tk, nt, merge, 0.5, p)
-	got := hammockOverhead(g, tk, nt, []int{merge}, func(int) float64 { return 1 }, 0, 0.5, p)
+	useless := h.useless(0, 0.5, p.Method)
+	got := withMergeP(h, 1).overhead(0, 0.5, p)
 	if want := useless / p.FetchWidth; math.Abs(got-want) > 1e-9 {
 		t.Errorf("overhead(pm=1) = %v, want %v", got, want)
 	}
@@ -134,14 +128,15 @@ func TestHammockOverheadMergeProbClamping(t *testing.T) {
 	// Aggregate merge probability above 1 (two candidates at 0.7 each, plus
 	// a return CFM) must clamp to 1 rather than produce a negative
 	// resolution term.
-	overP := hammockOverhead(g, tk, nt, []int{merge, merge}, func(int) float64 { return 0.7 }, 0.5, 0.5, p)
-	sum := useless*0.7*2 + uselessInsts(g, tk, nt, -1, 0.5, p)*0.5
+	two := withMergeP(h, 0.7, 0.7)
+	overP := two.overhead(0.5, 0.5, p)
+	sum := useless*0.7*2 + two.useless(2, 0.5, p.Method)*0.5
 	if want := sum / p.FetchWidth; math.Abs(overP-want) > 1e-9 {
 		t.Errorf("overhead(pm>1) = %v, want clamped %v", overP, want)
 	}
 
 	// Zero merge probability: only the resolution penalty remains.
-	got0 := hammockOverhead(g, tk, nt, []int{merge}, func(int) float64 { return 0 }, 0, 0.5, p)
+	got0 := withMergeP(h, 0).overhead(0, 0.5, p)
 	if want := p.MispPenalty / 2; math.Abs(got0-want) > 1e-9 {
 		t.Errorf("overhead(pm=0) = %v, want %v", got0, want)
 	}

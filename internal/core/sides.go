@@ -1,6 +1,9 @@
 package core
 
-import "dmp/internal/cfg"
+import (
+	"dmp/internal/cfg"
+	"dmp/internal/isa"
+)
 
 // side wraps one direction's enumerated path set with the per-CFM-candidate
 // computations the selection algorithms and the cost model need.
@@ -10,53 +13,58 @@ type side struct {
 	cw int
 }
 
-// instsBefore returns the instruction count on path p before the first
-// occurrence of block id; if id is not on the path it returns the whole
-// path's instruction count (those instructions are fetched regardless,
-// matching the paper's edge-based estimate in Eq. 11). Calls are weighted
-// by cw.
-func instsBefore(g *cfg.Graph, p *cfg.Path, id, cw int) int {
-	n := 0
-	for i, b := range p.Blocks {
-		if b == id {
-			return n
-		}
-		// The final block of a merged path is the stop block whose
-		// instructions are not counted.
-		if p.End == cfg.EndMerged && i == len(p.Blocks)-1 {
-			break
-		}
-		n += g.BlockWeight(b, cw)
-	}
-	return p.Insts
+// fetched estimates the instructions a side fetches before merging at one
+// block (Eq. 11; a path that misses the block is fetched whole), by the
+// longest path (method 2) and by the path-probability-weighted average
+// (method 3).
+type fetched struct {
+	longest  int
+	expected float64
 }
 
-// expInsts is method 3 (edge-weighted): the expected number of instructions
-// fetched on this side before merging at block id (or until the path ends).
-func (s side) expInsts(g *cfg.Graph, id int) float64 {
-	var sum, total float64
+// fetchedBefore returns the estimates for merging at each candidate and then at
+// no block (a return CFM), walking each path once. The stop block ending a
+// merged path is not counted but can be a candidate. Sums run in path order.
+func (s side) fetchedBefore(g *cfg.Graph, cands []int) []fetched {
+	n := len(cands)
+	out := make([]fetched, n+1)
+	var buf [isa.MaxCFM]int
+	before := append(buf[:0], cands...) // reused per path
+	var total float64
 	for i := range s.set.Paths {
 		p := &s.set.Paths[i]
-		sum += p.Prob * float64(instsBefore(g, p, id, s.cw))
+		for j := range before {
+			before[j] = -1
+		}
+		insts, left, last := 0, n, len(p.Blocks)-1
+		for k, b := range p.Blocks {
+			for j, c := range cands {
+				if c == b && before[j] < 0 {
+					before[j] = insts
+					left--
+				}
+			}
+			if left == 0 || p.End == cfg.EndMerged && k == last {
+				break
+			}
+			insts += g.BlockWeight(b, s.cw)
+		}
+		for j := range out {
+			m := p.Insts
+			if j < n && before[j] >= 0 {
+				m = before[j]
+			}
+			out[j].longest = max(out[j].longest, m)
+			out[j].expected += p.Prob * float64(m)
+		}
 		total += p.Prob
 	}
-	if total == 0 {
-		return 0
-	}
-	return sum / total
-}
-
-// maxInsts is method 2 (longest path): the largest instruction count on any
-// enumerated path before merging at block id.
-func (s side) maxInsts(g *cfg.Graph, id int) int {
-	m := 0
-	for i := range s.set.Paths {
-		p := &s.set.Paths[i]
-		if n := instsBefore(g, p, id, s.cw); n > m {
-			m = n
+	for j := range out {
+		if total != 0 { // else every sum is 0
+			out[j].expected /= total
 		}
 	}
-	return m
+	return out
 }
 
 // allMergedAt reports whether every enumerated path on this side reaches the
@@ -67,11 +75,8 @@ func (s side) allMergedAt(id int) bool {
 		return false
 	}
 	for i := range s.set.Paths {
-		p := &s.set.Paths[i]
-		if p.End != cfg.EndMerged || p.Blocks[len(p.Blocks)-1] != id {
-			if p.FirstIndexOf(id) < 0 {
-				return false
-			}
+		if s.set.Paths[i].FirstIndexOf(id) < 0 {
+			return false
 		}
 	}
 	return true
@@ -113,29 +118,4 @@ func (s side) retProb(g *cfg.Graph) float64 {
 		}
 	}
 	return sum
-}
-
-// maxPathInsts returns the largest instruction count over all paths.
-func (s side) maxPathInsts() int {
-	m := 0
-	for i := range s.set.Paths {
-		if s.set.Paths[i].Insts > m {
-			m = s.set.Paths[i].Insts
-		}
-	}
-	return m
-}
-
-// isSingleBlockTo reports whether this side consists of exactly one path of
-// at most one block that merges at id (the If-else baseline's "no
-// intervening control flow" condition; an empty arm also qualifies).
-func (s side) isSingleBlockTo(id int) bool {
-	if len(s.set.Paths) != 1 {
-		return false
-	}
-	p := &s.set.Paths[0]
-	if p.End != cfg.EndMerged || p.Blocks[len(p.Blocks)-1] != id {
-		return false
-	}
-	return len(p.Blocks) <= 2 && p.CondBrs == 0
 }
