@@ -20,7 +20,7 @@
 
 GO ?= go
 
-.PHONY: ci vet lint build test race lint-corpus fuzz-smoke fuzz eval trace-smoke alloc-guard bench-compare prof-pipeline prof-toolchain emu-diff gen-smoke static-smoke sample-smoke serve-smoke sweep-smoke eval-check
+.PHONY: ci vet lint build test race lint-corpus fuzz-smoke fuzz eval trace-smoke alloc-guard bench-compare prof-pipeline prof-toolchain emu-diff gen-smoke static-smoke sample-smoke serve-smoke cache-smoke sweep-smoke eval-check
 
 ci:
 	sh scripts/ci.sh
@@ -129,6 +129,11 @@ sample-smoke:
 # cache), scrape /metrics, and verify the SIGTERM graceful drain.
 serve-smoke:
 	sh scripts/serve_smoke.sh
+
+# Disk-cache smoke: dmpsim run twice, full and sampled, under a fresh
+# DMP_CACHE_DIR; each rerun must be a disk hit with the same cycles and IPC.
+cache-smoke:
+	sh scripts/cache_smoke.sh
 
 # Sweep-engine smoke: a small benchmark x config grid through cmd/dmpsweep
 # with CSV streaming, then the same invocation again against the same file —

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"slices"
 	"sort"
 	"sync"
@@ -59,7 +58,6 @@ var hammockMemo = memo.Bounded[hammockKey, *hammocks]{Cap: 8}
 
 // hammocksOf returns prog's analyses under prof and p's scope.
 func hammocksOf(prog *isa.Program, prof *profile.Profile, p Params) *hammocks {
-	cw := cmp.Or(p.CallWeight, cfg.DefaultCallWeight)
 	h := uint64(len(prof.Taken))<<32 ^ uint64(len(prof.NotTaken))
 	for _, c := range [][]uint64{prof.Taken, prof.NotTaken} {
 		for _, v := range c {
@@ -67,7 +65,7 @@ func hammocksOf(prog *isa.Program, prof *profile.Profile, p Params) *hammocks {
 		}
 	}
 	k := hammockKey{cfg.KeyOf(prog), h,
-		cfg.PathLimits{MaxInsts: p.MaxInstr, MaxCondBrs: p.MaxCbr, MinExecProb: p.MinExecProb, CallWeight: cw},
+		cfg.PathLimits{MaxInsts: p.MaxInstr, MaxCondBrs: p.MaxCbr, MinExecProb: p.MinExecProb, CallWeight: cfg.DefaultCallWeight},
 		p.EnableFreq, p.DisableChainReduction, p.MaxCFM}
 	if hs, ok := hammockMemo.Load(k); ok && slices.Equal(hs.taken, prof.Taken) && slices.Equal(hs.notTaken, prof.NotTaken) {
 		return hs

@@ -81,10 +81,6 @@ type Params struct {
 	// MinBranchExec skips branches executed fewer times during profiling
 	// (engineering floor; the paper iterates over executed branches).
 	MinBranchExec uint64
-	// CallWeight is the instruction weight of a call in path-length
-	// accounting (a call stands for its callee's fetched body). 0 means the
-	// cfg package default.
-	CallWeight int
 	// DisableChainReduction turns off Section 3.3.1's CFM-chain reduction
 	// (ablation only; the paper always applies it).
 	DisableChainReduction bool

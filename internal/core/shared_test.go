@@ -63,7 +63,6 @@ func repoSelections(sp *profile.SliceProfile) []selection {
 		func(p *core.Params) { p.MaxInstr = 100 },
 		func(p *core.Params) { p.MaxCbr = 10 },
 		func(p *core.Params) { p.MinExecProb = 0.01 },
-		func(p *core.Params) { p.CallWeight = 50 },
 	} {
 		p := core.HeuristicParams()
 		vary(&p)

@@ -170,21 +170,3 @@ func TestIntervalStartsNonOverlapping(t *testing.T) {
 		}
 	}
 }
-
-// TestTotalMemo: the count memo stores and recalls, and flushes wholesale at
-// the cap instead of growing without bound.
-func TestTotalMemo(t *testing.T) {
-	// Distinct synthetic keys; real keys come from content hashing, which
-	// TestSampledDeterministic exercises end to end.
-	base := totalKey{progH: 0xabcdef, inputH: 42}
-	storeTotal(base, 1234)
-	if v, ok := totalMemo.Load(base); !ok || v.(uint64) != 1234 {
-		t.Fatalf("memo lookup after store: %v %v", v, ok)
-	}
-	for i := uint64(0); i < totalMemoCap+10; i++ {
-		storeTotal(totalKey{progH: i, inputH: ^i}, i)
-	}
-	if n := totalMemoN.Load(); n > totalMemoCap {
-		t.Errorf("memo grew past cap: %d entries", n)
-	}
-}

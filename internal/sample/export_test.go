@@ -1,5 +1,7 @@
 package sample
 
-// ClearCountMemo empties the process-wide instruction-count memo, so the next
+import "dmp/internal/memo"
+
+// ForgetCounts empties the process-wide instruction-count memo, so the next
 // Run of any program discovers its count en route.
-var ClearCountMemo = clearTotalMemo
+func ForgetCounts() { totalMemo = memo.Bounded[totalKey, uint64]{Cap: totalMemo.Cap} }

@@ -4,11 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"dmp/internal/emu"
 	"dmp/internal/isa"
+	"dmp/internal/memo"
 	"dmp/internal/pipeline"
 )
 
@@ -51,7 +50,7 @@ func Run(ctx context.Context, prog *isa.Program, input []int64, cfg pipeline.Con
 	// jobs hit this path on every run after the first.
 	key := memoKey(prog, input, cfg.MaxInsts)
 	if total, ok := totalMemo.Load(key); ok {
-		return runKnown(ctx, prog, input, cfg, sc, nil, total.(uint64))
+		return runKnown(ctx, prog, input, cfg, sc, nil, total)
 	}
 
 	m := emu.New(prog, input, 0)
@@ -59,7 +58,7 @@ func Run(ctx context.Context, prog *isa.Program, input []int64, cfg pipeline.Con
 	if err != nil {
 		return Result{}, err
 	}
-	storeTotal(key, total)
+	totalMemo.Put(key, total)
 	if r.Intervals >= sc.MinIntervals {
 		return r, nil
 	}
@@ -207,16 +206,10 @@ func runStream(ctx context.Context, m *emu.Machine, cfg pipeline.Config, sc Samp
 // totalMemo caches dynamic instruction counts across Run calls, keyed by
 // content hash of (program, input, MaxInsts). Counts are exact and
 // architecture-independent, so the memo never changes a Result — it only
-// removes the discovery pass (pinned by TestSampledDeterministic). The map
-// is capped: on overflow it is dropped wholesale (counts are cheap to
-// rediscover, and the cap only exists to bound memory against endless
-// streams of generated programs).
-var (
-	totalMemo  sync.Map
-	totalMemoN atomic.Int64
-)
-
-const totalMemoCap = 4096
+// removes the discovery pass (pinned by TestSampledDeterministic). Counts
+// are cheap to rediscover; the cap only bounds memory against endless
+// streams of generated programs.
+var totalMemo = memo.Bounded[totalKey, uint64]{Cap: 4096}
 
 type totalKey struct {
 	progH, inputH uint64
@@ -251,23 +244,6 @@ func memoKey(prog *isa.Program, input []int64, maxInsts uint64) totalKey {
 		mix(uint64(v))
 	}
 	return totalKey{progH: progH, inputH: h, maxInsts: maxInsts}
-}
-
-func storeTotal(k totalKey, total uint64) {
-	if totalMemoN.Load() >= totalMemoCap {
-		clearTotalMemo()
-	}
-	if _, loaded := totalMemo.LoadOrStore(k, total); !loaded {
-		totalMemoN.Add(1)
-	}
-}
-
-func clearTotalMemo() {
-	totalMemo.Range(func(k, _ any) bool {
-		totalMemo.Delete(k)
-		return true
-	})
-	totalMemoN.Store(0)
 }
 
 // intervalStarts places the intervals that fit whole inside total

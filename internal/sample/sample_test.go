@@ -108,7 +108,7 @@ func TestSampledDeterministic(t *testing.T) {
 		for _, seed := range []uint64{1, 4, 5} {
 			sc := sample.DefaultConf()
 			sc.Seed = seed
-			sample.ClearCountMemo()
+			sample.ForgetCounts()
 			cold, err := sample.Run(context.Background(), prog, input, cfg, sc)
 			if err != nil {
 				t.Fatalf("%s seed %d: cold run: %v", name, seed, err)

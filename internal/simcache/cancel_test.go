@@ -3,45 +3,64 @@ package simcache
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
-
-	"dmp/internal/pipeline"
 )
 
 // TestRunCtxCancelledNotMemoized: a cancelled run must not poison the cache.
 // A later identical request with a live context reruns the simulation and
 // succeeds.
 func TestRunCtxCancelledNotMemoized(t *testing.T) {
-	c := New("")
-	p := testProg(t)
-	in := testInput(50_000)
-	cfg := pipeline.DefaultConfig()
+	forEachEntryPoint(t, func(t *testing.T, ep entryPoint) {
+		c := New("")
+		p := testProg(t)
+		in := ep.input(50_000)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := c.RunCtx(ctx, p, in, cfg); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunCtx(cancelled) err = %v, want context.Canceled", err)
-	}
-	m := c.Metrics()
-	if m.Cancels != 1 {
-		t.Fatalf("Cancels = %d, want 1", m.Cancels)
-	}
-	if m.Misses != 0 {
-		t.Fatalf("Misses = %d after cancelled run, want 0 (must not memoize)", m.Misses)
-	}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := ep.run(ctx, c, p, in); !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled run err = %v, want context.Canceled", err)
+		}
+		m := c.Metrics()
+		if m.Cancels != 1 {
+			t.Fatalf("Cancels = %d, want 1", m.Cancels)
+		}
+		if m.Misses != 0 {
+			t.Fatalf("Misses = %d after cancelled run, want 0 (must not memoize)", m.Misses)
+		}
+		checkCounts(t, ep, m)
 
-	st, err := c.RunCtx(context.Background(), p, in, cfg)
-	if err != nil {
-		t.Fatalf("retry after cancel: %v", err)
-	}
-	if st.Retired == 0 {
-		t.Fatal("retry after cancel produced an empty result")
-	}
-	m = c.Metrics()
-	if m.Misses != 1 {
-		t.Fatalf("Misses = %d after retry, want 1", m.Misses)
+		v, err := ep.run(context.Background(), c, p, in)
+		if err != nil {
+			t.Fatalf("retry after cancel: %v", err)
+		}
+		if reflect.ValueOf(v).IsZero() {
+			t.Fatal("retry after cancel produced an empty result")
+		}
+		m = c.Metrics()
+		if m.Misses != 1 {
+			t.Fatalf("Misses = %d after retry, want 1", m.Misses)
+		}
+		checkCounts(t, ep, m, v)
+	})
+}
+
+// awaitInFlight waits until c holds one in-flight entry.
+func awaitInFlight(t *testing.T, c *Cache) {
+	t.Helper()
+	for i := 0; ; i++ {
+		c.mu.Lock()
+		n := len(c.mem)
+		c.mu.Unlock()
+		if n == 1 {
+			return
+		}
+		if i > 1000 {
+			t.Fatal("runner never registered its in-flight entry")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -49,95 +68,75 @@ func TestRunCtxCancelledNotMemoized(t *testing.T) {
 // cancelled, deduplicated waiters with live contexts retry the simulation
 // themselves instead of inheriting the runner's cancellation error.
 func TestRunCtxWaiterSurvivesRunnerCancel(t *testing.T) {
-	c := New("")
-	p := testProg(t)
-	in := testInput(200_000)
-	cfg := pipeline.DefaultConfig()
+	forEachEntryPoint(t, func(t *testing.T, ep entryPoint) {
+		c := New("")
+		p := testProg(t)
+		in := ep.input(200_000)
 
-	runnerCtx, cancelRunner := context.WithCancel(context.Background())
-	runnerDone := make(chan error, 1)
-	go func() {
-		_, err := c.RunCtx(runnerCtx, p, in, cfg)
-		runnerDone <- err
-	}()
+		runnerCtx, cancelRunner := context.WithCancel(context.Background())
+		runnerDone := make(chan error, 1)
+		go func() {
+			_, err := ep.run(runnerCtx, c, p, in)
+			runnerDone <- err
+		}()
+		// Wait until the runner's entry is in flight so the waiters dedup
+		// onto it.
+		awaitInFlight(t, c)
 
-	// Wait until the runner's entry is in flight so the waiter dedups onto it.
-	for i := 0; ; i++ {
-		c.mu.Lock()
-		n := len(c.mem)
-		c.mu.Unlock()
-		if n == 1 {
-			break
+		var wg sync.WaitGroup
+		waiterErrs := make([]error, 3)
+		for i := range waiterErrs {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				_, waiterErrs[i] = ep.run(context.Background(), c, p, in)
+			}(i)
 		}
-		if i > 1000 {
-			t.Fatal("runner never registered its in-flight entry")
-		}
-		time.Sleep(time.Millisecond)
-	}
+		time.Sleep(2 * time.Millisecond)
+		cancelRunner()
 
-	var wg sync.WaitGroup
-	waiterErrs := make([]error, 3)
-	for i := range waiterErrs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, waiterErrs[i] = c.RunCtx(context.Background(), p, in, cfg)
-		}(i)
-	}
-	time.Sleep(2 * time.Millisecond)
-	cancelRunner()
-
-	if err := <-runnerDone; !errors.Is(err, context.Canceled) {
-		t.Fatalf("runner err = %v, want context.Canceled", err)
-	}
-	wg.Wait()
-	for i, err := range waiterErrs {
-		if err != nil {
-			t.Errorf("waiter %d err = %v, want success after retry", i, err)
+		if err := <-runnerDone; !errors.Is(err, context.Canceled) {
+			t.Fatalf("runner err = %v, want context.Canceled", err)
 		}
-	}
-	if m := c.Metrics(); m.Cancels == 0 {
-		t.Errorf("Cancels = 0, want >= 1")
-	}
+		wg.Wait()
+		for i, err := range waiterErrs {
+			if err != nil {
+				t.Errorf("waiter %d err = %v, want success after retry", i, err)
+			}
+		}
+		if m := c.Metrics(); m.Cancels == 0 {
+			t.Errorf("Cancels = 0, want >= 1")
+		}
+	})
 }
 
 // TestRunCtxWaiterCancelled: a waiter whose own context ends while waiting
 // gets its context error back promptly.
 func TestRunCtxWaiterCancelled(t *testing.T) {
-	c := New("")
-	p := testProg(t)
-	in := testInput(300_000)
-	cfg := pipeline.DefaultConfig()
+	forEachEntryPoint(t, func(t *testing.T, ep entryPoint) {
+		c := New("")
+		p := testProg(t)
+		in := ep.input(300_000)
 
-	runnerDone := make(chan struct{})
-	go func() {
-		defer close(runnerDone)
-		if _, err := c.RunCtx(context.Background(), p, in, cfg); err != nil {
-			t.Errorf("runner: %v", err)
-		}
-	}()
-	for i := 0; ; i++ {
-		c.mu.Lock()
-		n := len(c.mem)
-		c.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if i > 1000 {
-			t.Fatal("runner never registered its in-flight entry")
-		}
-		time.Sleep(time.Millisecond)
-	}
+		runnerDone := make(chan struct{})
+		go func() {
+			defer close(runnerDone)
+			if _, err := ep.run(context.Background(), c, p, in); err != nil {
+				t.Errorf("runner: %v", err)
+			}
+		}()
+		awaitInFlight(t, c)
 
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err := c.RunCtx(ctx, p, in, cfg)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("waiter err = %v, want deadline exceeded", err)
-	}
-	if waited := time.Since(start); waited > 5*time.Second {
-		t.Fatalf("waiter blocked %v after its context ended", waited)
-	}
-	<-runnerDone
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+		defer cancel()
+		start := time.Now()
+		_, err := ep.run(ctx, c, p, in)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("waiter err = %v, want deadline exceeded", err)
+		}
+		if waited := time.Since(start); waited > 5*time.Second {
+			t.Fatalf("waiter blocked %v after its context ended", waited)
+		}
+		<-runnerDone
+	})
 }

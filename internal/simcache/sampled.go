@@ -3,9 +3,6 @@ package simcache
 import (
 	"context"
 	"crypto/sha256"
-	"os"
-	"path/filepath"
-	"time"
 
 	"dmp/internal/isa"
 	"dmp/internal/pipeline"
@@ -18,11 +15,13 @@ import (
 // full-fidelity ones.
 var sampledKeySchema = "dmp-simcache-sampled-v1\x00" + sample.Schema() + "\x00"
 
-// sresult is one memoized sampled simulation (the sampled twin of result).
-type sresult struct {
-	ready chan struct{}
-	res   sample.Result
-	err   error
+// sampledRuns is the sampled kind: Result entries under sm-<Schema>. Their
+// estimated cycles never enter SimCycles; the sampled metric counts them.
+var sampledRuns = kind[sample.Result]{
+	ns:        "sm-" + sample.Schema(),
+	marshal:   sample.MarshalResult,
+	unmarshal: sample.UnmarshalResult,
+	count:     func(m *Metrics, _ sample.Result) { m.sampled.Add(1) },
 }
 
 // KeyOfSampled derives the cache key for one sampled simulation: the
@@ -49,136 +48,14 @@ func (c *Cache) RunSampled(prog *isa.Program, input []int64, cfg pipeline.Config
 
 // RunSampledCtx returns the memoized sample.Result for the sampled
 // simulation, executing it at most once per process per distinct
-// (program, input, config, sampling conf) tuple. Sampled entries live in
-// their own map and on-disk namespace — a sampled estimate and a
+// (program, input, config, sampling conf) tuple. Sampled entries have their
+// own key space and on-disk namespace — a sampled estimate and a
 // full-fidelity Stats are different animals and must never answer for each
-// other. The cancellation contract matches RunCtx: aborted runs are evicted
-// before their waiters wake and are never memoized. On a nil cache it
-// degenerates to sample.Run. Traced configs bypass memoization for the same
-// reason they do on the full-fidelity path.
+// other. Otherwise the contract is RunCtx's: aborted runs are evicted
+// before their waiters wake and are never memoized, a nil cache degenerates
+// to sample.Run, and traced configs bypass memoization.
 func (c *Cache) RunSampledCtx(ctx context.Context, prog *isa.Program, input []int64, cfg pipeline.Config, sc sample.SampleConf) (sample.Result, error) {
-	if c == nil {
-		return sample.Run(ctx, prog, input, cfg, sc)
-	}
-	if cfg.Tracer != nil {
-		c.metrics.bypasses.Add(1)
-		start := time.Now()
-		r, err := sample.Run(ctx, prog, input, cfg, sc)
-		c.metrics.simWallNS.Add(int64(time.Since(start)))
-		if err == nil {
-			c.metrics.sampled.Add(1)
-		}
-		return r, err
-	}
-	key := c.KeyOfSampled(prog, input, cfg, sc)
-
-	for {
-		c.mu.Lock()
-		if c.smem == nil {
-			c.smem = map[Key]*sresult{}
-		}
-		if r, ok := c.smem[key]; ok {
-			c.mu.Unlock()
-			select {
-			case <-r.ready:
-				c.metrics.hits.Add(1)
-			default:
-				c.metrics.dedups.Add(1)
-				select {
-				case <-r.ready:
-				case <-ctx.Done():
-					return sample.Result{}, ctx.Err()
-				}
-			}
-			if r.err != nil && isCtxErr(r.err) {
-				if err := ctx.Err(); err != nil {
-					return sample.Result{}, err
-				}
-				continue
-			}
-			return r.res, r.err
-		}
-		r := &sresult{ready: make(chan struct{})}
-		c.smem[key] = r
-		c.mu.Unlock()
-		return c.computeSampled(ctx, key, r, prog, input, cfg, sc)
-	}
-}
-
-// computeSampled executes (or disk-loads) a sampled simulation for a freshly
-// inserted in-flight entry.
-func (c *Cache) computeSampled(ctx context.Context, key Key, r *sresult, prog *isa.Program, input []int64, cfg pipeline.Config, sc sample.SampleConf) (sample.Result, error) {
-	defer close(r.ready)
-
-	if res, ok := c.loadDiskSampled(key); ok {
-		c.metrics.diskHits.Add(1)
-		r.res = res
-		return res, nil
-	}
-
-	start := time.Now()
-	r.res, r.err = sample.Run(ctx, prog, input, cfg, sc)
-	c.metrics.simWallNS.Add(int64(time.Since(start)))
-	if r.err != nil && isCtxErr(r.err) {
-		c.metrics.cancels.Add(1)
-		c.mu.Lock()
-		delete(c.smem, key)
-		c.mu.Unlock()
-		return r.res, r.err
-	}
-	c.metrics.misses.Add(1)
-	if r.err == nil {
-		c.metrics.sampled.Add(1)
-		c.storeDiskSampled(key, r.res)
-	}
-	return r.res, r.err
-}
-
-// diskPathSampled namespaces sampled entries by the Result schema, parallel
-// to the full-fidelity "s-" generation directories.
-func (c *Cache) diskPathSampled(key Key) string {
-	return filepath.Join(c.dir, "sm-"+sample.Schema(), key.String()+".json")
-}
-
-func (c *Cache) loadDiskSampled(key Key) (sample.Result, bool) {
-	if c.dir == "" {
-		return sample.Result{}, false
-	}
-	b, err := os.ReadFile(c.diskPathSampled(key))
-	if err != nil {
-		return sample.Result{}, false
-	}
-	res, err := sample.UnmarshalResult(b)
-	if err != nil {
-		return sample.Result{}, false
-	}
-	return res, true
-}
-
-func (c *Cache) storeDiskSampled(key Key, res sample.Result) {
-	if c.dir == "" {
-		return
-	}
-	b, err := sample.MarshalResult(res)
-	if err != nil {
-		return
-	}
-	dir := filepath.Dir(c.diskPathSampled(key))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(dir, "tmp-*")
-	if err != nil {
-		return
-	}
-	name := tmp.Name()
-	_, werr := tmp.Write(b)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(name)
-		return
-	}
-	if err := os.Rename(name, c.diskPathSampled(key)); err != nil {
-		os.Remove(name)
-	}
+	return memoized(ctx, c, &sampledRuns, cfg.Tracer != nil,
+		func() Key { return c.KeyOfSampled(prog, input, cfg, sc) },
+		func(ctx context.Context) (sample.Result, error) { return sample.Run(ctx, prog, input, cfg, sc) })
 }

@@ -1,8 +1,6 @@
 package simcache
 
 import (
-	"context"
-	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,32 +9,6 @@ import (
 	"dmp/internal/pipeline"
 	"dmp/internal/sample"
 )
-
-// TestRunSampledMemoizes: the second identical sampled request is a hit and
-// returns a Result deep-equal to the executed one.
-func TestRunSampledMemoizes(t *testing.T) {
-	c := New("")
-	p := testProg(t)
-	in := testInput(120_000)
-	cfg := pipeline.DefaultConfig()
-	sc := sample.DefaultConf()
-
-	r1, err := c.RunSampled(p, in, cfg, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := c.RunSampled(p, in, cfg, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(r1, r2) {
-		t.Error("memoized sampled result differs from executed one")
-	}
-	m := c.Metrics()
-	if m.Misses != 1 || m.Hits != 1 || m.Sampled != 1 {
-		t.Errorf("metrics = %+v, want 1 miss / 1 hit / 1 sampled", m)
-	}
-}
 
 // TestRunSampledKeySeparation: a sampled run and a full-fidelity run of the
 // same workload must occupy disjoint cache entries, and different sampling
@@ -110,50 +82,5 @@ func TestRunSampledDisk(t *testing.T) {
 	m := c2.Metrics()
 	if m.DiskHits != 1 || m.Misses != 0 {
 		t.Errorf("fresh cache metrics = %+v, want 1 disk hit / 0 misses", m)
-	}
-}
-
-// TestRunSampledCancelledNotMemoized: the RunCtx cancellation contract holds
-// on the sampled path — an aborted run is evicted and a live retry succeeds.
-func TestRunSampledCancelledNotMemoized(t *testing.T) {
-	c := New("")
-	p := testProg(t)
-	in := testInput(120_000)
-	cfg := pipeline.DefaultConfig()
-	sc := sample.DefaultConf()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := c.RunSampledCtx(ctx, p, in, cfg, sc); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunSampledCtx(cancelled) err = %v, want context.Canceled", err)
-	}
-	m := c.Metrics()
-	if m.Cancels != 1 || m.Misses != 0 || m.Sampled != 0 {
-		t.Fatalf("after cancel: %+v, want 1 cancel and nothing memoized", m)
-	}
-
-	r, err := c.RunSampled(p, in, cfg, sc)
-	if err != nil {
-		t.Fatalf("retry after cancel: %v", err)
-	}
-	if r.TotalInsts == 0 {
-		t.Fatal("retry after cancel produced an empty result")
-	}
-	if m := c.Metrics(); m.Misses != 1 || m.Sampled != 1 {
-		t.Fatalf("after retry: %+v, want 1 miss / 1 sampled", m)
-	}
-}
-
-// TestRunSampledNilCache: a nil *Cache degrades to a plain sampled run.
-func TestRunSampledNilCache(t *testing.T) {
-	var c *Cache
-	p := testProg(t)
-	in := testInput(120_000)
-	r, err := c.RunSampled(p, in, pipeline.DefaultConfig(), sample.DefaultConf())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.TotalInsts == 0 {
-		t.Fatal("nil-cache sampled run produced an empty result")
 	}
 }

@@ -12,6 +12,10 @@
 // optional on-disk layer (enabled by the DMP_CACHE_DIR environment variable)
 // persists results across dmpbench/dmpsim invocations.
 //
+// Full-fidelity runs (Run, pipeline.Stats) and sampled runs (RunSampled,
+// sample.Result) take one memoized-run path; they differ only in their key
+// space, wire codec, run function and metric.
+//
 // The cache also keeps run metrics — hits, misses, simulated cycles and
 // aggregate simulation wall time — surfaced by the CLIs via -metrics-json
 // and the evaluation summary footer.
@@ -29,6 +33,7 @@ import (
 	"time"
 
 	"dmp/internal/isa"
+	"dmp/internal/memo"
 	"dmp/internal/pipeline"
 )
 
@@ -41,7 +46,7 @@ const EnvDir = "DMP_CACHE_DIR"
 // extending Stats automatically invalidates old entries — without it, stale
 // DMP_CACHE_DIR entries written by an older binary would unmarshal with the
 // new fields silently zero-valued. The same fingerprint versions the on-disk
-// layout (see diskPath).
+// layout (see fullRuns).
 var keySchema = "dmp-simcache-v2\x00" + pipeline.StatsSchema() + "\x00"
 
 // Key identifies one simulation: a content hash of program, input and config.
@@ -50,12 +55,37 @@ type Key [sha256.Size]byte
 // String returns the hexadecimal form of the key (the on-disk file stem).
 func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
-// result is one memoized simulation. ready is closed once stats/err are
-// final, so concurrent requesters of the same key can block on it.
-type result struct {
+// entry is one memoized run. ready is closed once val/err are final, so
+// concurrent requesters of the same key can block on it.
+type entry[V any] struct {
 	ready chan struct{}
-	stats pipeline.Stats
+	val   V
 	err   error
+}
+
+// kind is what one kind of memoized run supplies beyond its key and run
+// function: its on-disk namespace, its wire codec and the metric an
+// executed run adds.
+type kind[V any] struct {
+	// ns is the subdirectory of the disk layer holding this kind's
+	// entries. It names the wire schema, so generations stay physically
+	// separate: stale-schema files are never picked up and are easy to
+	// garbage-collect by directory.
+	ns        string
+	marshal   func(V) ([]byte, error)
+	unmarshal func([]byte) (V, error)
+	count     func(*Metrics, V)
+}
+
+// fullRuns is the full-fidelity kind: Stats entries under s-<StatsSchema>.
+var fullRuns = kind[pipeline.Stats]{
+	ns:        "s-" + pipeline.StatsSchema(),
+	marshal:   pipeline.MarshalStats,
+	unmarshal: pipeline.UnmarshalStats,
+	count: func(m *Metrics, st pipeline.Stats) {
+		m.simCycles.Add(st.Cycles)
+		m.simInsts.Add(st.Retired)
+	},
 }
 
 // Cache memoizes pipeline runs. The zero value is not usable; construct with
@@ -63,15 +93,17 @@ type result struct {
 type Cache struct {
 	dir string // "" = memory-only
 
-	mu   sync.Mutex
-	mem  map[Key]*result
-	smem map[Key]*sresult // sampled runs: estimates never answer for exact stats
+	// mem is the one in-flight table of both kinds. Their keys hash
+	// different schema prefixes, so an estimate never answers for exact
+	// stats, and a key's entry type always matches its kind.
+	mu  sync.Mutex
+	mem map[Key]any
 
-	// codeHash memoizes the program-content hash by annotation-sidecar
-	// identity: harness workloads simulate the same compiled binary under
-	// many sidecars, and WithAnnots shares the code segment across them.
-	codeMu   sync.Mutex
-	codeHash map[*isa.Inst][sha256.Size]byte
+	// codeHash memoizes the hash of an un-annotated program by code
+	// identity (&Code[0]): harness workloads simulate the same baseline
+	// binary many times. The cap bounds the dead programs a long-lived
+	// daemon pins, at the order of predecode.Shared's.
+	codeHash memo.Bounded[*isa.Inst, [sha256.Size]byte]
 
 	metrics Metrics
 }
@@ -79,7 +111,7 @@ type Cache struct {
 // New returns a cache with an optional persistent directory (created on
 // first store). An empty dir keeps the cache memory-only.
 func New(dir string) *Cache {
-	return &Cache{dir: dir, mem: map[Key]*result{}, codeHash: map[*isa.Inst][sha256.Size]byte{}}
+	return &Cache{dir: dir, mem: map[Key]any{}, codeHash: memo.Bounded[*isa.Inst, [sha256.Size]byte]{Cap: 1024}}
 }
 
 // FromEnv returns a cache whose disk layer is controlled by DMP_CACHE_DIR.
@@ -93,24 +125,10 @@ func (c *Cache) Dir() string {
 	return c.dir
 }
 
-// progHash returns the content hash of the program including annotations,
-// memoizing the (large, annotation-independent) prefix by code identity.
+// progHash returns the content hash of the program including annotations.
 func (c *Cache) progHash(p *isa.Program) [sha256.Size]byte {
 	if len(p.Annots) == 0 && len(p.Code) > 0 {
-		// Fast path for the un-annotated baseline binary: memoize whole-hash
-		// by code-segment identity.
-		id := &p.Code[0]
-		c.codeMu.Lock()
-		h, ok := c.codeHash[id]
-		c.codeMu.Unlock()
-		if ok {
-			return h
-		}
-		h = p.Hash()
-		c.codeMu.Lock()
-		c.codeHash[id] = h
-		c.codeMu.Unlock()
-		return h
+		return c.codeHash.Get(&p.Code[0], p.Hash)
 	}
 	return p.Hash()
 }
@@ -144,97 +162,116 @@ func (c *Cache) Run(prog *isa.Program, input []int64, cfg pipeline.Config) (pipe
 	return c.RunCtx(context.Background(), prog, input, cfg)
 }
 
-// isCtxErr reports whether err stems from a cancelled or expired context.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
 // RunCtx is Run under a cancellation context. Cancellation never poisons the
 // cache: a run aborted by its context is evicted before its waiters wake, so
 // the next request for the same key computes the result afresh, and a waiter
 // deduplicating against a run that was cancelled by the *runner's* context
 // retries with its own (live) context instead of inheriting the error.
 func (c *Cache) RunCtx(ctx context.Context, prog *isa.Program, input []int64, cfg pipeline.Config) (pipeline.Stats, error) {
-	if c == nil {
-		return pipeline.RunCtx(ctx, prog, input, cfg)
-	}
-	if cfg.Tracer != nil {
-		c.metrics.bypasses.Add(1)
-		start := time.Now()
-		st, err := pipeline.RunCtx(ctx, prog, input, cfg)
-		c.metrics.simWallNS.Add(int64(time.Since(start)))
-		if err == nil {
-			c.metrics.simCycles.Add(st.Cycles)
-			c.metrics.simInsts.Add(st.Retired)
-		}
-		return st, err
-	}
-	key := c.KeyOf(prog, input, cfg)
+	return memoized(ctx, c, &fullRuns, cfg.Tracer != nil,
+		func() Key { return c.KeyOf(prog, input, cfg) },
+		func(ctx context.Context) (pipeline.Stats, error) { return pipeline.RunCtx(ctx, prog, input, cfg) })
+}
 
+// isCtxErr reports whether err stems from a cancelled or expired context.
+func isCtxErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
+// memoized runs one simulation of kind k through the cache. A nil cache
+// just runs it, and a traced run bypasses memoization; any other run
+// executes at most once per process per key, concurrent requests waiting on
+// the first.
+func memoized[V any](ctx context.Context, c *Cache, k *kind[V], traced bool, key func() Key, run func(context.Context) (V, error)) (V, error) {
+	if c == nil {
+		return run(ctx)
+	}
+	if traced {
+		c.metrics.bypasses.Add(1)
+		v, err := timed(ctx, c, run)
+		if err == nil {
+			k.count(&c.metrics, v)
+		}
+		return v, err
+	}
+	kk := key()
+	var zero V
 	for {
 		c.mu.Lock()
-		if r, ok := c.mem[key]; ok {
+		if e, ok := c.mem[kk].(*entry[V]); ok {
 			c.mu.Unlock()
 			select {
-			case <-r.ready:
+			case <-e.ready:
 				c.metrics.hits.Add(1)
 			default:
 				// Another goroutine is running this exact simulation; wait
 				// for it — or for our own context, whichever ends first.
 				c.metrics.dedups.Add(1)
 				select {
-				case <-r.ready:
+				case <-e.ready:
 				case <-ctx.Done():
-					return pipeline.Stats{}, ctx.Err()
+					return zero, ctx.Err()
 				}
 			}
-			if r.err != nil && isCtxErr(r.err) {
+			if e.err != nil && isCtxErr(e.err) {
 				// The runner was cancelled (and evicted the entry before
 				// closing ready). Our context may still be live: retry.
 				if err := ctx.Err(); err != nil {
-					return pipeline.Stats{}, err
+					return zero, err
 				}
 				continue
 			}
-			return r.stats, r.err
+			return e.val, e.err
 		}
-		r := &result{ready: make(chan struct{})}
-		c.mem[key] = r
+		e := &entry[V]{ready: make(chan struct{})}
+		c.mem[kk] = e
 		c.mu.Unlock()
-		return c.compute(ctx, key, r, prog, input, cfg)
+		return compute(ctx, c, k, kk, e, run)
 	}
 }
 
-// compute executes (or disk-loads) the simulation for a freshly inserted
-// in-flight entry, publishing the result to waiters when it returns.
-func (c *Cache) compute(ctx context.Context, key Key, r *result, prog *isa.Program, input []int64, cfg pipeline.Config) (pipeline.Stats, error) {
-	defer close(r.ready)
+// compute executes (or disk-loads) the run for a freshly inserted in-flight
+// entry, publishing the result to waiters when it returns.
+func compute[V any](ctx context.Context, c *Cache, k *kind[V], key Key, e *entry[V], run func(context.Context) (V, error)) (V, error) {
+	defer close(e.ready)
 
-	if st, ok := c.loadDisk(key); ok {
-		c.metrics.diskHits.Add(1)
-		r.stats = st
-		return st, nil
+	if b, ok := c.readDisk(k.ns, key); ok {
+		// A stale schema or corrupt entry reads as a miss.
+		if v, err := k.unmarshal(b); err == nil {
+			c.metrics.diskHits.Add(1)
+			e.val = v
+			return v, nil
+		}
 	}
 
-	start := time.Now()
-	r.stats, r.err = pipeline.RunCtx(ctx, prog, input, cfg)
-	c.metrics.simWallNS.Add(int64(time.Since(start)))
-	if r.err != nil && isCtxErr(r.err) {
+	e.val, e.err = timed(ctx, c, run)
+	if e.err != nil && isCtxErr(e.err) {
 		// Evict before the deferred close wakes any waiters: a cancelled
 		// run is not a result, and must not be memoized.
 		c.metrics.cancels.Add(1)
 		c.mu.Lock()
 		delete(c.mem, key)
 		c.mu.Unlock()
-		return r.stats, r.err
+		return e.val, e.err
 	}
 	c.metrics.misses.Add(1)
-	if r.err == nil {
-		c.metrics.simCycles.Add(r.stats.Cycles)
-		c.metrics.simInsts.Add(r.stats.Retired)
-		c.storeDisk(key, r.stats)
+	if e.err == nil {
+		k.count(&c.metrics, e.val)
+		if c.dir != "" {
+			if b, err := k.marshal(e.val); err == nil {
+				c.writeDisk(k.ns, key, b)
+			}
+		}
 	}
-	return r.stats, r.err
+	return e.val, e.err
+}
+
+// timed executes run, adding its wall time to the simulation wall metric.
+func timed[V any](ctx context.Context, c *Cache, run func(context.Context) (V, error)) (V, error) {
+	start := time.Now()
+	v, err := run(ctx)
+	c.metrics.simWallNS.Add(int64(time.Since(start)))
+	return v, err
 }
 
 // Metrics returns a snapshot of the cache counters.
@@ -245,44 +282,27 @@ func (c *Cache) Metrics() Snapshot {
 	return c.metrics.snapshot()
 }
 
-// diskPath places entries under a schema-versioned subdirectory. The Stats
-// fingerprint is already folded into the key hash; repeating it in the path
-// keeps generations physically separate, so stale-schema files can never be
-// picked up (and are easy to garbage-collect by directory).
-func (c *Cache) diskPath(key Key) string {
-	return filepath.Join(c.dir, "s-"+pipeline.StatsSchema(), key.String()+".json")
+// diskPath places key's entry in namespace ns of the disk layer.
+func (c *Cache) diskPath(ns string, key Key) string {
+	return filepath.Join(c.dir, ns, key.String()+".json")
 }
 
-// loadDisk consults the persistent layer; any failure (missing file, stale
-// schema, corrupt entry) reads as a miss.
-func (c *Cache) loadDisk(key Key) (pipeline.Stats, bool) {
+// readDisk returns the stored bytes of key's entry in namespace ns; any
+// failure, a missing file included, reads as a miss.
+func (c *Cache) readDisk(ns string, key Key) ([]byte, bool) {
 	if c.dir == "" {
-		return pipeline.Stats{}, false
+		return nil, false
 	}
-	b, err := os.ReadFile(c.diskPath(key))
-	if err != nil {
-		return pipeline.Stats{}, false
-	}
-	st, err := pipeline.UnmarshalStats(b)
-	if err != nil {
-		return pipeline.Stats{}, false
-	}
-	return st, true
+	b, err := os.ReadFile(c.diskPath(ns, key))
+	return b, err == nil
 }
 
-// storeDisk persists a result best-effort: a read-only or missing directory
-// never fails the simulation. The write is atomic (temp file + rename) so
-// concurrent processes sharing a cache directory cannot observe torn
-// entries.
-func (c *Cache) storeDisk(key Key, st pipeline.Stats) {
-	if c.dir == "" {
-		return
-	}
-	b, err := pipeline.MarshalStats(st)
-	if err != nil {
-		return
-	}
-	dir := filepath.Dir(c.diskPath(key))
+// writeDisk persists an entry in namespace ns best-effort: a read-only or
+// missing directory never fails the simulation. The write is atomic (temp
+// file + rename) so concurrent processes sharing a cache directory cannot
+// observe torn entries.
+func (c *Cache) writeDisk(ns string, key Key, b []byte) {
+	dir := filepath.Join(c.dir, ns)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return
 	}
@@ -297,7 +317,7 @@ func (c *Cache) storeDisk(key Key, st pipeline.Stats) {
 		os.Remove(name)
 		return
 	}
-	if err := os.Rename(name, c.diskPath(key)); err != nil {
+	if err := os.Rename(name, c.diskPath(ns, key)); err != nil {
 		os.Remove(name)
 	}
 }

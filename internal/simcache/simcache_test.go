@@ -1,15 +1,18 @@
 package simcache
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
 	"dmp/internal/codegen"
 	"dmp/internal/isa"
 	"dmp/internal/pipeline"
+	"dmp/internal/sample"
 )
 
 const testSrc = `
@@ -76,131 +79,218 @@ func TestKeyStability(t *testing.T) {
 	}
 }
 
-func TestRunMemoizes(t *testing.T) {
-	c := New("")
-	p := testProg(t)
-	in := testInput(500)
-	cfg := pipeline.DefaultConfig()
+// entryPoint is one of the cache's two memoized entry points, run on the
+// default machine and sampling configurations.
+type entryPoint struct {
+	name string
+	ns   string // disk namespace
+	// minInput is the shortest input tape a test gives it: on a shorter
+	// tape the test program is too short to sample and runs exact.
+	minInput int
+	run      func(ctx context.Context, c *Cache, p *isa.Program, in []int64) (any, error)
+	// counts is what one executed run adds to the metrics.
+	counts func(v any) Snapshot
+}
 
-	a, err := c.Run(p, in, cfg)
-	if err != nil {
-		t.Fatal(err)
+var entryPoints = []entryPoint{
+	{
+		name: "full",
+		ns:   "s-" + pipeline.StatsSchema(),
+		run: func(ctx context.Context, c *Cache, p *isa.Program, in []int64) (any, error) {
+			return c.RunCtx(ctx, p, in, pipeline.DefaultConfig())
+		},
+		counts: func(v any) Snapshot {
+			st := v.(pipeline.Stats)
+			return Snapshot{SimCycles: st.Cycles, SimInsts: st.Retired}
+		},
+	},
+	{
+		name:     "sampled",
+		ns:       "sm-" + sample.Schema(),
+		minInput: 120_000,
+		run: func(ctx context.Context, c *Cache, p *isa.Program, in []int64) (any, error) {
+			return c.RunSampledCtx(ctx, p, in, pipeline.DefaultConfig(), sample.DefaultConf())
+		},
+		counts: func(any) Snapshot { return Snapshot{Sampled: 1} },
+	},
+}
+
+// input returns a test tape of at least n values.
+func (ep entryPoint) input(n int) []int64 { return testInput(max(n, ep.minInput)) }
+
+// forEachEntryPoint runs test as one subtest per entry point.
+func forEachEntryPoint(t *testing.T, test func(t *testing.T, ep entryPoint)) {
+	for _, ep := range entryPoints {
+		t.Run(ep.name, func(t *testing.T) { test(t, ep) })
 	}
-	b, err := c.Run(p, in, cfg)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// checkCounts compares the run counters with what the executed runs add.
+func checkCounts(t *testing.T, ep entryPoint, m Snapshot, runs ...any) {
+	t.Helper()
+	var want Snapshot
+	for _, v := range runs {
+		d := ep.counts(v)
+		want.SimCycles += d.SimCycles
+		want.SimInsts += d.SimInsts
+		want.Sampled += d.Sampled
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Error("memoized result differs from first run")
+	if m.SimCycles != want.SimCycles || m.SimInsts != want.SimInsts || m.Sampled != want.Sampled {
+		t.Errorf("counted cycles %d insts %d sampled %d, want %d %d %d",
+			m.SimCycles, m.SimInsts, m.Sampled, want.SimCycles, want.SimInsts, want.Sampled)
 	}
-	m := c.Metrics()
-	if m.Misses != 1 || m.Hits != 1 {
-		t.Errorf("metrics = %+v, want 1 miss and 1 hit", m)
-	}
-	if m.SimCycles != a.Cycles {
-		t.Errorf("SimCycles = %d, want %d", m.SimCycles, a.Cycles)
-	}
-	if m.SimWall <= 0 {
-		t.Error("SimWall not recorded")
-	}
-	if m.HitRate() != 0.5 {
-		t.Errorf("HitRate = %v, want 0.5", m.HitRate())
-	}
+}
+
+func TestRunMemoizes(t *testing.T) {
+	forEachEntryPoint(t, func(t *testing.T, ep entryPoint) {
+		c := New("")
+		p := testProg(t)
+		in := ep.input(500)
+
+		a, err := ep.run(context.Background(), c, p, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := ep.run(context.Background(), c, p, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Error("memoized result differs from first run")
+		}
+		m := c.Metrics()
+		if m.Misses != 1 || m.Hits != 1 {
+			t.Errorf("metrics = %+v, want 1 miss and 1 hit", m)
+		}
+		checkCounts(t, ep, m, a)
+		if m.SimWall <= 0 {
+			t.Error("SimWall not recorded")
+		}
+		if m.HitRate() != 0.5 {
+			t.Errorf("HitRate = %v, want 0.5", m.HitRate())
+		}
+	})
 }
 
 func TestRunDeduplicatesConcurrent(t *testing.T) {
-	c := New("")
-	p := testProg(t)
-	in := testInput(2000)
-	cfg := pipeline.DefaultConfig()
+	forEachEntryPoint(t, func(t *testing.T, ep entryPoint) {
+		c := New("")
+		p := testProg(t)
+		in := ep.input(2000)
 
-	const workers = 8
-	var wg sync.WaitGroup
-	results := make([]pipeline.Stats, workers)
-	errs := make([]error, workers)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = c.Run(p, in, cfg)
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < workers; i++ {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
+		const workers = 8
+		var wg sync.WaitGroup
+		results := make([]any, workers)
+		errs := make([]error, workers)
+		for i := 0; i < workers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				results[i], errs[i] = ep.run(context.Background(), c, p, in)
+			}(i)
 		}
-		if !reflect.DeepEqual(results[i], results[0]) {
-			t.Errorf("worker %d saw a different result", i)
+		wg.Wait()
+		for i := 0; i < workers; i++ {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if !reflect.DeepEqual(results[i], results[0]) {
+				t.Errorf("worker %d saw a different result", i)
+			}
 		}
-	}
-	m := c.Metrics()
-	if m.Misses != 1 {
-		t.Errorf("misses = %d, want exactly 1 execution", m.Misses)
-	}
-	if m.Hits+m.Dedups != workers-1 {
-		t.Errorf("hits+dedups = %d, want %d", m.Hits+m.Dedups, workers-1)
-	}
+		m := c.Metrics()
+		if m.Misses != 1 {
+			t.Errorf("misses = %d, want exactly 1 execution", m.Misses)
+		}
+		if m.Hits+m.Dedups != workers-1 {
+			t.Errorf("hits+dedups = %d, want %d", m.Hits+m.Dedups, workers-1)
+		}
+		checkCounts(t, ep, m, results[0])
+	})
 }
 
 func TestDiskLayer(t *testing.T) {
-	dir := t.TempDir()
-	p := testProg(t)
-	in := testInput(500)
-	cfg := pipeline.DefaultConfig()
+	forEachEntryPoint(t, func(t *testing.T, ep entryPoint) {
+		dir := t.TempDir()
+		p := testProg(t)
+		in := ep.input(500)
 
-	warm := New(dir)
-	a, err := warm.Run(p, in, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries, err := filepath.Glob(filepath.Join(dir, "s-*", "*.json"))
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("cache dir entries = %v (err %v), want 1", entries, err)
-	}
+		warm := New(dir)
+		a, err := ep.run(context.Background(), warm, p, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries, err := filepath.Glob(filepath.Join(dir, "*", "*"))
+		if err != nil || len(entries) != 1 || filepath.Dir(entries[0]) != filepath.Join(dir, ep.ns) {
+			t.Fatalf("cache dir entries = %v (err %v), want 1 in %s", entries, err, ep.ns)
+		}
 
-	cold := New(dir)
-	b, err := cold.Run(p, in, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Error("disk-cached result differs from simulated result")
-	}
-	m := cold.Metrics()
-	if m.DiskHits != 1 || m.Misses != 0 {
-		t.Errorf("metrics = %+v, want pure disk hit", m)
-	}
+		cold := New(dir)
+		b, err := ep.run(context.Background(), cold, p, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Error("disk-cached result differs from simulated result")
+		}
+		m := cold.Metrics()
+		if m.DiskHits != 1 || m.Misses != 0 {
+			t.Errorf("metrics = %+v, want pure disk hit", m)
+		}
+		checkCounts(t, ep, m)
 
-	// A corrupt entry must read as a miss, not an error.
-	if err := os.WriteFile(entries[0], []byte("not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	rec := New(dir)
-	cres, err := rec.Run(p, in, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rm := rec.Metrics(); rm.Misses != 1 || rm.DiskHits != 0 {
-		t.Errorf("corrupt entry metrics = %+v, want re-simulation", rm)
-	}
-	if !reflect.DeepEqual(cres, a) {
-		t.Error("re-simulated result differs")
-	}
+		// A corrupt entry must read as a miss, not an error.
+		if err := os.WriteFile(entries[0], []byte("not json"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rec := New(dir)
+		cres, err := ep.run(context.Background(), rec, p, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rm := rec.Metrics(); rm.Misses != 1 || rm.DiskHits != 0 {
+			t.Errorf("corrupt entry metrics = %+v, want re-simulation", rm)
+		}
+		if !reflect.DeepEqual(cres, a) {
+			t.Error("re-simulated result differs")
+		}
+	})
 }
 
 func TestNilCacheRuns(t *testing.T) {
-	var c *Cache
+	forEachEntryPoint(t, func(t *testing.T, ep entryPoint) {
+		var c *Cache
+		v, err := ep.run(context.Background(), c, testProg(t), ep.input(100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reflect.ValueOf(v).IsZero() {
+			t.Error("nil cache run produced an empty result")
+		}
+		if got := c.Metrics(); got != (Snapshot{}) {
+			t.Errorf("nil cache metrics = %+v", got)
+		}
+	})
+}
+
+// TestCodeHashBounded: a stream of fresh code arrays, as a long-lived
+// daemon compiles them, keeps the code-hash memo within its cap, and every
+// copy keys like the original.
+func TestCodeHashBounded(t *testing.T) {
+	c := New("")
 	p := testProg(t)
-	st, err := c.Run(p, testInput(100), pipeline.DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Retired == 0 {
-		t.Error("nil cache run retired nothing")
-	}
-	if got := c.Metrics(); got != (Snapshot{}) {
-		t.Errorf("nil cache metrics = %+v", got)
+	in := testInput(10)
+	cfg := pipeline.DefaultConfig()
+	want := c.KeyOf(p, in, cfg)
+	for i := 0; i < c.codeHash.Cap+10; i++ {
+		q := *p
+		q.Code = slices.Clone(p.Code)
+		if c.KeyOf(&q, in, cfg) != want {
+			t.Fatalf("copy %d keyed differently", i)
+		}
+		if n := c.codeHash.Len(); n > c.codeHash.Cap {
+			t.Fatalf("%d code hashes held, cap %d", n, c.codeHash.Cap)
+		}
 	}
 }
 

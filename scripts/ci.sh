@@ -16,7 +16,9 @@
 # every full-fidelity IPC must land inside the sampled confidence interval),
 # the dmpserve daemon smoke (real HTTP jobs including a duplicate spec that
 # must hit the shared simulation cache, a /metrics scrape, and a SIGTERM
-# graceful-drain check), the sweep-engine smoke (a small benchmark x config
+# graceful-drain check), the disk-cache smoke (scripts/cache_smoke.sh:
+# full and sampled dmpsim reruns under a fresh DMP_CACHE_DIR must be disk
+# hits printing the same cycles and IPC), the sweep-engine smoke (a small benchmark x config
 # grid through cmd/dmpsweep with CSV streaming, run twice so the second
 # invocation exercises resume), the paper-table pin (scripts/eval_check.sh:
 # the full dmpbench evaluation must match evaluation_output.txt apart from
@@ -51,6 +53,7 @@ go run ./cmd/dmpsim -bench vpr -dmp -max 200000 -trace-json .trace-smoke.jsonl >
 go run ./cmd/dmptrace -require-sessions .trace-smoke.jsonl >/dev/null
 rm -f .trace-smoke.jsonl
 sh scripts/serve_smoke.sh
+sh scripts/cache_smoke.sh
 rm -f .sweep-smoke.csv
 go run ./cmd/dmpsweep -bench gzip,mcf -axis ROBSize=128,512 -axis DMP=false,true -max 200000 -q -out .sweep-smoke.csv >/dev/null
 go run ./cmd/dmpsweep -bench gzip,mcf -axis ROBSize=128,512 -axis DMP=false,true -max 200000 -q -out .sweep-smoke.csv >/dev/null
