@@ -11,6 +11,7 @@ package cfg_test
 // CFM candidate order.
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"reflect"
@@ -318,6 +319,7 @@ func refEnumeratePaths(g *cfg.Graph, startBlock, stopBlock int, prob cfg.EdgePro
 				advanced = true
 				break
 			}
+			top = &stack[len(stack)-1] // push may have moved the stack
 		}
 		if advanced {
 			continue
@@ -479,6 +481,83 @@ func TestKernelsMatchReference(t *testing.T) {
 	if incomplete == 0 {
 		t.Error("no truncated path set was compared")
 	}
+}
+
+// TestPathSetsHoldNoDuplicates checks two invariants of every profiled path
+// set the selection algorithms enumerate: no path is recorded twice, and
+// the paths' probabilities, disjoint events, sum to at most 1. A DFS that
+// loses its place in a frame re-enumerates a subtree and breaks both. A
+// branch whose target is its fallthrough gives two edges to one block, and
+// edge probabilities are per block pair, so a block list may be recorded
+// once per edge sequence that realises it, each time with the whole
+// probability; the sum counts it once.
+func TestPathSetsHoldNoDuplicates(t *testing.T) {
+	sets := 0
+	for _, dp := range diffCorpus(t) {
+		for _, fn := range dp.prog.Funcs {
+			g, err := cfg.Build(dp.prog, fn)
+			if err != nil {
+				continue
+			}
+			pdom := cfg.PostDominators(g)
+			for _, br := range g.CondBranches() {
+				stop := cfg.IPosDom(g, pdom, br)
+				for ci, c := range diffCases() {
+					if !c.profiled {
+						continue
+					}
+					for pi, prof := range dp.profs {
+						tk, nt := cfg.BranchPaths(g, br, stop, prof.EdgeProb, c.lim)
+						for side, set := range map[string]*cfg.PathSet{"taken": tk, "not-taken": nt} {
+							at := fmt.Sprintf("%s/%s: branch %d case %d prob %d %s", dp.name, fn.Name, br, ci, pi, side)
+							seen := map[string]int{}
+							sum := 0.0
+							var key []byte
+							for _, p := range set.Paths {
+								key = append(key[:0], byte(p.End))
+								for _, b := range p.Blocks {
+									key = binary.AppendUvarint(key, uint64(b))
+								}
+								k := string(key)
+								if seen[k]++; seen[k] > edgeSequences(g, p) {
+									t.Fatalf("%s: path %v recorded %d times", at, p.Blocks, seen[k])
+								}
+								if seen[k] == 1 {
+									sum += p.Prob
+								}
+							}
+							if sum > 1+1e-9 {
+								t.Fatalf("%s: %d path probabilities sum to %v", at, len(set.Paths), sum)
+							}
+							sets++
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d path sets", sets)
+}
+
+// edgeSequences counts the edge sequences that realise path p's blocks.
+func edgeSequences(g *cfg.Graph, p cfg.Path) int {
+	edges := func(from, to int) int {
+		n := 0
+		for _, s := range g.Succs(from) {
+			if s == to {
+				n++
+			}
+		}
+		return n
+	}
+	n := 1
+	for i := 1; i < len(p.Blocks); i++ {
+		n *= edges(p.Blocks[i-1], p.Blocks[i])
+	}
+	if last := p.Blocks[len(p.Blocks)-1]; p.End == cfg.EndExit && len(g.Succs(last)) > 0 {
+		n *= edges(last, g.ExitID)
+	}
+	return n
 }
 
 func diffGraph(t *testing.T, where string, g *cfg.Graph, ref *refGraph) {

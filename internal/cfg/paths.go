@@ -150,12 +150,6 @@ func EnumeratePaths(g *Graph, startBlock, stopBlock int, prob EdgeProb, limits P
 		cbrs    int
 		nextSuc int
 	}
-	// The stack must keep append's growth from an empty slice. The loop
-	// below holds a pointer (top) to the parent frame across push; when
-	// push outgrows the array, that pointer goes stale and the parent's
-	// successor cursor is lost, so which paths are recorded depends on when
-	// append reallocates. Fixing that changes selections and the paper's
-	// tables, so it is left to a change of its own.
 	stack := []frame{}
 	blocks := make([]int, 0, 32)           // the prefix, in order
 	onPath := make([]int32, len(g.Blocks)) // occurrences of each block on the prefix
@@ -242,6 +236,9 @@ func EnumeratePaths(g *Graph, startBlock, stopBlock int, prob EdgeProb, limits P
 				advanced = true
 				break
 			}
+			// push may have grown the stack into a new array before
+			// popping the frame it ended: take the parent from there.
+			top = &stack[len(stack)-1]
 		}
 		if advanced {
 			continue
