@@ -170,3 +170,22 @@ func TestIntervalStartsNonOverlapping(t *testing.T) {
 		}
 	}
 }
+
+// TestTotalMemo: the count memo stores and recalls, and flushes wholesale at
+// the cap instead of growing without bound.
+func TestTotalMemo(t *testing.T) {
+	defer ForgetCounts()
+	// Distinct synthetic keys; real keys come from content hashing, which
+	// TestSampledDeterministic exercises end to end.
+	base := totalKey{progH: 0xabcdef, inputH: 42}
+	totalMemo.Put(base, 1234)
+	if v, ok := totalMemo.Load(base); !ok || v != 1234 {
+		t.Fatalf("memo lookup after store: %v %v", v, ok)
+	}
+	for i := uint64(0); i < uint64(totalMemo.Cap)+10; i++ {
+		totalMemo.Put(totalKey{progH: i, inputH: ^i}, i)
+		if n := totalMemo.Len(); n > totalMemo.Cap {
+			t.Fatalf("memo grew past cap: %d entries, cap %d", n, totalMemo.Cap)
+		}
+	}
+}
