@@ -161,18 +161,8 @@ func main() {
 	// The population experiments evaluate a generated corpus and need no
 	// paper-benchmark session; they are opt-in rather than part of -exp all.
 	if *exp == "population" || *exp == "static" {
-		var confs []gen.ProgramConf
-		if *genPreset == "all" {
-			confs = gen.Presets()
-		} else {
-			for _, name := range strings.Split(*genPreset, ",") {
-				c, ok := gen.Preset(strings.TrimSpace(name))
-				if !ok {
-					check(fmt.Errorf("unknown preset %q", name))
-				}
-				confs = append(confs, c)
-			}
-		}
+		confs, err := gen.ResolvePresets(strings.Split(*genPreset, ","))
+		check(err)
 		n := *genN
 		if *exp == "static" && !flagSet("gen-n") {
 			// The three-way table is a population claim; default to the

@@ -86,7 +86,9 @@ func main() {
 	case *confFile != "":
 		confs = readConfs(*confFile)
 	default:
-		confs = resolvePresets(*preset)
+		var err error
+		confs, err = gen.ResolvePresets(strings.Split(*preset, ","))
+		check2(err)
 	}
 	for _, c := range confs {
 		check2(c.Validate())
@@ -139,21 +141,6 @@ func main() {
 		}
 		rep.Render(w)
 	}
-}
-
-func resolvePresets(spec string) []gen.ProgramConf {
-	if spec == "all" {
-		return gen.Presets()
-	}
-	var confs []gen.ProgramConf
-	for _, name := range strings.Split(spec, ",") {
-		c, ok := gen.Preset(strings.TrimSpace(name))
-		if !ok {
-			die(fmt.Sprintf("unknown preset %q (have: %s)", name, strings.Join(gen.PresetNames(), ", ")))
-		}
-		confs = append(confs, c)
-	}
-	return confs
 }
 
 // readConfs parses a single conf object or an array of confs.

@@ -82,18 +82,8 @@ func main() {
 	var progs []sweep.Program
 	var err error
 	if *genPreset != "" {
-		var confs []gen.ProgramConf
-		if *genPreset == "all" {
-			confs = gen.Presets()
-		} else {
-			for _, name := range strings.Split(*genPreset, ",") {
-				c, ok := gen.Preset(strings.TrimSpace(name))
-				if !ok {
-					check(fmt.Errorf("unknown preset %q", name))
-				}
-				confs = append(confs, c)
-			}
-		}
+		confs, err := gen.ResolvePresets(strings.Split(*genPreset, ","))
+		check(err)
 		progs = sweep.FromGen(gen.BuildCorpus(confs, *genN, *genSeed))
 	} else {
 		var names []string

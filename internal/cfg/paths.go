@@ -224,6 +224,11 @@ func EnumeratePaths(g *Graph, startBlock, stopBlock int, prob EdgeProb, limits P
 		for top.nextSuc < len(succs) {
 			s := succs[top.nextSuc]
 			top.nextSuc++
+			if slices.Contains(succs[:top.nextSuc-1], s) {
+				// A branch whose target is its fallthrough: EdgeProb is
+				// per block pair, so the first edge carries both.
+				continue
+			}
 			p := prob(g, top.block, s) * top.prob
 			if p < top.prob*limits.MinExecProb || p < limits.ProbFloor {
 				continue

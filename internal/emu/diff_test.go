@@ -83,54 +83,6 @@ func errsEqual(a, b error) bool {
 	return a == nil || a.Error() == b.Error()
 }
 
-// TestResetMatchesFresh pins Reset, which the sampling executor uses to
-// re-stream a program on the machine it has just run: after a partial run,
-// and after a run to halt, a Reset machine must retire the same PC trace and
-// end in the same state — registers, memory, output, Retired — as a machine
-// fresh from New.
-func TestResetMatchesFresh(t *testing.T) {
-	b := bench.ByName("compress")
-	prog, err := b.Compile()
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	input := b.Input(bench.RunInput, 1)
-	fresh := emu.New(prog, input, 0)
-	wantN, wantH := stepToHalt(t, fresh)
-	for _, cut := range []uint64{40_000, 0} { // 0 runs to halt
-		m := emu.New(prog, input, 0)
-		for n := uint64(0); (cut == 0 || n < cut) && !m.Halted(); n++ {
-			if _, err := m.Step(); err != nil {
-				t.Fatalf("cut %d: step %d: %v", cut, n, err)
-			}
-		}
-		m.Reset()
-		gotN, gotH := stepToHalt(t, m)
-		if gotN != wantN || gotH != wantH {
-			t.Fatalf("cut %d: reset run retired %d PCs (hash %#x), fresh run %d (hash %#x)", cut, gotN, gotH, wantN, wantH)
-		}
-		diffState(t, fmt.Sprintf("cut %d: reset vs fresh", cut), m, fresh)
-	}
-}
-
-// stepToHalt steps m until it halts and returns the number of retired
-// instructions and an FNV-1a hash of their PCs.
-func stepToHalt(t *testing.T, m *emu.Machine) (uint64, uint64) {
-	t.Helper()
-	n, h := uint64(0), uint64(1469598103934665603)
-	for {
-		tr, err := m.Step()
-		if errors.Is(err, emu.ErrHalted) {
-			return n, h
-		}
-		if err != nil {
-			t.Fatalf("step %d: %v", n, err)
-		}
-		h = (h ^ uint64(tr.PC)) * 1099511628211
-		n++
-	}
-}
-
 // TestFastMatchesReferenceCorpus checks the fast path against the reference
 // interpreter trace-for-trace over the full benchmark corpus on both input
 // sets.

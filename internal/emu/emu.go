@@ -102,24 +102,6 @@ func New(p *isa.Program, input []int64, memWords int) *Machine {
 	return m
 }
 
-// Reset returns the machine to its initial state — the state New would
-// produce for the same program, memory size and input tape — reusing the
-// existing memory segments and predecode instead of allocating and
-// recompiling. The sampling executor uses it to re-stream a program it has
-// just run. Only the backed segments are cleared; they keep the size the
-// previous run grew them to, which a re-run of the same program needs again.
-func (m *Machine) Reset() {
-	clear(m.lo)
-	clear(m.hi)
-	m.Regs = [isa.NumRegs]int64{}
-	m.Regs[isa.RegSP] = m.size
-	m.PC = m.prog.Entry
-	m.Output = m.Output[:0]
-	m.inPos = 0
-	m.halted = false
-	m.Retired = 0
-}
-
 // MemWords returns the size of the data memory in words.
 func (m *Machine) MemWords() int { return int(m.size) }
 

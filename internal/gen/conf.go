@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand/v2"
+	"strings"
 )
 
 // ManifestVersion identifies the generator's seed-compatibility era in every
@@ -218,6 +219,27 @@ func PresetNames() []string {
 		out[i] = c.Name
 	}
 	return out
+}
+
+// ResolvePresets resolves a preset selection: preset names in order, or
+// "all" for every preset. An "all" anywhere in the list selects every
+// preset; the names before it must still exist. An unknown name fails
+// with an error listing PresetNames. Command-line flags split their value
+// on commas.
+func ResolvePresets(names []string) ([]ProgramConf, error) {
+	var confs []ProgramConf
+	for _, name := range names {
+		name = strings.TrimSpace(name)
+		if name == "all" {
+			return Presets(), nil
+		}
+		c, ok := Preset(name)
+		if !ok {
+			return nil, fmt.Errorf("unknown preset %q (have: %s)", name, strings.Join(PresetNames(), ", "))
+		}
+		confs = append(confs, c)
+	}
+	return confs, nil
 }
 
 // Presets returns the built-in conf presets. Each targets a control-flow

@@ -3,6 +3,7 @@ package gen_test
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"dmp/internal/codegen"
@@ -10,6 +11,39 @@ import (
 	"dmp/internal/gen"
 	"dmp/internal/lang"
 )
+
+// TestResolvePresets: a preset selection resolves names in order, "all"
+// anywhere in the list to every preset, and an unknown name to an error
+// naming the available presets.
+func TestResolvePresets(t *testing.T) {
+	all := gen.PresetNames()
+	names := func(confs []gen.ProgramConf) string {
+		var out []string
+		for _, c := range confs {
+			out = append(out, c.Name)
+		}
+		return strings.Join(out, ",")
+	}
+	for _, tc := range []struct {
+		in   []string
+		want string
+	}{
+		{[]string{all[1], " " + all[0]}, all[1] + "," + all[0]},
+		{[]string{"all"}, strings.Join(all, ",")},
+		{[]string{all[0], "all", "no-such"}, strings.Join(all, ",")},
+	} {
+		confs, err := gen.ResolvePresets(tc.in)
+		if err != nil || names(confs) != tc.want {
+			t.Errorf("ResolvePresets(%q) = %s, %v; want %s", tc.in, names(confs), err, tc.want)
+		}
+	}
+	for _, in := range [][]string{{"no-such"}, {""}, {"no-such", "all"}} {
+		_, err := gen.ResolvePresets(in)
+		if err == nil || !strings.Contains(err.Error(), strings.Join(all, ", ")) {
+			t.Errorf("ResolvePresets(%q) error %v, want one naming %v", in, err, all)
+		}
+	}
+}
 
 // TestPresetsWellFormed drives every built-in preset across many seeds:
 // every generated program must parse, pass the semantic checker, compile to

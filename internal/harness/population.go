@@ -23,6 +23,7 @@ import (
 	"dmp/internal/pipeline"
 	"dmp/internal/profile"
 	"dmp/internal/static"
+	"dmp/internal/stats"
 	"dmp/internal/trace"
 	"dmp/internal/verify"
 	"dmp/internal/workpool"
@@ -150,11 +151,7 @@ func groupByIdiom(results []ProgramResult) []IdiomGroup {
 	for idiom, g := range byIdiom {
 		g.MeanDeltaPct /= float64(g.N)
 		if rs := ratios[idiom]; len(rs) > 0 {
-			logSum := 0.0
-			for _, v := range rs {
-				logSum += math.Log(v)
-			}
-			g.GeoDeltaPct = (math.Exp(logSum/float64(len(rs))) - 1) * 100
+			g.GeoDeltaPct = (stats.GeoMean(rs) - 1) * 100
 		}
 		out = append(out, *g)
 	}

@@ -21,6 +21,7 @@ import (
 	"dmp/internal/gen"
 	"dmp/internal/profile"
 	"dmp/internal/static"
+	"dmp/internal/stats"
 	"dmp/internal/trace"
 )
 
@@ -192,11 +193,7 @@ func groupCompare(results []CompareResult) []CompareGroup {
 		for src := 0; src < numSources; src++ {
 			g.MeanDeltaPct[src] /= n
 			if rs := ratios[idiom][src]; len(rs) > 0 {
-				logSum := 0.0
-				for _, v := range rs {
-					logSum += math.Log(v)
-				}
-				g.GeoDeltaPct[src] = (math.Exp(logSum/float64(len(rs))) - 1) * 100
+				g.GeoDeltaPct[src] = (stats.GeoMean(rs) - 1) * 100
 			}
 		}
 		if tr := g.MeanDeltaPct[SrcTrain]; math.Abs(tr) > 1e-9 {

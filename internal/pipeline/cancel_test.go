@@ -86,34 +86,25 @@ func spinProg(t *testing.T) *isa.Program {
 	return p
 }
 
-// TestSkipCancelMidFastForward: cancelling a fast-forward over a program
-// that never halts makes the warming and the plain skip alike return
-// promptly with the context error (both poll between instruction chunks).
+// TestSkipCancelMidFastForward: cancelling a warming fast-forward over a
+// program that never halts makes it return promptly with the context error
+// (the skip polls between instruction chunks).
 func TestSkipCancelMidFastForward(t *testing.T) {
-	prog := spinProg(t)
-	for _, tc := range []struct {
-		name string
-		skip func(*Sim, context.Context) (uint64, error)
-	}{
-		{"Skip", func(s *Sim, ctx context.Context) (uint64, error) { return s.Skip(ctx, math.MaxUint64, 1<<20) }},
-		{"SkipPlain", func(s *Sim, ctx context.Context) (uint64, error) { return s.SkipPlain(ctx, math.MaxUint64) }},
-	} {
-		sim := NewFromMachine(emu.New(prog, nil, 0), DefaultConfig())
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		go func() {
-			_, err := tc.skip(sim, ctx)
-			done <- err
-		}()
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-		select {
-		case err := <-done:
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("%s err = %v, want context.Canceled", tc.name, err)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("%s did not return within 2s of cancel", tc.name)
+	sim := NewFromMachine(emu.New(spinProg(t), nil, 0), DefaultConfig())
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := sim.Skip(ctx, math.MaxUint64, 1<<20)
+		done <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Skip err = %v, want context.Canceled", err)
 		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Skip did not return within 2s of cancel")
 	}
 }

@@ -47,16 +47,6 @@ func (s *Sim) Skip(ctx context.Context, n, predTail uint64) (uint64, error) {
 	return done + k, err
 }
 
-// SkipPlain advances the machine past n correct-path instructions with no
-// warming at all — the same skip with no hooks. The sampling layer uses it
-// for the stretch beyond the last detailed interval, where warming can no
-// longer influence any measurement and would only burn the hooks'
-// per-event overhead.
-func (s *Sim) SkipPlain(ctx context.Context, n uint64) (uint64, error) {
-	s.tr.ctx = ctx
-	return s.tr.skip(n, nil)
-}
-
 // warmHooks returns the functional-warming hook set Skip hands to the
 // emulator's block executor, built on first use. It warms the I-cache at
 // line granularity, the D-cache with load addresses (stores do not access
@@ -123,10 +113,6 @@ func (s *Sim) buildWarmHooks(trainPred bool) *emu.BlockHooks {
 		},
 	}
 }
-
-// TraceDone reports whether the functional trace has ended (halt or fault):
-// no further interval can run.
-func (s *Sim) TraceDone() bool { return s.tr.halted || s.tr.err != nil }
 
 // Consumed returns the number of correct-path instructions consumed so far,
 // fetched and skipped alike.

@@ -114,9 +114,8 @@ func New(prog *isa.Program, input []int64, cfg Config) *Sim {
 
 // NewFromMachine creates a simulator that consumes its correct path from m,
 // starting at m's current architectural state; on a fresh machine that is
-// the program entry point, which is how New uses it. m is typically a fresh
-// or freshly Reset machine; the simulator takes ownership of it for the
-// duration of the run. The Sim runs to completion with Run, or is driven
+// the program entry point, which is how New uses it. The simulator takes
+// ownership of m for the duration of the run. The Sim runs to completion with Run, or is driven
 // interval by interval with Skip and RunInterval, which set the trace budget
 // themselves.
 func NewFromMachine(m *emu.Machine, cfg Config) *Sim {

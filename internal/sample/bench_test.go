@@ -12,7 +12,7 @@ import (
 // of the gzip corpus benchmark at the default SampleConf — the configuration
 // every sampled evaluation gate runs at. The first (untimed) run primes the
 // instruction-count memo, so iterations measure the config-sweep steady
-// state: one chained stream, no discovery pass. Allocations per op are part
+// state: one chained stream, no counting pass. Allocations per op are part
 // of the benchgate contract: the stream must not accumulate per-interval
 // garbage beyond the fixed machine + pipeline images.
 func BenchmarkSampledRun(b *testing.B) {

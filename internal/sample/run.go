@@ -3,7 +3,6 @@ package sample
 import (
 	"context"
 	"fmt"
-	"math"
 
 	"dmp/internal/emu"
 	"dmp/internal/isa"
@@ -19,12 +18,13 @@ import (
 // in between. The per-interval CPIs aggregate into the estimate and its
 // Student-t confidence interval.
 //
-// One pipeline walks the whole program as a single chained stream,
-// alternating warmed skips with detailed intervals, so every interval
-// inherits the full warm history of everything before it and the
-// instruction count is discovered en route — no separate counting or replay
-// pass. A program too short for MinIntervals at the configured spacing is
-// re-streamed at a shrunk period, or run exact when even that cannot fit.
+// The dynamic instruction count comes first, from the count memo or from
+// one hook-less functional pass; it picks the period (the configured one, a
+// proportionally shrunk one for a short program, or an exact run when even
+// that cannot fit MinIntervals). One pipeline then walks the program as a
+// single chained stream over intervalStarts, alternating warmed skips with
+// detailed intervals, so every interval inherits the full warm history of
+// everything before it, and stops at its last interval.
 //
 // Interval placement derives from (instruction count, sc) alone, never from
 // the host or from whether the count was remembered from an earlier run, so
@@ -41,45 +41,10 @@ func Run(ctx context.Context, prog *isa.Program, input []int64, cfg pipeline.Con
 	if !sc.Enabled {
 		return runExact(ctx, prog, input, cfg, sc)
 	}
-
-	// A program's dynamic instruction count is a pure function of (program,
-	// input, MaxInsts) — it does not depend on the sampling conf or the
-	// machine model — so a remembered count from any earlier run lets this
-	// one pick the right period up front and stop at its last interval:
-	// no discovery pass, no tail walk. Config sweeps and repeated server
-	// jobs hit this path on every run after the first.
-	key := memoKey(prog, input, cfg.MaxInsts)
-	if total, ok := totalMemo.Load(key); ok {
-		return runKnown(ctx, prog, input, cfg, sc, nil, total)
-	}
-
-	m := emu.New(prog, input, 0)
-	r, total, err := runStream(ctx, m, cfg, sc, sc.Period, 0)
+	total, err := countInsts(ctx, prog, input, cfg.MaxInsts)
 	if err != nil {
 		return Result{}, err
 	}
-	totalMemo.Put(key, total)
-	if r.Intervals >= sc.MinIntervals {
-		return r, nil
-	}
-	// Too short for MinIntervals at the configured spacing: fall through to
-	// the known-total decision tree, re-streaming on the same machine: Reset
-	// clears the memory segments the discovery stream grew, in place, and
-	// keeps the predecode, instead of building a new machine.
-	m.Reset()
-	return runKnown(ctx, prog, input, cfg, sc, m, total)
-}
-
-// runKnown picks the sampling strategy for a program whose instruction count
-// is already known — from the memo or from a discovery stream that came up
-// short — and runs it on m (a fresh machine is made when m is nil). It makes
-// exactly the decisions the discovery path would: stream at the configured
-// period when that yields enough intervals, at a proportionally shrunk
-// period when the program is short, and fall back to one exact
-// full-fidelity run when the program cannot fit MinIntervals wall to wall.
-// Results are bit-identical between the discovery and known-total paths:
-// interval placement depends only on (total, sc).
-func runKnown(ctx context.Context, prog *isa.Program, input []int64, cfg pipeline.Config, sc SampleConf, m *emu.Machine, total uint64) (Result, error) {
 	period := sc.Period
 	if len(intervalStarts(sc, period, total)) < sc.MinIntervals {
 		if total < minSampledTotal(sc) {
@@ -87,10 +52,7 @@ func runKnown(ctx context.Context, prog *isa.Program, input []int64, cfg pipelin
 		}
 		period = total / uint64(sc.MinIntervals)
 	}
-	if m == nil {
-		m = emu.New(prog, input, 0)
-	}
-	r, _, err := runStream(ctx, m, cfg, sc, period, total)
+	r, err := runStream(ctx, prog, input, cfg, sc, period, total)
 	if err != nil {
 		return Result{}, err
 	}
@@ -100,98 +62,65 @@ func runKnown(ctx context.Context, prog *isa.Program, input []int64, cfg pipelin
 	return r, nil
 }
 
-// runStream is the single-chain strategy: place, skip, measure, repeat, with
-// one pipeline carrying warm state end to end on m (a fresh or freshly Reset
-// machine). When known is zero the trace's end doubles as the instruction
-// count, which the caller needs for the shrink decision: the stretch past
-// the last interval is consumed on the plain (unwarmed) block path, since
-// nothing downstream can observe its warming. When known is the instruction
-// count from a prior pass, the stream stops at its last interval and never
-// touches the tail.
-func runStream(ctx context.Context, m *emu.Machine, cfg pipeline.Config, sc SampleConf, period, known uint64) (Result, uint64, error) {
-	detail := sc.Warmup + sc.Interval
-	if period < detail {
-		period = detail
+// countInsts returns the program's dynamic instruction count under the
+// maxInsts cap (0: none). The count is a pure function of (program, input,
+// maxInsts): it does not depend on the sampling conf or the machine model,
+// so a remembered count serves every later run, and config sweeps and
+// repeated server jobs pay the counting pass once per program. Otherwise
+// the program runs once on the emulator's block executor with no hooks,
+// polling ctx between chunks of a few million instructions.
+func countInsts(ctx context.Context, prog *isa.Program, input []int64, maxInsts uint64) (uint64, error) {
+	key := memoKey(prog, input, maxInsts)
+	if total, ok := totalMemo.Load(key); ok {
+		return total, nil
 	}
-	span := period - detail + 1
-	maxN := cfg.MaxInsts
-	cfgS := cfg
-	cfgS.MaxInsts = 0 // interval budget is managed by RunInterval
-	cfgS.Tracer = nil
-	sim := pipeline.NewFromMachine(m, cfgS)
+	const chunk = 1 << 22
+	m := emu.New(prog, input, 0)
+	var total uint64
+	for !m.Halted() && (maxInsts == 0 || total < maxInsts) {
+		if err := ctx.Err(); err != nil {
+			return 0, fmt.Errorf("sample: count: %w", err)
+		}
+		lim := uint64(chunk)
+		if maxInsts > 0 {
+			lim = min(lim, maxInsts-total)
+		}
+		n, err := m.RunBlocks(lim, nil)
+		total += n
+		if err != nil {
+			return 0, fmt.Errorf("sample: count: %w", err)
+		}
+	}
+	totalMemo.Put(key, total)
+	return total, nil
+}
 
-	var ivs []pipeline.IntervalResult
-	// warmed counts only the fast-forward that reached an interval: in
-	// discovery mode the stream warms its way toward a placement that may
-	// turn out not to fit, and that dangling skip must not leak into the
-	// accounting — WarmInsts has to come out bit-identical whether the
-	// instruction count was known up front (memo) or discovered en route.
-	var warmed, detailed, warmedPending uint64
-	var lastStart, lastWarmed, lastDetailed uint64
-	for k := uint64(0); ; k++ {
-		start := k*period + sc.offAt(k, span)
-		if maxN > 0 && start+detail > maxN {
-			break
-		}
-		if known > 0 && start+detail > known {
-			break
-		}
+// runStream is the single-chain strategy: skip, measure, repeat over the
+// intervals that fit whole inside total at the given period, with one
+// pipeline carrying warm state end to end. The stream stops at its last
+// interval and never touches the tail.
+func runStream(ctx context.Context, prog *isa.Program, input []int64, cfg pipeline.Config, sc SampleConf, period, total uint64) (Result, error) {
+	cfg.MaxInsts = 0 // interval budget is managed by RunInterval
+	cfg.Tracer = nil
+	sim := pipeline.NewFromMachine(emu.New(prog, input, 0), cfg)
+	starts := intervalStarts(sc, period, total)
+	ivs := make([]pipeline.IntervalResult, 0, len(starts))
+	var warmed, detailed uint64
+	for k, start := range starts {
 		need := start - sim.Consumed()
 		skipped, err := sim.Skip(ctx, need, min(sc.PredLead, need))
 		if err != nil {
-			return Result{}, 0, fmt.Errorf("sample: skip to interval %d: %w", k, err)
-		}
-		warmedPending += skipped
-		if skipped < need || sim.TraceDone() {
-			break
+			return Result{}, fmt.Errorf("sample: skip to interval %d: %w", k, err)
 		}
 		before := sim.Consumed()
 		iv, err := sim.RunInterval(ctx, sc.Warmup, sc.Interval)
 		if err != nil {
-			return Result{}, 0, fmt.Errorf("sample: interval %d: %w", k, err)
+			return Result{}, fmt.Errorf("sample: interval %d: %w", k, err)
 		}
-		lastStart, lastWarmed, lastDetailed = start, warmedPending, sim.Consumed()-before
-		detailed += lastDetailed
-		warmed += warmedPending
-		warmedPending = 0
+		warmed += skipped
+		detailed += sim.Consumed() - before
 		ivs = append(ivs, iv)
-		if sim.TraceDone() {
-			break
-		}
 	}
-	total := known
-	if known == 0 {
-		// Consume the tail on the plain path so the trace's end yields the
-		// instruction count; at most one stratum remains.
-		for !sim.TraceDone() {
-			rem := uint64(math.MaxUint64) / 2
-			if maxN > 0 {
-				c := sim.Consumed()
-				if c >= maxN {
-					break
-				}
-				rem = maxN - c
-			}
-			n, err := sim.SkipPlain(ctx, rem)
-			if err != nil {
-				return Result{}, 0, fmt.Errorf("sample: tail: %w", err)
-			}
-			if n == 0 {
-				break
-			}
-		}
-		total = sim.Consumed()
-		// The trace's end may have cut the last interval short. The
-		// known-total path never schedules an interval that does not fit
-		// whole, so drop it along with its skip and detail: the caller then
-		// applies the same MinIntervals rule to the same interval set.
-		if len(ivs) > 0 && lastStart+detail > total {
-			ivs = ivs[:len(ivs)-1]
-			warmed -= lastWarmed
-			detailed -= lastDetailed
-		}
-	}
-
 	r := Result{
 		Conf:          sc,
 		Period:        period,
@@ -200,14 +129,14 @@ func runStream(ctx context.Context, m *emu.Machine, cfg pipeline.Config, sc Samp
 		WarmInsts:     warmed,
 	}
 	aggregate(&r, ivs)
-	return r, total, nil
+	return r, nil
 }
 
 // totalMemo caches dynamic instruction counts across Run calls, keyed by
 // content hash of (program, input, MaxInsts). Counts are exact and
 // architecture-independent, so the memo never changes a Result — it only
-// removes the discovery pass (pinned by TestSampledDeterministic). Counts
-// are cheap to rediscover; the cap only bounds memory against endless
+// removes the counting pass (pinned by TestSampledDeterministic). Counts
+// are cheap to recount; the cap only bounds memory against endless
 // streams of generated programs.
 var totalMemo = memo.Bounded[totalKey, uint64]{Cap: 4096}
 

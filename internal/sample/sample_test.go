@@ -2,9 +2,12 @@ package sample_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"dmp/internal/bench"
 	"dmp/internal/isa"
@@ -97,29 +100,60 @@ func TestSampledCoversFull(t *testing.T) {
 }
 
 // TestSampledDeterministic pins the memoization contract: a cold run, which
-// discovers the instruction count en route, and a warm repeat, which reads
-// it from the memo and stops at its last interval, must produce bit-identical
-// Results. The seeds include placements whose last stratum's interval the
-// trace's end cuts short, which only the discovery stream ever reaches.
+// counts the program's instructions first, and a warm repeat, which reads
+// the count from the memo, must produce bit-identical Results. The corpus
+// seeds include placements whose last stratum's interval would overrun the
+// program's end and is left out; the other cases reach the remaining
+// placement outcomes: a cfg.MaxInsts cap, a program short enough that the
+// period shrinks, and one too short to sample at all.
 func TestSampledDeterministic(t *testing.T) {
-	cfg := pipeline.DefaultConfig()
+	type tcase struct {
+		name  string
+		prog  *isa.Program
+		input []int64
+		cfg   pipeline.Config
+		sc    sample.SampleConf
+		check func(sample.Result) bool // the placement outcome the case must reach
+	}
+	var cases []tcase
 	for _, name := range []string{"bzip2", "twolf", "vortex"} {
 		prog, input := compileBench(t, name)
 		for _, seed := range []uint64{1, 4, 5} {
 			sc := sample.DefaultConf()
 			sc.Seed = seed
-			sample.ForgetCounts()
-			cold, err := sample.Run(context.Background(), prog, input, cfg, sc)
-			if err != nil {
-				t.Fatalf("%s seed %d: cold run: %v", name, seed, err)
-			}
-			warm, err := sample.Run(context.Background(), prog, input, cfg, sc)
-			if err != nil {
-				t.Fatalf("%s seed %d: warm run: %v", name, seed, err)
-			}
-			if !reflect.DeepEqual(cold, warm) {
-				t.Errorf("%s seed %d: memoized run diverged:\n  cold %+v\n  warm %+v", name, seed, cold, warm)
-			}
+			cases = append(cases, tcase{fmt.Sprintf("%s seed %d", name, seed), prog, input, pipeline.DefaultConfig(), sc, nil})
+		}
+	}
+	sc := sample.DefaultConf()
+	gzip, gzipIn := compileBench(t, "gzip")
+	capped := pipeline.DefaultConfig()
+	capped.MaxInsts = 1_000_000
+	cases = append(cases,
+		tcase{"gzip max-insts cap", gzip, gzipIn, capped, sc, func(r sample.Result) bool {
+			return !r.Exact && r.Period == sc.Period && r.TotalInsts == capped.MaxInsts
+		}},
+		tcase{"shrunk period", tinyLoopProgram(t, 100_000), nil, pipeline.DefaultConfig(), sc, func(r sample.Result) bool {
+			return !r.Exact && r.Period < sc.Period && r.Intervals == sc.MinIntervals
+		}},
+		tcase{"exact fallback", tinyLoopProgram(t, 500), nil, pipeline.DefaultConfig(), sc, func(r sample.Result) bool {
+			return r.Exact
+		}},
+	)
+	for _, tc := range cases {
+		sample.ForgetCounts()
+		cold, err := sample.Run(context.Background(), tc.prog, tc.input, tc.cfg, tc.sc)
+		if err != nil {
+			t.Fatalf("%s: cold run: %v", tc.name, err)
+		}
+		if tc.check != nil && !tc.check(cold) {
+			t.Errorf("%s: placement outcome not reached: %+v", tc.name, cold)
+		}
+		warm, err := sample.Run(context.Background(), tc.prog, tc.input, tc.cfg, tc.sc)
+		if err != nil {
+			t.Fatalf("%s: warm run: %v", tc.name, err)
+		}
+		if !reflect.DeepEqual(cold, warm) {
+			t.Errorf("%s: memoized run diverged:\n  cold %+v\n  warm %+v", tc.name, cold, warm)
 		}
 	}
 }
@@ -206,6 +240,38 @@ func TestSampledCancellation(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), context.Canceled.Error()) {
 		t.Errorf("error %q does not wrap context.Canceled", err)
+	}
+}
+
+// TestCountCancelMidCount: cancelling the counting pass over a program that
+// never halts makes Run return promptly with the context error (the pass
+// polls between instruction chunks).
+func TestCountCancelMidCount(t *testing.T) {
+	b := isa.NewBuilder()
+	b.Func("main")
+	b.Label("loop")
+	b.ALUI(isa.OpAdd, 1, 1, 1)
+	b.Jmp("loop")
+	prog, err := b.Link()
+	if err != nil {
+		t.Fatalf("link: %v", err)
+	}
+	sample.ForgetCounts()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := sample.Run(ctx, prog, nil, pipeline.DefaultConfig(), sample.DefaultConf())
+		done <- err
+	}()
+	time.Sleep(20 * time.Millisecond)
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "sample: count") {
+			t.Fatalf("err = %v, want the count pass's context.Canceled", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("count pass did not return within 2s of cancel")
 	}
 }
 

@@ -80,7 +80,7 @@ func TestSampledJobRejectsBadConf(t *testing.T) {
 // TestCancelSampledJobMidFastForward: DELETE interrupts a sampled job whose
 // baseline simulation is fast-forwarding through an endless program. The
 // unbounded spin source means only context cancellation — polled inside the
-// warming skip loop — can end the run.
+// sampled run's instruction-counting pass — can end the run.
 func TestCancelSampledJobMidFastForward(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, MaxInsts: 0})
 	st, _ := postJob(t, ts.URL, JobSpec{Name: "spin", Source: spinSource, Sample: &sample.SampleConf{}})
@@ -104,7 +104,7 @@ func TestCancelSampledJobMidFastForward(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// Let the sampled run get genuinely into its fast-forward stream.
+	// Let the sampled run get genuinely into its counting pass.
 	time.Sleep(50 * time.Millisecond)
 
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/jobs/"+st.ID, nil)

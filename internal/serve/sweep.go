@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"dmp/internal/gen"
 	"dmp/internal/harness"
@@ -50,18 +49,9 @@ func (sp *SweepSpec) validate() error {
 // corpus resolves the spec's program selection.
 func (sp *SweepSpec) corpus() ([]sweep.Program, error) {
 	if len(sp.Presets) > 0 {
-		var confs []gen.ProgramConf
-		for _, name := range sp.Presets {
-			name = strings.TrimSpace(name)
-			if name == "all" {
-				confs = gen.Presets()
-				break
-			}
-			c, ok := gen.Preset(name)
-			if !ok {
-				return nil, fmt.Errorf("sweep: unknown preset %q", name)
-			}
-			confs = append(confs, c)
+		confs, err := gen.ResolvePresets(sp.Presets)
+		if err != nil {
+			return nil, fmt.Errorf("sweep: %w", err)
 		}
 		n := sp.N
 		if n <= 0 {
