@@ -491,7 +491,9 @@ func TestKernelsMatchReference(t *testing.T) {
 // the paths' probabilities, disjoint events, sum to at most 1. A DFS that
 // loses its place in a frame re-enumerates a subtree and breaks both, and
 // so does one that follows both edges of a branch whose target is its
-// fallthrough, each with the block pair's whole probability.
+// fallthrough, each with the block pair's whole probability. (The profile
+// package's TestEdgeProbParallelEdges checks that such a pair's path set
+// sums to 1, which no bound from above can see.)
 func TestPathSetsHoldNoDuplicates(t *testing.T) {
 	sets := 0
 	for _, dp := range diffCorpus(t) {

@@ -226,7 +226,8 @@ func EnumeratePaths(g *Graph, startBlock, stopBlock int, prob EdgeProb, limits P
 			top.nextSuc++
 			if slices.Contains(succs[:top.nextSuc-1], s) {
 				// A branch whose target is its fallthrough: EdgeProb is
-				// per block pair, so the first edge carries both.
+				// per block pair and gives that block the branch's whole
+				// probability, so the pair is followed once.
 				continue
 			}
 			p := prob(g, top.block, s) * top.prob

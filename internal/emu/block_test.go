@@ -1,6 +1,7 @@
 package emu_test
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -191,6 +192,54 @@ func TestRunBlocksLimitsMatchStepRef(t *testing.T) {
 		for _, lim := range []uint64{1, 7, 997, 123_457, 1 << 22} {
 			diffRunBlocks(t, fmt.Sprintf("%s/lim=%d", name, lim), prog, input, lim, fixed(lim))
 		}
+	}
+}
+
+// TestRunBlocksCtxMatchesRunBlocks checks that the chunked, cancellable
+// run retires what one RunBlocks call with the same budget retires and
+// ends in the same state: capped inside one chunk, run to a halt, and
+// capped across chunks of a spinning program. A cancelled context stops it
+// before the first chunk.
+func TestRunBlocksCtxMatchesRunBlocks(t *testing.T) {
+	b := bench.ByName("mcf")
+	prog, err := b.Compile()
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	input := b.Input(bench.RunInput, 1)
+	sb := isa.NewBuilder()
+	sb.Func("main")
+	sb.Label("spin")
+	sb.ALUI(isa.OpAdd, 1, 1, 1)
+	sb.Jmp("spin")
+	spin, err := sb.Link()
+	if err != nil {
+		t.Fatalf("link: %v", err)
+	}
+	for _, tc := range []struct {
+		name  string
+		prog  *isa.Program
+		input []int64
+		max   uint64
+	}{
+		{"mcf/cap", prog, input, 123_457},
+		{"mcf/halt", prog, input, 0},
+		{"spin/cap", spin, nil, 10_000_001},
+	} {
+		m := emu.New(tc.prog, tc.input, 0)
+		k, err := m.RunBlocksCtx(context.Background(), tc.max, nil)
+		ref := emu.New(tc.prog, tc.input, 0)
+		rk, rerr := ref.RunBlocks(tc.max, nil)
+		if k != rk || !errsEqual(err, rerr) {
+			t.Fatalf("%s: RunBlocksCtx (%d, %v), RunBlocks (%d, %v)", tc.name, k, err, rk, rerr)
+		}
+		diffState(t, tc.name, m, ref)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	m := emu.New(spin, nil, 0)
+	if k, err := m.RunBlocksCtx(ctx, 0, nil); k != 0 || !errors.Is(err, context.Canceled) || m.Retired != 0 {
+		t.Fatalf("cancelled: (%d, %v), retired %d; want (0, context.Canceled), 0", k, err, m.Retired)
 	}
 }
 

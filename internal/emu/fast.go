@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"context"
 	"fmt"
 
 	"dmp/internal/isa"
@@ -12,8 +13,9 @@ import (
 // isa.Inst words: it retires whole straight-line runs per step, with the PC
 // bounds check and the branch-class test hoisted out of the inner loop, and
 // reports retirement events through optional hooks. It is the one engine
-// behind Run, the profiler, the pipeline's sampled fast-forward and, through
-// StepBatch's trace recorder, the pipeline's correct-path trace feed.
+// behind Run, the profiler, the pipeline's sampled fast-forward and sample's
+// counting pass (both through RunBlocksCtx) and, through StepBatch's trace
+// recorder, the pipeline's correct-path trace feed.
 //
 // It must be observationally identical to StepRef, the reference interpreter
 // in emu.go; the differential suite in diff_test.go and FuzzEmuDiff enforce
@@ -344,6 +346,38 @@ func (m *Machine) RunBlocks(max uint64, h *BlockHooks) (uint64, error) {
 		n := uint64(pc - start + 1)
 		m.Retired += n
 		done += n
+	}
+	return done, nil
+}
+
+// ctxChunk is how many instructions RunBlocksCtx retires between checks of
+// its context: a few milliseconds of functional execution, so a cancelled
+// fast-forward or counting pass stops promptly while the poll costs nothing
+// next to the run it bounds.
+const ctxChunk = 1 << 22
+
+// RunBlocksCtx is RunBlocks in chunks of ctxChunk instructions, checking ctx
+// (nil: never cancelled) before each, so even a long or unbounded run can be
+// cancelled. It runs until max instructions have retired (no limit when
+// max == 0) or the machine halts, and returns the number retired with ctx's
+// error or a fault, if either stopped it first.
+func (m *Machine) RunBlocksCtx(ctx context.Context, max uint64, h *BlockHooks) (uint64, error) {
+	var done uint64
+	for (max == 0 || done < max) && !m.halted {
+		if ctx != nil {
+			if err := ctx.Err(); err != nil {
+				return done, err
+			}
+		}
+		lim := uint64(ctxChunk)
+		if max > 0 {
+			lim = min(lim, max-done)
+		}
+		k, err := m.RunBlocks(lim, h)
+		done += k
+		if err != nil {
+			return done, err
+		}
 	}
 	return done, nil
 }

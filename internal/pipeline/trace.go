@@ -103,7 +103,7 @@ func (t *traceReader) extendBudget(n uint64) {
 // skip functionally advances the machine past n correct-path instructions,
 // reporting their retirement events through h (nil: none). Whatever is
 // already buffered is consumed first, each entry replayed through h; the
-// remainder runs on the emulator's block executor (emu.RunBlocks), with no
+// remainder runs on the emulator's block executor (emu.RunBlocksCtx), with no
 // per-instruction trace construction. It returns the number actually
 // skipped, which falls short of n only when the machine halts or faults.
 func (t *traceReader) skip(n uint64, h *emu.BlockHooks) (uint64, error) {
@@ -127,27 +127,15 @@ func (t *traceReader) skip(n uint64, h *emu.BlockHooks) (uint64, error) {
 		t.err = t.pending
 		return skipped, t.err
 	}
-	// Chunked so cancellation has a poll point every few million
-	// instructions even inside one long fast-forward.
-	const skipChunk = 1 << 22
-	for skipped < n && !t.m.Halted() {
-		if t.ctx != nil {
-			if err := t.ctx.Err(); err != nil {
-				t.err = err
-				return skipped, err
-			}
-		}
-		k, err := t.m.RunBlocks(min(n-skipped, skipChunk), h)
-		skipped += k
-		t.count += k
-		t.fetched += k
-		if err != nil {
-			if errors.Is(err, emu.ErrHalted) {
-				break
-			}
-			t.err = err
-			return skipped, err
-		}
+	// RunBlocksCtx polls ctx every few million instructions, so even one
+	// long fast-forward can be cancelled.
+	k, err := t.m.RunBlocksCtx(t.ctx, n-skipped, h)
+	skipped += k
+	t.count += k
+	t.fetched += k
+	if err != nil {
+		t.err = err
+		return skipped, err
 	}
 	if t.m.Halted() {
 		t.done = true

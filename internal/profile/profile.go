@@ -192,8 +192,9 @@ func (p *Profile) EdgeProb(g *cfg.Graph, from, to int) float64 {
 	b := g.Blocks[from]
 	last := g.Code[b.End-1]
 	succs := b.Succs
-	if !last.IsCondBranch() || len(succs) < 2 {
-		// Single successor: probability 1 to it, 0 elsewhere.
+	if !last.IsCondBranch() || len(succs) < 2 || succs[0] == succs[1] {
+		// Single successor, or a branch whose target is its fallthrough:
+		// probability 1 to it, 0 elsewhere.
 		if len(succs) > 0 && succs[0] == to {
 			return 1
 		}

@@ -216,6 +216,78 @@ func TestEdgeProbUnexecutedBranch(t *testing.T) {
 	t.Fatal("no unexecuted branch found")
 }
 
+// parallelEdgeProg branches on each input value like hammockProg, and its
+// fallthrough arm branches on the value's low bit to its own fallthrough:
+// that block lists one successor twice.
+func parallelEdgeProg(t *testing.T) (p *isa.Program, br, par int) {
+	p = link(t, func(b *isa.Builder) {
+		b.Func("main")
+		b.Label("loop")
+		b.InAvail(1)
+		b.Beqz(1, "done")
+		b.In(2)
+		br = b.Beqz(2, "else")
+		b.ALUI(isa.OpAnd, 4, 2, 1)
+		par = b.Bnez(4, "join")
+		b.Label("join")
+		b.ALUI(isa.OpAdd, 3, 3, 2)
+		b.Jmp("merge")
+		b.Label("else")
+		b.ALUI(isa.OpSub, 3, 3, 1)
+		b.Label("merge")
+		b.Jmp("loop")
+		b.Label("done")
+		b.Out(3)
+		b.Halt()
+	})
+	return p, br, par
+}
+
+// TestEdgeProbParallelEdges checks that a branch whose target is its
+// fallthrough sends all of its probability to that block, whether or not
+// it ran, and that the path set through it sums to 1.
+func TestEdgeProbParallelEdges(t *testing.T) {
+	p, br, par := parallelEdgeProg(t)
+	g := graph(t, p, "main")
+	pb := g.BlockAt(par)
+	if pb == nil || pb.End-1 != par || len(pb.Succs) != 2 || pb.Succs[0] != pb.Succs[1] {
+		t.Fatalf("branch at %d: block %+v, want two equal successors", par, pb)
+	}
+	stop := cfg.IPosDom(g, cfg.PostDominators(g), br)
+	for _, tc := range []struct {
+		name  string
+		input []int64
+	}{
+		{"ran", []int64{1, 2, 0, 3, 0, 4, 5, 0}},
+		{"never ran", nil},
+	} {
+		prof, err := Collect(p, tc.input, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.input != nil && (prof.Taken[par] == 0 || prof.NotTaken[par] == 0) {
+			t.Fatalf("%s: taken/nt = %d/%d, want both directions", tc.name, prof.Taken[par], prof.NotTaken[par])
+		}
+		if got := prof.EdgeProb(g, pb.ID, pb.Succs[0]); got != 1 {
+			t.Errorf("%s: P(parallel edge) = %v, want 1", tc.name, got)
+		}
+		_, nt := cfg.BranchPaths(g, br, stop, prof.EdgeProb, cfg.PathLimits{MaxInsts: 100, MaxCondBrs: 10})
+		if !nt.Complete || len(nt.Paths) != 1 {
+			t.Fatalf("%s: not-taken side has %d paths (complete %v), want 1", tc.name, len(nt.Paths), nt.Complete)
+		}
+		sum := 0.0
+		for _, path := range nt.Paths {
+			sum += path.Prob
+		}
+		if math.Abs(sum-1) > 1e-9 {
+			t.Errorf("%s: not-taken path probabilities sum to %v, want 1", tc.name, sum)
+		}
+		if r := nt.MergeProb(stop); math.Abs(r-1) > 1e-9 {
+			t.Errorf("%s: merge probability %v, want 1", tc.name, r)
+		}
+	}
+}
+
 func TestMaxInstsBound(t *testing.T) {
 	p, _ := hammockProg(t)
 	input := make([]int64, 10000)

@@ -67,29 +67,16 @@ func Run(ctx context.Context, prog *isa.Program, input []int64, cfg pipeline.Con
 // maxInsts): it does not depend on the sampling conf or the machine model,
 // so a remembered count serves every later run, and config sweeps and
 // repeated server jobs pay the counting pass once per program. Otherwise
-// the program runs once on the emulator's block executor with no hooks,
-// polling ctx between chunks of a few million instructions.
+// the program runs once on the emulator's block executor with no hooks
+// (emu.RunBlocksCtx, which polls ctx between chunks).
 func countInsts(ctx context.Context, prog *isa.Program, input []int64, maxInsts uint64) (uint64, error) {
 	key := memoKey(prog, input, maxInsts)
 	if total, ok := totalMemo.Load(key); ok {
 		return total, nil
 	}
-	const chunk = 1 << 22
-	m := emu.New(prog, input, 0)
-	var total uint64
-	for !m.Halted() && (maxInsts == 0 || total < maxInsts) {
-		if err := ctx.Err(); err != nil {
-			return 0, fmt.Errorf("sample: count: %w", err)
-		}
-		lim := uint64(chunk)
-		if maxInsts > 0 {
-			lim = min(lim, maxInsts-total)
-		}
-		n, err := m.RunBlocks(lim, nil)
-		total += n
-		if err != nil {
-			return 0, fmt.Errorf("sample: count: %w", err)
-		}
+	total, err := emu.New(prog, input, 0).RunBlocksCtx(ctx, maxInsts, nil)
+	if err != nil {
+		return 0, fmt.Errorf("sample: count: %w", err)
 	}
 	totalMemo.Put(key, total)
 	return total, nil
