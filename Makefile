@@ -138,15 +138,15 @@ cache-smoke:
 # Sweep-engine smoke: a small benchmark x config grid through cmd/dmpsweep
 # with CSV streaming, then the same invocation again against the same file —
 # the second run must resume (skip every completed cell) instead of
-# re-simulating. A sampled grid follows in one process, so a program's
-# cells after its first find its instruction count memoized. Runs in
-# seconds.
+# re-simulating. A sampled grid over two L2 sizes follows, so each
+# program's cells run as two groups, each sharing one functional-warming
+# walk. Runs in seconds.
 sweep-smoke:
 	rm -f .sweep-smoke.csv
 	$(GO) run ./cmd/dmpsweep -bench gzip,mcf -axis ROBSize=128,512 -axis DMP=false,true -max 200000 -q -out .sweep-smoke.csv >/dev/null
 	$(GO) run ./cmd/dmpsweep -bench gzip,mcf -axis ROBSize=128,512 -axis DMP=false,true -max 200000 -q -out .sweep-smoke.csv >/dev/null
 	rm -f .sweep-smoke.csv
-	$(GO) run ./cmd/dmpsweep -sample -bench gzip,mcf -axis DMP=false,true -q >/dev/null
+	$(GO) run ./cmd/dmpsweep -sample -bench gzip,mcf -axis DMP=false,true -axis ConfThreshold=12,14 -axis L2.SizeKB=512,1024 -q >/dev/null
 
 # Short deterministic fuzz smoke for CI; crashes fail the gate.
 fuzz-smoke:

@@ -14,7 +14,11 @@
 // can maintain separate speculative and retired copies.
 package bpred
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"dmp/internal/undo"
+)
 
 // History is a global branch history register: bit 0 is the most recent
 // branch outcome (1 = taken).
@@ -51,6 +55,7 @@ type Perceptron struct {
 	hmask  History // the low histLen bits
 	nwords int     // words of lanes that hold history weights
 	theta  int32
+	undo   undo.Log[perceptronRow]
 }
 
 type perceptronRow struct {
@@ -90,6 +95,14 @@ func NewPerceptron(tables, histLen int) *Perceptron {
 	}
 	return p
 }
+
+// Journal starts recording every change to p's weights, so that Rollback
+// can undo them.
+func (p *Perceptron) Journal() { p.undo.Start(len(p.rows)) }
+
+// Rollback restores p's weights as they were at Journal and stops
+// recording.
+func (p *Perceptron) Rollback() { p.undo.Rollback(p.rows) }
 
 func (p *Perceptron) index(pc int) int { return pc & (len(p.rows) - 1) }
 
@@ -170,7 +183,11 @@ func (p *Perceptron) PredictAndTrain(pc int, h History, taken bool) bool {
 // step down) are found with the zero-byte test and left alone, so adding and
 // subtracting one per lane never carries or borrows across lanes.
 func (p *Perceptron) train(pc int, h History, taken bool) {
-	r := &p.rows[p.index(pc)]
+	i := p.index(pc)
+	if p.undo.On() {
+		p.undo.Save(p.rows, i)
+	}
+	r := &p.rows[i]
 	r.bias = sat8(r.bias, taken)
 	agree := uint64(h)
 	if !taken {

@@ -1,11 +1,15 @@
 package bpred
 
+import "dmp/internal/undo"
+
 // BTB is a direct-mapped branch target buffer with tags.
 type BTB struct {
-	tags    []int
-	targets []int
-	mask    int
+	ents []btbEntry
+	mask int
+	undo undo.Log[btbEntry]
 }
+
+type btbEntry struct{ tag, target int }
 
 // BTBDefaultEntries matches Table 1 (4K-entry BTB).
 const BTBDefaultEntries = 4096
@@ -17,28 +21,37 @@ func NewBTB(entries int) *BTB {
 		entries = BTBDefaultEntries
 	}
 	entries = ceilPow2(entries)
-	b := &BTB{tags: make([]int, entries), targets: make([]int, entries), mask: entries - 1}
-	for i := range b.tags {
-		b.tags[i] = -1
+	b := &BTB{ents: make([]btbEntry, entries), mask: entries - 1}
+	for i := range b.ents {
+		b.ents[i].tag = -1
 	}
 	return b
 }
 
 // Lookup returns the predicted target of the control instruction at pc.
 func (b *BTB) Lookup(pc int) (target int, hit bool) {
-	i := pc & b.mask
-	if b.tags[i] != pc {
+	e := &b.ents[pc&b.mask]
+	if e.tag != pc {
 		return 0, false
 	}
-	return b.targets[i], true
+	return e.target, true
 }
 
 // Update installs or refreshes the target for pc.
 func (b *BTB) Update(pc, target int) {
 	i := pc & b.mask
-	b.tags[i] = pc
-	b.targets[i] = target
+	if b.undo.On() {
+		b.undo.Save(b.ents, i)
+	}
+	b.ents[i] = btbEntry{pc, target}
 }
+
+// Journal starts recording every change to b, so that Rollback can undo
+// them.
+func (b *BTB) Journal() { b.undo.Start(len(b.ents)) }
+
+// Rollback restores b as it was at Journal and stops recording.
+func (b *BTB) Rollback() { b.undo.Rollback(b.ents) }
 
 // RAS is a fixed-depth return address stack. Overflow wraps (overwriting the
 // oldest entry) and underflow returns garbage with ok=false, matching real
@@ -135,7 +148,15 @@ type Confidence struct {
 	max       uint8
 	penalty   uint8
 
-	// Statistics for computing realised PVN.
+	confStats
+	// undo journals counter changes since Journal, and stats0 holds the
+	// statistics as they were then (see Rollback).
+	undo   undo.Log[uint8]
+	stats0 confStats
+}
+
+// confStats are the statistics for computing realised PVN.
+type confStats struct {
 	lowConf      uint64
 	lowConfMisp  uint64
 	highConf     uint64
@@ -185,6 +206,30 @@ func NewConfidence(entries, histBits int, threshold uint8) *Confidence {
 // reset-to-zero behaviour).
 func (c *Confidence) SetPenalty(p uint8) { c.penalty = p }
 
+// SetThreshold sets the low-confidence threshold (0 restores the Table 1
+// default). Training does not read the threshold, so counters trained under
+// one threshold serve any other.
+func (c *Confidence) SetThreshold(t uint8) {
+	if t == 0 {
+		t = ConfDefaultThreshold
+	}
+	c.threshold = t
+}
+
+// Journal starts recording every change to c's counters and statistics,
+// so that Rollback can undo them.
+func (c *Confidence) Journal() {
+	c.undo.Start(len(c.ctr))
+	c.stats0 = c.confStats
+}
+
+// Rollback restores c's counters and statistics as they were at Journal
+// and stops recording.
+func (c *Confidence) Rollback() {
+	c.undo.Rollback(c.ctr)
+	c.confStats = c.stats0
+}
+
 func (c *Confidence) index(pc int, h History) int {
 	hist := int(h) & ((1 << c.histBits) - 1)
 	return (pc ^ hist) & c.mask
@@ -200,6 +245,9 @@ func (c *Confidence) LowConfidence(pc int, h History) bool {
 // accumulates PVN statistics.
 func (c *Confidence) Update(pc int, h History, mispredicted bool) {
 	i := c.index(pc, h)
+	if c.undo.On() {
+		c.undo.Save(c.ctr, i)
+	}
 	low := c.ctr[i] < c.threshold
 	if low {
 		c.lowConf++
@@ -244,6 +292,4 @@ func (c *Confidence) Coverage() float64 {
 }
 
 // ResetStats clears the PVN statistics without clearing the tables.
-func (c *Confidence) ResetStats() {
-	c.lowConf, c.lowConfMisp, c.highConf, c.highConfMisp = 0, 0, 0, 0
-}
+func (c *Confidence) ResetStats() { c.confStats = confStats{} }

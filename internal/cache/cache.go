@@ -9,7 +9,11 @@
 // instruction fetch blocks on its own misses).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+
+	"dmp/internal/undo"
+)
 
 // Config describes one cache level.
 type Config struct {
@@ -89,6 +93,10 @@ type Cache struct {
 	stats  Stats
 	next   *Cache // lower level, or nil for memory
 	memLat int    // latency charged when next == nil
+	// undo journals the ways of each set changed since Journal, and stats0
+	// holds the statistics as they were then (see Rollback).
+	undo   undo.Log[uint64]
+	stats0 Stats
 }
 
 // New creates a cache level backed by next (nil means main memory at the
@@ -130,6 +138,28 @@ func (c *Cache) Stats() Stats { return c.stats }
 // Config returns the cache configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
+// Journal starts recording every change to c's contents and statistics,
+// so that Rollback can undo them.
+func (c *Cache) Journal() {
+	c.undo.Start(len(c.tags))
+	c.stats0 = c.stats
+}
+
+// Rollback restores c's contents and statistics as they were at Journal
+// and stops recording.
+func (c *Cache) Rollback() {
+	c.undo.Rollback(c.tags)
+	c.stats = c.stats0
+}
+
+// save journals the ways of addr's set before Access changes them.
+func (c *Cache) save(addr uint64) {
+	base := int(addr>>c.lineSh&c.setMask) * c.cfg.Ways
+	for w := base; w < base+c.cfg.Ways; w++ {
+		c.undo.Save(c.tags, w)
+	}
+}
+
 // Access looks up the byte address and returns the total latency in cycles.
 // Misses allocate in this level and recurse into the next level.
 func (c *Cache) Access(addr uint64) int {
@@ -141,6 +171,9 @@ func (c *Cache) Access(addr uint64) int {
 	for w := 1; w < len(set); w++ {
 		if set[w] == tag {
 			// Hit: move the way to the front.
+			if c.undo.On() {
+				c.save(addr)
+			}
 			copy(set[1:w+1], set[:w])
 			set[0] = tag
 			return c.cfg.HitCycles
@@ -153,6 +186,9 @@ func (c *Cache) Access(addr uint64) int {
 	}
 	// Allocate at the front; the last way (the LRU one, or an invalid one)
 	// drops out.
+	if c.undo.On() {
+		c.save(addr)
+	}
 	copy(set[1:], set[:len(set)-1])
 	set[0] = tag
 	return c.cfg.HitCycles + lower
@@ -226,6 +262,29 @@ func NewHierarchyFrom(hc HierarchyConfig) *Hierarchy {
 		D:  NewMem(hc.D, l2, hc.MemLatency),
 		L2: l2,
 	}
+}
+
+// Journal starts recording every level's changes (see Cache.Journal).
+func (h *Hierarchy) Journal() {
+	h.I.Journal()
+	h.D.Journal()
+	h.L2.Journal()
+}
+
+// Rollback undoes every level's changes since Journal.
+func (h *Hierarchy) Rollback() {
+	h.I.Rollback()
+	h.D.Rollback()
+	h.L2.Rollback()
+}
+
+// Retime sets each level's hit latency and the memory latency behind the L2
+// from hc, leaving contents and geometry alone.
+func (h *Hierarchy) Retime(hc HierarchyConfig) {
+	h.I.cfg.HitCycles = hc.I.HitCycles
+	h.D.cfg.HitCycles = hc.D.HitCycles
+	h.L2.cfg.HitCycles = hc.L2.HitCycles
+	h.I.memLat, h.D.memLat, h.L2.memLat = hc.MemLatency, hc.MemLatency, hc.MemLatency
 }
 
 // InstAddr converts an instruction address (one instruction per 8-byte word)

@@ -15,6 +15,7 @@ import (
 	"dmp/internal/isa"
 	"dmp/internal/pipeline"
 	"dmp/internal/profile"
+	"dmp/internal/sample"
 	"dmp/internal/simcache"
 	"dmp/internal/trace"
 	"dmp/internal/workpool"
@@ -101,11 +102,11 @@ func (w *Workload) Baseline() (pipeline.Stats, error) {
 // configurations that produce identical annotation sidecars (as many of the
 // Figure 5-9 sweeps do) hit the simulation cache.
 func (w *Workload) RunDMP(annots map[int]*isa.DivergeInfo) (pipeline.Stats, error) {
-	st, err := w.opts.simulate(w.ctx, w.Name, w.Bare.WithAnnots(annots), w.RunInput, evalConfig(true, w.opts.MaxInsts))
+	sts, err := w.opts.simulate(w.ctx, w.Name, w.RunInput, []sample.Cell{{Prog: w.Bare.WithAnnots(annots), Cfg: evalConfig(true, w.opts.MaxInsts)}})
 	if err != nil {
-		return st, fmt.Errorf("%s: dmp: %w", w.Name, err)
+		return pipeline.Stats{}, fmt.Errorf("%s: dmp: %w", w.Name, err)
 	}
-	return st, nil
+	return sts[0], nil
 }
 
 // Select runs a selection configuration against the run-tape profile, or the

@@ -61,28 +61,40 @@ func evalConfig(dmp bool, maxInsts uint64) pipeline.Config {
 	return cfg
 }
 
-// simulate is the one run function: prog on input under cfg, at full
-// fidelity or sampled per o.Sample, memoized through o.Cache. A run made for
-// a session is folded into its aggregates under name.
-func (o EvalOptions) simulate(ctx context.Context, name string, prog *isa.Program, input []int64, cfg pipeline.Config) (pipeline.Stats, error) {
+// simulate is the one run function: each cell's program on input under its
+// config, at full fidelity or sampled per o.Sample, memoized through
+// o.Cache, with the results in cell order; o.Tracer overrides each cell's
+// own. Sampled cells run as one RunSampledCells call, so the cells of a
+// program share their functional warming. Runs made for a session are
+// folded into its aggregates under name.
+func (o EvalOptions) simulate(ctx context.Context, name string, input []int64, cells []sample.Cell) ([]pipeline.Stats, error) {
 	if o.Tracer != nil {
-		cfg.Tracer = o.Tracer
+		for i := range cells {
+			cells[i].Cfg.Tracer = o.Tracer
+		}
 	}
-	var st pipeline.Stats
-	var err error
+	sts := make([]pipeline.Stats, len(cells))
 	if o.Sample.Enabled {
-		var r sample.Result
-		if r, err = o.Cache.RunSampledCtx(ctx, prog, input, cfg, o.Sample); err == nil {
+		rs, err := o.Cache.RunSampledCells(ctx, input, cells, o.Sample)
+		if err != nil {
+			return nil, err
+		}
+		for i, r := range rs {
 			o.sess.noteSampled(r)
-			st = r.AsStats()
+			sts[i] = r.AsStats()
 		}
 	} else {
-		st, err = o.Cache.RunCtx(ctx, prog, input, cfg)
+		for i, c := range cells {
+			var err error
+			if sts[i], err = o.Cache.RunCtx(ctx, c.Prog, input, c.Cfg); err != nil {
+				return nil, err
+			}
+		}
 	}
-	if err == nil {
-		o.sess.noteRun(name, st, cfg.DMP)
+	for i, st := range sts {
+		o.sess.noteRun(name, st, cells[i].Cfg.DMP)
 	}
-	return st, err
+	return sts, nil
 }
 
 // Prepared holds one program's config-invariant evaluation artifacts: the
@@ -171,15 +183,30 @@ func PrepareSource(ctx context.Context, name, source string, runInput, trainInpu
 	return prepare(ctx, name, compileSource(source), runInput, trainInput, algo, budget, opts)
 }
 
-// Simulate runs the per-cell phase: one simulation of the prepared program
-// under cfg, choosing the annotated binary when cfg.DMP is set and the bare
-// binary otherwise (see EvalOptions for memoization, sampling and tracing).
+// Simulate runs the per-cell phase for one configuration: SimulateCells of
+// cfg alone.
 func (p *Prepared) Simulate(ctx context.Context, cfg pipeline.Config, opts EvalOptions) (pipeline.Stats, error) {
-	prog := p.Bare
-	if cfg.DMP {
-		prog = p.Annotated
+	sts, err := p.SimulateCells(ctx, []pipeline.Config{cfg}, opts)
+	if err != nil {
+		return pipeline.Stats{}, err
 	}
-	return opts.simulate(ctx, p.Name, prog, p.RunInput, cfg)
+	return sts[0], nil
+}
+
+// SimulateCells runs the per-cell phase for many configurations at once,
+// with the results in cfgs order. Each simulates the annotated binary when
+// its DMP is set and the bare binary otherwise (see EvalOptions for
+// memoization, sampling and tracing); sampled configurations share their
+// functional warming (sample.RunCells).
+func (p *Prepared) SimulateCells(ctx context.Context, cfgs []pipeline.Config, opts EvalOptions) ([]pipeline.Stats, error) {
+	cells := make([]sample.Cell, len(cfgs))
+	for i, cfg := range cfgs {
+		cells[i] = sample.Cell{Prog: p.Bare, Cfg: cfg}
+		if cfg.DMP {
+			cells[i].Prog = p.Annotated
+		}
+	}
+	return opts.simulate(ctx, p.Name, p.RunInput, cells)
 }
 
 // EvalGenerated evaluates one generated program end-to-end with the given

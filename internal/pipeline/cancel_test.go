@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"dmp/internal/emu"
 	"dmp/internal/isa"
 )
 
@@ -90,11 +89,11 @@ func spinProg(t *testing.T) *isa.Program {
 // program that never halts makes it return promptly with the context error
 // (the skip polls between instruction chunks).
 func TestSkipCancelMidFastForward(t *testing.T) {
-	sim := NewFromMachine(emu.New(spinProg(t), nil, 0), DefaultConfig())
+	w := NewWarm(spinProg(t), nil, DefaultConfig())
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := sim.Skip(ctx, math.MaxUint64, 1<<20)
+		_, err := w.Skip(ctx, math.MaxUint64, 1<<20)
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)

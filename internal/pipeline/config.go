@@ -155,6 +155,34 @@ func (c Config) hierConfig() cache.HierarchyConfig {
 	}
 }
 
+// WarmKey is the part of a Config that shapes the functionally warmed
+// state: predictor, confidence, BTB and RAS sizes and the cache geometry.
+// Latencies and thresholds stay out, since warming never reads them, so the
+// configurations of a sweep that share a key can run their sampled intervals
+// from one warm walk (NewWarm).
+type WarmKey struct {
+	PerceptronTables, PerceptronHist int
+	ConfEntries, ConfHistBits        int
+	BTBEntries, RASDepth             int
+	ICacheKB, ICacheWays             int
+	DCacheKB, DCacheWays             int
+	L2KB, L2Ways                     int
+	LineBytes                        int
+}
+
+// WarmKey returns the configuration's warm-state key.
+func (c Config) WarmKey() WarmKey {
+	return WarmKey{
+		PerceptronTables: c.PerceptronTables, PerceptronHist: c.PerceptronHist,
+		ConfEntries: c.ConfEntries, ConfHistBits: c.ConfHistBits,
+		BTBEntries: c.BTBEntries, RASDepth: c.RASDepth,
+		ICacheKB: c.ICache.SizeKB, ICacheWays: c.ICache.Ways,
+		DCacheKB: c.DCache.SizeKB, DCacheWays: c.DCache.Ways,
+		L2KB: c.L2.SizeKB, L2Ways: c.L2.Ways,
+		LineBytes: c.LineBytes,
+	}
+}
+
 // Stats aggregates the simulation counters.
 type Stats struct {
 	// Cycles is the total execution time.

@@ -62,7 +62,7 @@ func TestFeedbackKeepsUsefulPredication(t *testing.T) {
 }
 
 func TestFeedbackCounterDecay(t *testing.T) {
-	s := &Sim{cfg: Config{DpredFeedback: true}}
+	s := &Sim{core: core{cfg: Config{DpredFeedback: true}}}
 	for i := 0; i < fbDecayAt; i++ {
 		s.fbRecord(10, false)
 	}
@@ -86,7 +86,7 @@ func TestFeedbackCounterDecay(t *testing.T) {
 		t.Error("throttled before the observation window filled")
 	}
 	// Disabled feedback never throttles or records.
-	s2 := &Sim{cfg: Config{}}
+	s2 := &Sim{core: core{cfg: Config{}}}
 	s2.fbRecord(1, false)
 	if s2.fb != nil || s2.fbThrottled(1) {
 		t.Error("disabled feedback recorded or throttled")

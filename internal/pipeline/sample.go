@@ -2,121 +2,210 @@ package pipeline
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
+	"dmp/internal/bpred"
 	"dmp/internal/cache"
 	"dmp/internal/emu"
+	"dmp/internal/isa"
 	"dmp/internal/trace"
 )
 
 // This file is the pipeline side of SMARTS-style sampled simulation
-// (internal/sample): a Sim created from an emulator machine alternates functional fast-forward (Skip) with bounded detailed intervals
-// (RunInterval), measuring IPC only inside a retirement-delimited window so
-// that neither the detailed warmup nor the drain tail pollutes the estimate.
-// Microarchitectural state — branch predictor, confidence estimator, BTB,
-// caches, global history — is deliberately carried across the boundary and
-// NOT reset: the warmup portion of each interval re-trains whatever went
-// stale during the skip, which is the SMARTS error model.
+// (internal/sample). A Warm walks the program's correct path functionally
+// and keeps the long-lived microarchitectural state — caches, BTB, global
+// history, RAS, branch predictor and confidence estimator — warm with every
+// instruction's outcome (SMARTS functional warming, Wunderlich et al.,
+// ISCA 2003). At each interval the walk records the interval's correct path
+// once, as a window, and Warm.RunInterval runs that window in detail for a
+// configuration's Core on the warm tables, measuring IPC only inside a
+// retirement-delimited window so that neither the detailed warmup nor the
+// drain tail pollutes the estimate. The tables journal the detailed run's
+// changes and roll them back afterwards: nothing flows back into the walk,
+// so the warm state at an interval depends only on the program, its input
+// and the table geometry (Config.WarmKey), and every configuration that
+// shares the geometry runs its intervals from one walk (the live points of
+// TurboSMARTS, Wenisch et al., 2006). The warmup portion of each interval
+// re-trains what functional warming cannot: wrong-path effects and the
+// pipeline's own speculative history.
 
-// Skip functionally advances the machine past n correct-path instructions
-// without simulating their timing, while warming the long-persistence
-// microarchitectural state — caches, BTB, global history, RAS — with each
-// skipped instruction's outcome. This is SMARTS functional warming: cache
-// contents decay over thousands-of-instruction skips far too slowly for a
-// short detailed warmup to rebuild (the L2 alone holds 16K lines), so
-// fast-forward must keep them current. The last predTail instructions
-// additionally train the branch predictor and confidence estimator:
-// per-branch predictor training is by far the most expensive warming
-// operation (measured at roughly half the functional-warming CPU time), and
-// the small predictor tables re-converge over a few tens of thousands of
-// branch outcomes, so training through the skip's tail is as accurate as —
-// and several times cheaper than — training through all of it. Skip returns
-// the number actually skipped, short only when the program halts (or
-// faults) inside the skip. ctx, when non-nil, cancels mid-fast-forward at
-// block-chunk boundaries.
-func (s *Sim) Skip(ctx context.Context, n, predTail uint64) (uint64, error) {
-	s.tr.ctx = ctx
-	if predTail >= n {
-		return s.tr.skip(n, s.warmHooks(true))
+// Warm is one functional-warming walk: the machine executing the correct
+// path, the tables it warms, the global history, RAS and I-cache line its
+// hooks keep, the current interval window, and the pipeline machinery every
+// Core's intervals run on.
+type Warm struct {
+	m        *emu.Machine
+	warm     tables
+	hist     bpred.History
+	ras      *bpred.RAS
+	lastLine int
+	win      []emu.Trace
+	sim      *Sim
+	// wh warms the caches, BTB, history and RAS; whPred also trains the
+	// branch predictor and the confidence estimator.
+	wh, whPred *emu.BlockHooks
+}
+
+// NewWarm starts a walk at the entry of prog on input, with tables of cfg's
+// geometry. Only the fields in cfg.WarmKey matter.
+func NewWarm(prog *isa.Program, input []int64, cfg Config) *Warm {
+	w := &Warm{
+		m:        emu.New(prog, input, 0),
+		warm:     newTables(cfg),
+		ras:      bpred.NewRAS(cfg.RASDepth),
+		lastLine: -1,
 	}
-	done, err := s.tr.skip(n-predTail, s.warmHooks(false))
+	w.wh, w.whPred = w.hooks(false), w.hooks(true)
+	return w
+}
+
+// Skip functionally advances the walk past n correct-path instructions,
+// warming the caches, BTB, global history and RAS with each one's outcome.
+// Cache contents decay over thousands-of-instruction skips far too slowly
+// for a short detailed warmup to rebuild (the L2 alone holds 16K lines), so
+// the walk keeps them current. The last predTail instructions also train
+// the branch predictor and confidence estimator: per-branch predictor
+// training is by far the most expensive warming operation (measured at
+// roughly half the functional-warming CPU time), and the small predictor
+// tables re-converge over a few tens of thousands of branch outcomes, so
+// training through the skip's tail is as accurate as — and several times
+// cheaper than — training through all of it. Skip returns the number
+// actually skipped, short only when the program halts (or faults) inside
+// the skip. ctx, when non-nil, cancels mid-fast-forward at block-chunk
+// boundaries.
+func (w *Warm) Skip(ctx context.Context, n, predTail uint64) (uint64, error) {
+	predTail = min(predTail, n)
+	done, err := w.run(ctx, n-predTail, w.wh)
 	if err != nil || done < n-predTail {
 		return done, err
 	}
-	k, err := s.tr.skip(predTail, s.warmHooks(true))
+	k, err := w.run(ctx, predTail, w.whPred)
 	return done + k, err
 }
 
-// warmHooks returns the functional-warming hook set Skip hands to the
-// emulator's block executor, built on first use. It warms the I-cache at
-// line granularity, the D-cache with load addresses (stores do not access
-// the cache in the detailed model either), the global history with
-// conditional-branch outcomes, the BTB with taken control flow, and the RAS
-// with calls and returns. With trainPred it also trains the perceptron and
-// the confidence estimator on every conditional branch — the Skip tail's
-// hook set.
-func (s *Sim) warmHooks(trainPred bool) *emu.BlockHooks {
-	h := &s.wh
-	if trainPred {
-		h = &s.whPred
+// run executes n instructions through h; n == 0 runs none (RunBlocks would
+// read it as unlimited).
+func (w *Warm) run(ctx context.Context, n uint64, h *emu.BlockHooks) (uint64, error) {
+	if n == 0 {
+		return 0, nil
 	}
-	if *h == nil {
-		*h = s.buildWarmHooks(trainPred)
-	}
-	return *h
+	return w.m.RunBlocksCtx(ctx, n, h)
 }
 
-func (s *Sim) buildWarmHooks(trainPred bool) *emu.BlockHooks {
+// Record executes the next n correct-path instructions into the walk's
+// window and returns it, warming nothing: the intervals run from the state
+// before the window, and Replay warms the tables with it afterwards. The
+// window is valid until the next Record, and shorter than n only when the
+// program halts inside it.
+func (w *Warm) Record(n uint64) ([]emu.Trace, error) {
+	if uint64(cap(w.win)) < n {
+		w.win = make([]emu.Trace, n)
+	}
+	k, err := w.m.StepBatch(w.win[:n])
+	if errors.Is(err, emu.ErrHalted) {
+		err = nil
+	}
+	return w.win[:k], err
+}
+
+// Replay warms the tables with a window Record returned, predictor
+// included: a window continues the predictor-training tail of the skip
+// before it.
+func (w *Warm) Replay(win []emu.Trace) {
+	recs := w.m.Predecoded().Recs
+	for i := range win {
+		replay(w.whPred, &recs[win[i].PC], &win[i])
+	}
+}
+
+// hooks builds a warming hook set for the emulator's block executor. It
+// warms the I-cache at line granularity, the D-cache with load addresses
+// (stores do not access the cache in the detailed model either), the global
+// history with conditional-branch outcomes, the BTB with taken control flow,
+// and the RAS with calls and returns. With trainPred it also trains the
+// perceptron and the confidence estimator on every conditional branch.
+func (w *Warm) hooks(trainPred bool) *emu.BlockHooks {
+	t := &w.warm
 	branch := func(pc int, taken bool, target int) {
-		st := s.streams[0]
-		st.hist = st.hist.Push(taken)
+		w.hist = w.hist.Push(taken)
 		if taken {
-			s.btb.Update(pc, target)
+			t.btb.Update(pc, target)
 		}
 	}
 	if trainPred {
 		branch = func(pc int, taken bool, target int) {
-			st := s.streams[0]
-			pred := s.pred.PredictAndTrain(pc, st.hist, taken)
-			s.conf.Update(pc, st.hist, pred != taken)
-			st.hist = st.hist.Push(taken)
+			pred := t.pred.PredictAndTrain(pc, w.hist, taken)
+			t.conf.Update(pc, w.hist, pred != taken)
+			w.hist = w.hist.Push(taken)
 			if taken {
-				s.btb.Update(pc, target)
+				t.btb.Update(pc, target)
 			}
 		}
 	}
 	return &emu.BlockHooks{
 		Block: func(start, end int) {
-			st := s.streams[0]
 			first, last := start>>3, end>>3
-			if first == st.lastLine {
+			if first == w.lastLine {
 				first++
 			}
 			for l := first; l <= last; l++ {
-				s.hier.I.Access(cache.InstAddr(l << 3))
+				t.hier.I.Access(cache.InstAddr(l << 3))
 			}
-			st.lastLine = last
+			w.lastLine = last
 		},
 		Load: func(_ int, addr int64) {
-			s.hier.D.Access(cache.DataAddr(addr))
+			t.hier.D.Access(cache.DataAddr(addr))
 		},
 		Branch: branch,
 		Call: func(pc, next int) {
-			s.streams[0].ras.Push(pc + 1)
-			s.btb.Update(pc, next)
+			w.ras.Push(pc + 1)
+			t.btb.Update(pc, next)
 		},
 		Ret: func(pc int) {
-			s.streams[0].ras.Pop()
+			w.ras.Pop()
 		},
 		Jump: func(pc, next int) {
-			s.btb.Update(pc, next)
+			t.btb.Update(pc, next)
 		},
 	}
 }
 
-// Consumed returns the number of correct-path instructions consumed so far,
-// fetched and skipped alike.
-func (s *Sim) Consumed() uint64 { return s.tr.count }
+// lend hands the warm tables to one configuration's interval: with its
+// confidence threshold and cache latencies, which warming never reads, and
+// with every table journaling its changes, so that restore can undo them.
+func (w *Warm) lend(cfg Config) tables {
+	t := w.warm
+	t.pred.Journal()
+	t.conf.Journal()
+	t.btb.Journal()
+	t.hier.Journal()
+	t.conf.SetThreshold(cfg.ConfThreshold)
+	t.hier.Retime(cfg.hierConfig())
+	return t
+}
+
+// restore undoes everything an interval changed in the warm tables.
+func (w *Warm) restore() {
+	t := w.warm
+	t.pred.Rollback()
+	t.conf.Rollback()
+	t.btb.Rollback()
+	t.hier.Rollback()
+}
+
+// Core is one configuration's part of a sampled run: its config and
+// program, its clock and what its intervals accumulate (statistics, session
+// audit, usefulness feedback). The pipeline machinery an interval runs on —
+// queues, free lists, scheduling tables — belongs to the Warm walk and is
+// shared by every Core it serves.
+type Core struct{ c core }
+
+// NewCore creates the core of one sampled configuration. Its intervals run
+// with Warm.RunInterval on a walk whose geometry matches cfg.WarmKey.
+func NewCore(prog *isa.Program, cfg Config) *Core {
+	return &Core{newCore(prog, cfg)}
+}
 
 // IntervalResult reports the measured window of one detailed interval.
 type IntervalResult struct {
@@ -193,13 +282,13 @@ func (s *Sim) winMark() {
 	}
 }
 
-// resetForResume restores the front end to a single on-trace stream pointing
-// at the next trace entry, after a drain left the machine with sampling
-// debris: an open dpred session whose diverge branch never resolved, parked
-// or off-trace streams, pending flushes, and the fetchDone latch. Predictor,
-// BTB, cache and history state is kept warm on purpose (see the file
-// comment); the RAS may be stale, which the warmup absorbs exactly like a
-// context switch would on real hardware.
+// resetForResume readies the machinery for the next interval: a single
+// on-trace stream pointing at the next trace entry, with the sampling
+// debris a drain leaves — an open dpred session whose diverge branch never
+// resolved, parked or off-trace streams, pending flushes, the fetchDone
+// latch — cleared, and the scheduling state indexed by cycle (register
+// ready times, issue reservations, store forwarding) emptied, since it may
+// hold another configuration's clock.
 func (s *Sim) resetForResume() {
 	// Force-close a session left open across the boundary, mirroring the
 	// doFlush cancellation path.
@@ -231,6 +320,11 @@ func (s *Sim) resetForResume() {
 	st.lastLine = -1
 	st.stalledUntil = 0
 	s.fetchDone = false
+	s.rr = 0
+	s.regReady = [64]int64{}
+	clear(s.issueTag)
+	clear(s.sfTag)
+	clear(s.sfCyc)
 	if tre, ok := s.tr.Peek(); ok {
 		st.pc = tre.PC
 	} else {
@@ -239,21 +333,34 @@ func (s *Sim) resetForResume() {
 	}
 }
 
-// RunInterval runs one detailed interval: warmup on-trace instructions to
-// re-train microarchitectural state after a skip, then measure instructions
-// under an armed measurement window, then drains the pipeline. The trace
-// budget is extended by exactly warmup+measure, so the front end stops
-// fetching new correct-path work at the interval edge and the drain costs
-// only the in-flight tail. The caller alternates Skip and RunInterval; the
-// first interval after NewFromMachine needs no Skip.
-func (s *Sim) RunInterval(ctx context.Context, warmup, measure uint64) (IntervalResult, error) {
+// RunInterval runs one detailed interval of c over win, a window w
+// recorded: warmup instructions to re-train what functional warming cannot,
+// then measure instructions under an armed measurement window, then a
+// drain. The run starts from w's warm tables, history and RAS and leaves
+// them as it found them (the tables journal every change and roll back), so
+// any number of configurations can run the same window, each from the same
+// state.
+func (w *Warm) RunInterval(ctx context.Context, c *Core, win []emu.Trace, warmup, measure uint64) (IntervalResult, error) {
 	if measure == 0 {
 		return IntervalResult{}, fmt.Errorf("pipeline: interval measure length must be positive")
 	}
+	if w.sim == nil {
+		w.sim = newSim(c.c)
+		w.sim.tr = &traceReader{}
+	}
+	s := w.sim
+	s.core = c.c
+	s.tables = w.lend(s.cfg)
+	defer func() {
+		w.restore()
+		c.c, s.core, s.tables = s.core, core{}, tables{}
+	}()
 	s.ctx = ctx
-	s.tr.ctx = ctx
-	s.tr.extendBudget(warmup + measure)
+	s.tr.load(win)
 	s.resetForResume()
+	st := s.streams[0]
+	st.hist = w.hist
+	st.ras.CopyFrom(w.ras)
 	base := s.stats.Retired
 	s.win = sampleWindow{armed: true, startRetired: base + warmup, endRetired: base + warmup + measure}
 	if warmup == 0 {
@@ -263,24 +370,24 @@ func (s *Sim) RunInterval(ctx context.Context, warmup, measure uint64) (Interval
 		s.win.start = s.winCounters()
 	}
 	err := s.runLoop()
-	w := &s.win
-	w.armed = false
+	sw := &s.win
+	sw.armed = false
 	if err != nil {
 		return IntervalResult{}, err
 	}
-	if w.opened && !w.closed {
+	if sw.opened && !sw.closed {
 		// Trace ended mid-window: close at the drain edge for a partial
 		// (shorter) measurement rather than losing the interval entirely.
-		w.endCycle = s.cycle
-		w.end = s.winCounters()
+		sw.endCycle = s.cycle
+		sw.end = s.winCounters()
 	}
-	res := IntervalResult{Complete: w.closed}
-	if w.opened {
-		res.Retired = s.stats.Retired - w.startRetired
-		res.Cycles = w.endCycle - w.startCycle
-		res.Mispredicted = w.end.misp - w.start.misp
-		res.CondBranches = w.end.condBr - w.start.condBr
-		res.Flushes = w.end.flushes - w.start.flushes
+	res := IntervalResult{Complete: sw.closed}
+	if sw.opened {
+		res.Retired = s.stats.Retired - sw.startRetired
+		res.Cycles = sw.endCycle - sw.startCycle
+		res.Mispredicted = sw.end.misp - sw.start.misp
+		res.CondBranches = sw.end.condBr - sw.start.condBr
+		res.Flushes = sw.end.flushes - sw.start.flushes
 	}
 	return res, nil
 }

@@ -14,31 +14,21 @@ import (
 
 // Sim is one simulation instance. Create with New, run with Run.
 type Sim struct {
-	cfg Config
+	// core is the state that belongs to one configuration; a sampled run
+	// swaps the cores of its configurations through one Sim (Warm).
+	core
 	// ctx, when non-nil, cancels the simulation: the run loop polls it at
 	// block-batch boundaries (the trace reader refilling its 256-entry
 	// batch) and every cancelCheckMask+1 cycles during drain phases, so a
 	// cancelled run returns within a bounded amount of simulated work.
-	ctx  context.Context
-	prog *isa.Program
-	code []isa.Inst
-	// recs is the predecoded view of code (shared with the emulator):
-	// source/destination registers and latency class per PC, so dispatch
-	// does not re-derive them through isa.Inst switches.
-	recs []predecode.Rec
-	tr   *traceReader
+	ctx context.Context
+	tr  *traceReader
 
-	pred *bpred.Perceptron
-	conf *bpred.Confidence
-	btb  *bpred.BTB
-	hier *cache.Hierarchy
-	// iHit/dHit mirror the configured L1 hit latencies (cfg.ICache/DCache
-	// HitCycles) so the hot paths don't reach into package-level constants.
-	iHit int
-	dHit int
+	// tables are the predictor, confidence, BTB and cache tables: owned by
+	// a full run, borrowed from a Warm walk for each sampled interval.
+	tables
 
-	cycle int64
-	seq   int64
+	seq int64
 
 	// fq is the fetch queue (FIFO, seq order); head compaction is amortised.
 	fq     []*entry
@@ -71,10 +61,6 @@ type Sim struct {
 	flushList []*entry
 	flHead    int
 
-	// fb is the usefulness-feedback table (DpredFeedback extension).
-	fb map[int]*fbEntry
-
-	stats           Stats
 	lastRetireCycle int64
 	fetchDone       bool
 
@@ -82,16 +68,6 @@ type Sim struct {
 	// inside RunInterval, so the full-fidelity retire path pays exactly one
 	// predictable branch for it.
 	win sampleWindow
-	// wh / whPred are the lazily built functional-warming hook sets Skip
-	// hands to the emulator's block executor (sample.go): wh warms
-	// caches/BTB/history only, whPred additionally trains the branch
-	// predictor and confidence estimator.
-	wh     *emu.BlockHooks
-	whPred *emu.BlockHooks
-
-	// audit accumulates the per-branch session audit (always on: its cost
-	// is per dpred session / flush, not per instruction).
-	audit trace.AuditBuilder
 
 	// Scratch buffers and free lists keeping the per-instruction path
 	// allocation-free at steady state (pool.go).
@@ -103,9 +79,62 @@ type Sim struct {
 	spareStream *stream
 }
 
+// core is the part of a Sim that belongs to one machine configuration: the
+// configuration and program, the clock, and what the run accumulates.
+type core struct {
+	cfg  Config
+	prog *isa.Program
+	code []isa.Inst
+	// recs is the predecoded view of code (shared with the emulator):
+	// source/destination registers and latency class per PC, so dispatch
+	// does not re-derive them through isa.Inst switches.
+	recs []predecode.Rec
+	// iHit/dHit mirror the configured L1 hit latencies (cfg.ICache/DCache
+	// HitCycles) so the hot paths don't reach into package-level constants.
+	iHit  int
+	dHit  int
+	cycle int64
+	stats Stats
+	// audit accumulates the per-branch session audit (always on: its cost
+	// is per dpred session / flush, not per instruction).
+	audit trace.AuditBuilder
+	// fb is the usefulness-feedback table (DpredFeedback extension).
+	fb map[int]*fbEntry
+}
+
+func newCore(prog *isa.Program, cfg Config) core {
+	return core{
+		cfg:  cfg,
+		prog: prog,
+		code: prog.Code,
+		recs: predecode.Shared(prog).Recs,
+		iHit: cfg.ICache.HitCycles,
+		dHit: cfg.DCache.HitCycles,
+	}
+}
+
 // issueHorizon is how far ahead of the current cycle issue bandwidth is
 // tracked; a reservation beyond it is unconstrained.
 const issueHorizon = 1 << 17
+
+// tables is the microarchitectural state that outlives a pipeline flush and
+// that functional warming trains: the branch predictor, the confidence
+// estimator, the BTB and the cache hierarchy.
+type tables struct {
+	pred *bpred.Perceptron
+	conf *bpred.Confidence
+	btb  *bpred.BTB
+	hier *cache.Hierarchy
+}
+
+func newTables(cfg Config) tables {
+	return tables{
+		pred: bpred.NewPerceptron(cfg.PerceptronTables, cfg.PerceptronHist),
+		conf: bpred.NewConfidence(cfg.ConfEntries, cfg.ConfHistBits, cfg.ConfThreshold),
+		btb:  bpred.NewBTB(cfg.BTBEntries),
+		hier: cache.NewHierarchyFrom(cfg.hierConfig()),
+	}
+}
 
 // New creates a simulator for an annotated program on the given input tape.
 func New(prog *isa.Program, input []int64, cfg Config) *Sim {
@@ -115,23 +144,20 @@ func New(prog *isa.Program, input []int64, cfg Config) *Sim {
 // NewFromMachine creates a simulator that consumes its correct path from m,
 // starting at m's current architectural state; on a fresh machine that is
 // the program entry point, which is how New uses it. The simulator takes
-// ownership of m for the duration of the run. The Sim runs to completion with Run, or is driven
-// interval by interval with Skip and RunInterval, which set the trace budget
-// themselves.
+// ownership of m for the duration of the run.
 func NewFromMachine(m *emu.Machine, cfg Config) *Sim {
-	prog := m.Program()
-	s := &Sim{
-		cfg:       cfg,
-		prog:      prog,
-		code:      prog.Code,
-		recs:      m.Predecoded().Recs,
-		tr:        newTraceReader(m, cfg.MaxInsts),
-		pred:      bpred.NewPerceptron(cfg.PerceptronTables, cfg.PerceptronHist),
-		conf:      bpred.NewConfidence(cfg.ConfEntries, cfg.ConfHistBits, cfg.ConfThreshold),
-		btb:       bpred.NewBTB(cfg.BTBEntries),
-		hier:      cache.NewHierarchyFrom(cfg.hierConfig()),
-		iHit:      cfg.ICache.HitCycles,
-		dHit:      cfg.DCache.HitCycles,
+	s := newSim(newCore(m.Program(), cfg))
+	s.tables = newTables(cfg)
+	s.tr = newTraceReader(m, cfg.MaxInsts)
+	s.streams[0].pc = m.PC
+	return s
+}
+
+// newSim builds the pipeline machinery around c: everything but the tables
+// and the trace source.
+func newSim(c core) *Sim {
+	return &Sim{
+		core:      c,
 		sfTag:     make([]int64, sfInitSize),
 		sfCyc:     make([]int64, sfInitSize),
 		sfMask:    sfInitSize - 1,
@@ -139,9 +165,8 @@ func NewFromMachine(m *emu.Machine, cfg Config) *Sim {
 		issueCnt:  make([]uint16, issueInitSize),
 		issueMask: issueInitSize - 1,
 		selRegs:   make([]uint8, 0, 64),
+		streams:   []*stream{newStream(0, true, c.cfg.RASDepth)},
 	}
-	s.streams = []*stream{newStream(m.PC, true, cfg.RASDepth)}
-	return s
 }
 
 // Run simulates to completion and returns the statistics.
@@ -189,7 +214,7 @@ func (s *Sim) Run() (Stats, error) {
 
 // runLoop cycles the machine until the trace is exhausted and the pipeline
 // has drained. It is shared between Run (one trace, run to completion) and
-// RunInterval (sampled mode: bounded trace budgets, resumed repeatedly); only
+// RunInterval (sampled mode: one window per call, resumed repeatedly); only
 // Run finalises the Stats afterwards.
 func (s *Sim) runLoop() error {
 	s.lastRetireCycle = s.cycle

@@ -25,11 +25,9 @@ type traceReader struct {
 	buf []emu.Trace
 	pos int // next unconsumed index in buf[:n]
 	n   int
-	// done is set at halt or when maxInsts entries have been produced;
-	// halted distinguishes the two so extendBudget can reopen a reader that
-	// only ran out of budget.
-	done   bool
-	halted bool
+	// done is set at halt, when maxInsts entries have been produced, or
+	// when a preloaded window (load) is all the trace there is.
+	done bool
 	// pending holds a fault discovered mid-batch; it surfaces as err only
 	// after the entries before it have been consumed, exactly when a
 	// step-by-step reader would have hit it.
@@ -81,7 +79,6 @@ func (t *traceReader) fill() {
 		switch {
 		case errors.Is(err, emu.ErrHalted):
 			t.done = true
-			t.halted = true
 		case k == 0:
 			t.err = err
 		default:
@@ -90,58 +87,11 @@ func (t *traceReader) fill() {
 	}
 }
 
-// extendBudget allows n more entries to be produced, reopening a reader that
-// exhausted its instruction budget. A reader that saw the machine halt (or
-// fault) stays done: there is no more trace to extend into.
-func (t *traceReader) extendBudget(n uint64) {
-	t.maxInsts = t.fetched + n
-	if !t.halted && t.err == nil && t.pending == nil {
-		t.done = false
-	}
-}
-
-// skip functionally advances the machine past n correct-path instructions,
-// reporting their retirement events through h (nil: none). Whatever is
-// already buffered is consumed first, each entry replayed through h; the
-// remainder runs on the emulator's block executor (emu.RunBlocksCtx), with no
-// per-instruction trace construction. It returns the number actually
-// skipped, which falls short of n only when the machine halts or faults.
-func (t *traceReader) skip(n uint64, h *emu.BlockHooks) (uint64, error) {
-	skipped := min(uint64(t.n-t.pos), n)
-	if h != nil {
-		recs := t.m.Predecoded().Recs
-		for i := t.pos; i < t.pos+int(skipped); i++ {
-			replay(h, &recs[t.buf[i].PC], &t.buf[i])
-		}
-	}
-	t.pos += int(skipped)
-	t.count += skipped
-	if skipped == n {
-		return skipped, nil
-	}
-	if t.err != nil {
-		return skipped, t.err
-	}
-	if t.pending != nil {
-		// The buffered entries before the fault are gone; the fault is next.
-		t.err = t.pending
-		return skipped, t.err
-	}
-	// RunBlocksCtx polls ctx every few million instructions, so even one
-	// long fast-forward can be cancelled.
-	k, err := t.m.RunBlocksCtx(t.ctx, n-skipped, h)
-	skipped += k
-	t.count += k
-	t.fetched += k
-	if err != nil {
-		t.err = err
-		return skipped, err
-	}
-	if t.m.Halted() {
-		t.done = true
-		t.halted = true
-	}
-	return skipped, nil
+// load makes win the whole remaining trace: a sampled interval's window,
+// recorded once by the warm walk and read by every configuration it runs.
+// The reader never writes the entries, so one window serves them all.
+func (t *traceReader) load(win []emu.Trace) {
+	t.buf, t.pos, t.n, t.done = win, 0, len(win), true
 }
 
 // replay reports one buffered trace entry through h the way

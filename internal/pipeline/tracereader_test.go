@@ -185,10 +185,10 @@ func (l *hookLog) hooks() *emu.BlockHooks {
 	}
 }
 
-// TestReplayMatchesBlockExecutor pins the per-entry adapter a skip uses
-// for buffered lookahead: replaying step-batched trace entries through a
-// hook set must report, kind by kind, exactly the events emu.RunBlocks
-// reports over the same instructions.
+// TestReplayMatchesBlockExecutor pins the per-entry adapter Warm.Replay
+// warms a recorded interval window with: replaying step-batched trace
+// entries through a hook set must report, kind by kind, exactly the events
+// emu.RunBlocks reports over the same instructions.
 func TestReplayMatchesBlockExecutor(t *testing.T) {
 	const n = 100_000
 	for _, name := range []string{"li", "vortex"} {

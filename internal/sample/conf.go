@@ -1,10 +1,15 @@
 // Package sample implements SMARTS-style sampled simulation: short detailed
 // intervals (warmup + measurement) run through the cycle-level pipeline
-// model, separated by functional fast-forward on the predecoded emulator.
-// One pipeline walks the whole program as a single chained stream, so the
-// microarchitectural state (branch predictor, confidence estimator, BTB,
-// caches) stays warm from one interval to the next, and each interval's
-// warmup re-trains whatever went stale during the skip.
+// model, separated by functional warming on the predecoded emulator. One
+// functional walk (pipeline.Warm) keeps the microarchitectural state —
+// caches, BTB, global history and RAS throughout, the branch predictor and
+// confidence estimator over each interval's lead-in — warm through the
+// whole stream. Each interval runs in detail from that state, and its
+// changes are rolled back, so nothing the detailed pipeline does feeds back
+// into the walk, and every configuration that shares the table geometry
+// runs its intervals from the same walk (RunCells). An interval's detailed
+// warmup re-trains what functional warming leaves out: wrong-path effects
+// and the pipeline's speculative state.
 //
 // The per-interval CPIs form the statistical estimate: their mean scales the
 // program's instruction count into an estimated cycle total, and their
@@ -32,8 +37,8 @@ type SampleConf struct {
 	// on-trace instructions.
 	Interval uint64 `json:"interval"`
 	// Warmup is the detailed-warmup length preceding each measurement, in
-	// on-trace instructions. It re-trains predictor/cache state after a
-	// functional skip and absorbs the run's cold start.
+	// on-trace instructions. It fills the pipeline from the functionally
+	// warmed state and re-trains what functional warming leaves out.
 	Warmup uint64 `json:"warmup"`
 	// Period is the distance between interval starts, in instructions; the
 	// fraction (Warmup+Interval)/Period is the detailed-simulation share of
@@ -53,9 +58,9 @@ type SampleConf struct {
 	Confidence float64 `json:"confidence,omitempty"`
 	// PredLead is the predictor-training tail of each functional
 	// fast-forward, in instructions: the last PredLead instructions before
-	// a detailed interval warm the branch predictor and confidence
-	// estimator in addition to the always-warmed caches/BTB/history
-	// (0 = the 20_000 default). Per-branch predictor training is the most
+	// a detailed interval, and the interval itself, warm the branch
+	// predictor and confidence estimator in addition to the always-warmed
+	// caches/BTB/history/RAS (0 = the 20_000 default). Per-branch predictor training is the most
 	// expensive warming operation, and the predictor tables re-converge
 	// over tens of thousands of instructions, so training through the whole
 	// skip buys nothing over training through its tail.

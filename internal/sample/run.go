@@ -10,56 +10,197 @@ import (
 	"dmp/internal/pipeline"
 )
 
-// Run executes a sampled simulation of (prog, input, cfg) under sc. The
-// program is tiled into Period-length strata; each stratum's interval lands
-// at a seed-derived offset inside it (stratified random sampling — see
-// SampleConf.Seed) and runs warmup+measure instructions of detailed
-// simulation, with functional fast-forward plus microarchitectural warming
-// in between. The per-interval CPIs aggregate into the estimate and its
-// Student-t confidence interval.
-//
-// The dynamic instruction count comes first, from the count memo or from
-// one hook-less functional pass; it picks the period (the configured one, a
-// proportionally shrunk one for a short program, or an exact run when even
-// that cannot fit MinIntervals). One pipeline then walks the program as a
-// single chained stream over intervalStarts, alternating warmed skips with
-// detailed intervals, so every interval inherits the full warm history of
-// everything before it, and stops at its last interval.
-//
-// Interval placement derives from (instruction count, sc) alone, never from
-// the host or from whether the count was remembered from an earlier run, so
-// a given (program, input, cfg, sc) always produces the identical Result and
-// can be memoized exactly like a full-fidelity run.
+// Cell is one machine configuration of a grouped sampled run: the program
+// it simulates and its config. The cells of one program differ in config
+// and, through Config.DMP, in annotations only.
+type Cell struct {
+	Prog *isa.Program
+	Cfg  pipeline.Config
+}
+
+// Run executes a sampled simulation of (prog, input, cfg) under sc: the
+// one-cell case of RunCells.
 func Run(ctx context.Context, prog *isa.Program, input []int64, cfg pipeline.Config, sc SampleConf) (Result, error) {
-	sc = sc.withDefaults()
-	if err := sc.Validate(); err != nil {
-		return Result{}, err
-	}
-	if err := cfg.Validate(); err != nil {
-		return Result{}, err
-	}
-	if !sc.Enabled {
-		return runExact(ctx, prog, input, cfg, sc)
-	}
-	total, err := countInsts(ctx, prog, input, cfg.MaxInsts)
+	rs, err := RunCells(ctx, input, []Cell{{prog, cfg}}, sc)
 	if err != nil {
 		return Result{}, err
 	}
+	return rs[0], nil
+}
+
+// RunCells executes a sampled simulation of every cell on input under sc
+// and returns the results in cell order. The program is tiled into
+// Period-length strata; each stratum's interval lands at a seed-derived
+// offset inside it (stratified random sampling — see SampleConf.Seed) and
+// runs warmup+measure instructions of detailed simulation. The per-interval
+// CPIs aggregate into the estimate and its Student-t confidence interval.
+//
+// Cells whose program, input, MaxInsts and warm geometry
+// (pipeline.Config.WarmKey) agree form a group that shares everything but
+// the detailed intervals. The group's dynamic instruction count comes from
+// the count memo or from one hook-less functional pass; it picks the period
+// (the configured one, a proportionally shrunk one for a short program, or
+// an exact run when even that cannot fit MinIntervals). One functional walk
+// (pipeline.Warm) then warms the tables through the whole stream up to the
+// last interval and records each interval's correct path once; every cell
+// runs its interval from the warm tables at that point, interval by
+// interval, so a group pays its walk once however many cells it holds.
+//
+// Nothing a cell does reaches the walk, and interval placement derives from
+// (instruction count, sc) alone, never from the host, the grouping or
+// whether the count was remembered from an earlier run: each cell's Result
+// equals Run of that cell alone and can be memoized exactly like a
+// full-fidelity run.
+func RunCells(ctx context.Context, input []int64, cells []Cell, sc SampleConf) ([]Result, error) {
+	sc = sc.withDefaults()
+	if err := sc.Validate(); err != nil {
+		return nil, err
+	}
+	for _, c := range cells {
+		if err := c.Cfg.Validate(); err != nil {
+			return nil, err
+		}
+	}
+	out := make([]Result, len(cells))
+	for _, idx := range groups(cells) {
+		group := make([]Cell, len(idx))
+		for j, i := range idx {
+			group[j] = cells[i]
+		}
+		rs, err := runGroup(ctx, input, group, sc)
+		if err != nil {
+			return nil, err
+		}
+		for j, i := range idx {
+			out[i] = rs[j]
+		}
+	}
+	return out, nil
+}
+
+// groupKey identifies the cells one warm walk serves. The binaries of one
+// program differ in annotations only and share their code segment, so the
+// segment's identity stands for the program; the input is the call's.
+type groupKey struct {
+	code         *isa.Inst
+	entry, words int
+	maxInsts     uint64
+	geom         pipeline.WarmKey
+}
+
+// groups partitions cell indices by groupKey, in order of first appearance.
+func groups(cells []Cell) [][]int {
+	var out [][]int
+	at := map[groupKey]int{}
+	for i, c := range cells {
+		k := groupKey{entry: c.Prog.Entry, words: c.Prog.GlobalWords, maxInsts: c.Cfg.MaxInsts, geom: c.Cfg.WarmKey()}
+		if len(c.Prog.Code) > 0 {
+			k.code = &c.Prog.Code[0]
+		}
+		g, ok := at[k]
+		if !ok {
+			g = len(out)
+			at[k] = g
+			out = append(out, nil)
+		}
+		out[g] = append(out[g], i)
+	}
+	return out
+}
+
+// runGroup runs the cells of one group: exact runs when sampling is off or
+// the program too short to sample, one shared walk otherwise.
+func runGroup(ctx context.Context, input []int64, group []Cell, sc SampleConf) ([]Result, error) {
+	var total, period uint64
+	var starts []uint64
+	if sc.Enabled {
+		var err error
+		if total, err = countInsts(ctx, group[0].Prog, input, group[0].Cfg.MaxInsts); err != nil {
+			return nil, err
+		}
+		period, starts = place(sc, total)
+	}
+	if len(starts) < sc.MinIntervals {
+		out := make([]Result, len(group))
+		for i, c := range group {
+			var err error
+			if out[i], err = runExact(ctx, c.Prog, input, c.Cfg, sc); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
+	}
+	ivs, warmed, err := walk(ctx, input, group, sc, starts)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Result, len(group))
+	for i := range group {
+		out[i] = Result{
+			Conf:          sc,
+			Period:        period,
+			TotalInsts:    total,
+			DetailedInsts: uint64(len(starts)) * (sc.Warmup + sc.Interval),
+			WarmInsts:     warmed,
+		}
+		aggregate(&out[i], ivs[i])
+	}
+	return out, nil
+}
+
+// place picks the period and the interval starts for a program of total
+// instructions: the configured period, or a proportionally shrunk one when
+// that fits fewer than MinIntervals. No starts means the program is too
+// short to sample at all.
+func place(sc SampleConf, total uint64) (uint64, []uint64) {
 	period := sc.Period
 	if len(intervalStarts(sc, period, total)) < sc.MinIntervals {
 		if total < minSampledTotal(sc) {
-			return runExact(ctx, prog, input, cfg, sc)
+			return 0, nil
 		}
 		period = total / uint64(sc.MinIntervals)
 	}
-	r, err := runStream(ctx, prog, input, cfg, sc, period, total)
-	if err != nil {
-		return Result{}, err
+	return period, intervalStarts(sc, period, total)
+}
+
+// walk is the interval-major run of one group: one functional walk over the
+// program stops at each interval start, records the interval's window, runs
+// every cell's interval over it, then warms on through the window. It stops
+// at the last interval and never touches the tail. It returns each cell's
+// intervals and the number of instructions warmed between them.
+func walk(ctx context.Context, input []int64, group []Cell, sc SampleConf, starts []uint64) ([][]pipeline.IntervalResult, uint64, error) {
+	w := pipeline.NewWarm(group[0].Prog, input, group[0].Cfg)
+	cores := make([]*pipeline.Core, len(group))
+	ivs := make([][]pipeline.IntervalResult, len(group))
+	for i, c := range group {
+		cfg := c.Cfg
+		cfg.MaxInsts = 0 // the window bounds each interval
+		cfg.Tracer = nil
+		cores[i] = pipeline.NewCore(c.Prog, cfg)
+		ivs[i] = make([]pipeline.IntervalResult, 0, len(starts))
 	}
-	if r.Intervals < sc.MinIntervals {
-		return runExact(ctx, prog, input, cfg, sc)
+	var pos, warmed uint64
+	for k, start := range starts {
+		skipped, err := w.Skip(ctx, start-pos, min(sc.PredLead, start-pos))
+		if err != nil {
+			return nil, 0, fmt.Errorf("sample: skip to interval %d: %w", k, err)
+		}
+		win, err := w.Record(sc.Warmup + sc.Interval)
+		if err != nil {
+			return nil, 0, fmt.Errorf("sample: interval %d: %w", k, err)
+		}
+		for i, c := range cores {
+			iv, err := w.RunInterval(ctx, c, win, sc.Warmup, sc.Interval)
+			if err != nil {
+				return nil, 0, fmt.Errorf("sample: interval %d: %w", k, err)
+			}
+			ivs[i] = append(ivs[i], iv)
+		}
+		w.Replay(win)
+		pos += skipped + uint64(len(win))
+		warmed += skipped
 	}
-	return r, nil
+	return ivs, warmed, nil
 }
 
 // countInsts returns the program's dynamic instruction count under the
@@ -80,43 +221,6 @@ func countInsts(ctx context.Context, prog *isa.Program, input []int64, maxInsts 
 	}
 	totalMemo.Put(key, total)
 	return total, nil
-}
-
-// runStream is the single-chain strategy: skip, measure, repeat over the
-// intervals that fit whole inside total at the given period, with one
-// pipeline carrying warm state end to end. The stream stops at its last
-// interval and never touches the tail.
-func runStream(ctx context.Context, prog *isa.Program, input []int64, cfg pipeline.Config, sc SampleConf, period, total uint64) (Result, error) {
-	cfg.MaxInsts = 0 // interval budget is managed by RunInterval
-	cfg.Tracer = nil
-	sim := pipeline.NewFromMachine(emu.New(prog, input, 0), cfg)
-	starts := intervalStarts(sc, period, total)
-	ivs := make([]pipeline.IntervalResult, 0, len(starts))
-	var warmed, detailed uint64
-	for k, start := range starts {
-		need := start - sim.Consumed()
-		skipped, err := sim.Skip(ctx, need, min(sc.PredLead, need))
-		if err != nil {
-			return Result{}, fmt.Errorf("sample: skip to interval %d: %w", k, err)
-		}
-		before := sim.Consumed()
-		iv, err := sim.RunInterval(ctx, sc.Warmup, sc.Interval)
-		if err != nil {
-			return Result{}, fmt.Errorf("sample: interval %d: %w", k, err)
-		}
-		warmed += skipped
-		detailed += sim.Consumed() - before
-		ivs = append(ivs, iv)
-	}
-	r := Result{
-		Conf:          sc,
-		Period:        period,
-		TotalInsts:    total,
-		DetailedInsts: detailed,
-		WarmInsts:     warmed,
-	}
-	aggregate(&r, ivs)
-	return r, nil
 }
 
 // totalMemo caches dynamic instruction counts across Run calls, keyed by

@@ -1,11 +1,17 @@
 package simcache
 
 import (
+	"context"
+	"crypto/sha256"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
 
+	"dmp/internal/isa"
 	"dmp/internal/pipeline"
 	"dmp/internal/sample"
 )
@@ -82,5 +88,181 @@ func TestRunSampledDisk(t *testing.T) {
 	m := c2.Metrics()
 	if m.DiskHits != 1 || m.Misses != 0 {
 		t.Errorf("fresh cache metrics = %+v, want 1 disk hit / 0 misses", m)
+	}
+}
+
+// TestSampledKeyGeneration: sampled entries written before functional
+// warming replaced the chained stream (key generation v1) must not answer
+// for the new estimator. An entry planted under the v1 key of a workload is
+// ignored: the run misses, simulates and stores under its own key.
+func TestSampledKeyGeneration(t *testing.T) {
+	dir := t.TempDir()
+	c := New(dir)
+	p := testProg(t)
+	in := testInput(120_000)
+	cfg := pipeline.DefaultConfig()
+	sc := sample.DefaultConf()
+
+	base := c.KeyOf(p, in, cfg)
+	h := sha256.New()
+	h.Write([]byte("dmp-simcache-sampled-v1\x00" + sample.Schema() + "\x00"))
+	h.Write(base[:])
+	h.Write(sc.AppendCanonical(nil))
+	var v1 Key
+	h.Sum(v1[:0])
+	if v1 == c.KeyOfSampled(p, in, cfg, sc) {
+		t.Fatal("the sampled key generation did not move")
+	}
+	stale, err := sample.MarshalResult(sample.Result{Conf: sc.Normalize(), TotalInsts: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.writeDisk(sampledRuns.ns, v1, stale)
+
+	r, err := c.RunSampled(p, in, cfg, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.TotalInsts == 42 {
+		t.Error("a chained-stream entry answered a functional-warming run")
+	}
+	if m := c.Metrics(); m.DiskHits != 0 || m.Misses != 1 {
+		t.Errorf("metrics = %+v, want 0 disk hits and 1 miss", m)
+	}
+}
+
+// sweepCells returns n cells of p on distinct confidence thresholds, half
+// of them DMP: distinct keys sharing one warm walk.
+func sweepCells(p *isa.Program, n int) []sample.Cell {
+	cells := make([]sample.Cell, n)
+	for i := range cells {
+		cfg := pipeline.DefaultConfig()
+		cfg.ConfThreshold = uint8(4 + i/2)
+		cfg.DMP = i%2 == 1
+		cells[i] = sample.Cell{Prog: p, Cfg: cfg}
+	}
+	return cells
+}
+
+// TestRunSampledCells: a grouped call answers each cell exactly as
+// RunSampledCtx would, memoizes each cell under its own key, runs only the
+// cells that miss (a remembered cell is a hit) and serves a duplicate cell
+// from the same entry.
+func TestRunSampledCells(t *testing.T) {
+	ctx := context.Background()
+	c := New("")
+	p := testProg(t)
+	in := testInput(120_000)
+	sc := sample.DefaultConf()
+	cells := sweepCells(p, 6)
+	if _, err := c.RunSampledCtx(ctx, p, in, cells[0].Cfg, sc); err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.RunSampledCells(ctx, in, append(cells, cells[3]), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := c.Metrics(); m.Misses != 6 || m.Hits != 2 {
+		t.Errorf("metrics = %+v, want 6 misses (1 alone, 5 grouped) and 2 hits", m)
+	}
+	for i, cell := range cells {
+		want, err := sample.Run(ctx, p, in, cell.Cfg, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("cell %d: grouped %+v, alone %+v", i, got[i], want)
+		}
+		if r, err := c.RunSampledCtx(ctx, p, in, cell.Cfg, sc); err != nil || !reflect.DeepEqual(r, want) {
+			t.Errorf("cell %d: memoized %+v (%v), want %+v", i, r, err, want)
+		}
+	}
+	if !reflect.DeepEqual(got[6], got[3]) {
+		t.Error("a duplicate cell got a different result")
+	}
+}
+
+// TestRunSampledCellsConcurrent: grouped calls racing over the same cells
+// run each cell once; the callers that lose the race wait on the winner's
+// entries and get its results.
+func TestRunSampledCellsConcurrent(t *testing.T) {
+	c := New("")
+	p := testProg(t)
+	in := testInput(120_000)
+	sc := sample.DefaultConf()
+	cells := sweepCells(p, 6)
+	got := make([][]sample.Result, 4)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = c.RunSampledCells(context.Background(), in, cells, sc)
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(got[i], got[0]) {
+			t.Errorf("caller %d got other results than caller 0", i)
+		}
+	}
+	if m := c.Metrics(); m.Misses != uint64(len(cells)) {
+		t.Errorf("%d misses, want %d: each cell runs once", m.Misses, len(cells))
+	}
+}
+
+// TestRunSampledCellsCancelInWalk: cancelling a grouped run while its warm
+// walk is under way returns context.Canceled and memoizes none of the
+// group's cells; a retry with a live context runs them all.
+func TestRunSampledCellsCancelInWalk(t *testing.T) {
+	c := New("")
+	p := testProg(t)
+	in := testInput(300_000)
+	sc := sample.DefaultConf()
+	cells := sweepCells(p, 17)
+	// A first cell alone remembers the instruction count, so the group
+	// goes straight from its lookups to the walk.
+	if _, err := c.RunSampledCells(context.Background(), in, cells[:1], sc); err != nil {
+		t.Fatal(err)
+	}
+	group := cells[1:]
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.RunSampledCells(ctx, in, group, sc)
+		done <- err
+	}()
+	for i := 0; ; i++ {
+		c.mu.Lock()
+		n := len(c.mem)
+		c.mu.Unlock()
+		if n == 1+len(group) {
+			break
+		}
+		if i > 1000 {
+			t.Fatal("the group never registered its in-flight entries")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(5 * time.Millisecond)
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled group err = %v, want context.Canceled", err)
+	}
+	c.mu.Lock()
+	n := len(c.mem)
+	c.mu.Unlock()
+	if m := c.Metrics(); n != 1 || m.Misses != 1 || m.Cancels != 1 {
+		t.Fatalf("after cancel: %d entries, metrics %+v; want only the first cell memoized and 1 cancel", n, m)
+	}
+	if _, err := c.RunSampledCells(context.Background(), in, group, sc); err != nil {
+		t.Fatal(err)
+	}
+	if m := c.Metrics(); m.Misses != uint64(len(cells)) {
+		t.Errorf("retry: %d misses, want %d", m.Misses, len(cells))
 	}
 }

@@ -235,13 +235,9 @@ func memoized[V any](ctx context.Context, c *Cache, k *kind[V], traced bool, key
 func compute[V any](ctx context.Context, c *Cache, k *kind[V], key Key, e *entry[V], run func(context.Context) (V, error)) (V, error) {
 	defer close(e.ready)
 
-	if b, ok := c.readDisk(k.ns, key); ok {
-		// A stale schema or corrupt entry reads as a miss.
-		if v, err := k.unmarshal(b); err == nil {
-			c.metrics.diskHits.Add(1)
-			e.val = v
-			return v, nil
-		}
+	if v, ok := load(c, k, key); ok {
+		e.val = v
+		return v, nil
 	}
 
 	e.val, e.err = timed(ctx, c, run)
@@ -249,21 +245,49 @@ func compute[V any](ctx context.Context, c *Cache, k *kind[V], key Key, e *entry
 		// Evict before the deferred close wakes any waiters: a cancelled
 		// run is not a result, and must not be memoized.
 		c.metrics.cancels.Add(1)
-		c.mu.Lock()
-		delete(c.mem, key)
-		c.mu.Unlock()
+		c.evict(key)
 		return e.val, e.err
 	}
 	c.metrics.misses.Add(1)
 	if e.err == nil {
-		k.count(&c.metrics, e.val)
-		if c.dir != "" {
-			if b, err := k.marshal(e.val); err == nil {
-				c.writeDisk(k.ns, key, b)
-			}
-		}
+		store(c, k, key, e.val)
 	}
 	return e.val, e.err
+}
+
+// load reads key's entry of kind k from the disk layer. A missing file, a
+// stale schema or a corrupt entry reads as a miss.
+func load[V any](c *Cache, k *kind[V], key Key) (V, bool) {
+	var zero V
+	b, ok := c.readDisk(k.ns, key)
+	if !ok {
+		return zero, false
+	}
+	v, err := k.unmarshal(b)
+	if err != nil {
+		return zero, false
+	}
+	c.metrics.diskHits.Add(1)
+	return v, true
+}
+
+// store counts an executed run of kind k and persists it under key when the
+// disk layer is on.
+func store[V any](c *Cache, k *kind[V], key Key, v V) {
+	k.count(&c.metrics, v)
+	if c.dir == "" {
+		return
+	}
+	if b, err := k.marshal(v); err == nil {
+		c.writeDisk(k.ns, key, b)
+	}
+}
+
+// evict drops key's in-flight entry, so the next request runs afresh.
+func (c *Cache) evict(key Key) {
+	c.mu.Lock()
+	delete(c.mem, key)
+	c.mu.Unlock()
 }
 
 // timed executes run, adding its wall time to the simulation wall metric.

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 
 	"dmp/internal/bench"
@@ -143,12 +144,14 @@ type Report struct {
 }
 
 // Run evaluates the corpus × grid product. Per program, the config-invariant
-// phases run once (harness.PrepareSource); cells fan out over the workpool
-// and complete in arbitrary order (RowOut sees completion order; the
-// report's Rows are deterministic). A cancelled context aborts at the next
-// phase/cell boundary; completed rows remain valid, in-flight simulations
-// are never memoized (the simcache contract), so a resumed sweep recomputes
-// exactly the missing cells.
+// phases run once (harness.PrepareSource); the program's cells then run in
+// groups (cellGroups), one harness.Prepared.SimulateCells call each, and
+// programs and groups fan out over the workpool and complete in arbitrary
+// order (RowOut sees completion order; the report's Rows are
+// deterministic). A cancelled context aborts at the next phase/group
+// boundary; completed rows remain valid, in-flight simulations are never
+// memoized (the simcache contract), so a resumed sweep recomputes exactly
+// the missing cells.
 func Run(ctx context.Context, progs []Program, grid *GridSpec, opts Options) (*Report, error) {
 	cells, err := grid.Cells()
 	if err != nil {
@@ -209,14 +212,24 @@ func Run(ctx context.Context, progs []Program, grid *GridSpec, opts Options) (*R
 			if err != nil {
 				return fmt.Errorf("%s: %w", p.Name, err)
 			}
-			return workpool.RunIndexed(ctx, len(todo), opts.Parallelism,
-				func(i int) string { return p.Name + " " + cells[todo[i]].Label() }, nil, func(ti int) error {
-					ci := todo[ti]
-					row, err := simulateCell(ctx, prep, p, cells[ci], evalOpts)
-					if err != nil {
-						return fmt.Errorf("%s %s: %w", p.Name, cells[ci].Label(), err)
+			groups := cellGroups(todo, opts.Sample.Enabled, len(progs), opts.Parallelism)
+			return workpool.RunIndexed(ctx, len(groups), opts.Parallelism,
+				func(i int) string { return p.Name + " " + groupLabel(cells, groups[i]) }, nil, func(gi int) error {
+					g := groups[gi]
+					cs := make([]Cell, len(g))
+					for j, ci := range g {
+						cs[j] = cells[ci]
 					}
-					return emit(pi*len(cells)+ci, row, false)
+					rows, err := simulateCells(ctx, prep, p, cs, evalOpts)
+					if err != nil {
+						return fmt.Errorf("%s %s: %w", p.Name, groupLabel(cells, g), err)
+					}
+					for j, ci := range g {
+						if err := emit(pi*len(cells)+ci, rows[j], false); err != nil {
+							return err
+						}
+					}
+					return nil
 				})
 		})
 	if err != nil {
@@ -255,33 +268,70 @@ func prepare(ctx context.Context, p Program, algo string, opts harness.EvalOptio
 	return prep, nil
 }
 
-// simulateCell runs the per-cell phase and shapes the row. The cell's config
-// is used as-is except for MaxInsts, which the sweep applies globally.
-func simulateCell(ctx context.Context, prep *harness.Prepared, p Program, c Cell, opts harness.EvalOptions) (*Row, error) {
-	cfg := c.Config
-	if opts.MaxInsts != 0 && cfg.MaxInsts == 0 {
-		cfg.MaxInsts = opts.MaxInsts
+// cellGroups splits a program's pending cells into the groups one
+// SimulateCells call runs. Full-fidelity cells share nothing, so each is its
+// own group and the cells fan out over the pool. Sampled cells share their
+// functional warming, so they form as few groups as keep par workers busy:
+// one per program when the corpus alone fills the pool.
+func cellGroups(todo []int, sampled bool, progs, par int) [][]int {
+	n := len(todo)
+	if sampled {
+		if par <= 0 {
+			par = runtime.GOMAXPROCS(0)
+		}
+		n = min(n, (par+progs-1)/progs)
 	}
-	st, err := prep.Simulate(ctx, cfg, opts)
+	groups := make([][]int, n)
+	for i, ci := range todo {
+		groups[i%n] = append(groups[i%n], ci)
+	}
+	return groups
+}
+
+// groupLabel names a group of cells in errors: its first cell's label, and
+// how many more it holds.
+func groupLabel(cells []Cell, g []int) string {
+	if len(g) == 1 {
+		return cells[g[0]].Label()
+	}
+	return fmt.Sprintf("%s (+%d cells)", cells[g[0]].Label(), len(g)-1)
+}
+
+// simulateCells runs the per-cell phase for a group of cells and shapes
+// their rows. Each cell's config is used as-is except for MaxInsts, which
+// the sweep applies globally.
+func simulateCells(ctx context.Context, prep *harness.Prepared, p Program, cs []Cell, opts harness.EvalOptions) ([]*Row, error) {
+	cfgs := make([]pipeline.Config, len(cs))
+	for i, c := range cs {
+		cfgs[i] = c.Config
+		if opts.MaxInsts != 0 && cfgs[i].MaxInsts == 0 {
+			cfgs[i].MaxInsts = opts.MaxInsts
+		}
+	}
+	sts, err := prep.SimulateCells(ctx, cfgs, opts)
 	if err != nil {
 		return nil, err
 	}
-	row := &Row{
-		Program:      p.Name,
-		Preset:       p.Preset,
-		Idiom:        p.Idiom,
-		Cell:         c.Label(),
-		Coord:        c.Coord,
-		IPC:          st.IPC(),
-		Cycles:       st.Cycles,
-		Retired:      st.Retired,
-		MPKI:         st.MPKI(),
-		FlushesPerKI: st.FlushesPerKI(),
-		DpredEntries: st.DpredEntries,
-		Sampled:      opts.Sample.Enabled,
-		Stats:        st,
+	rows := make([]*Row, len(cs))
+	for i, c := range cs {
+		st := sts[i]
+		rows[i] = &Row{
+			Program:      p.Name,
+			Preset:       p.Preset,
+			Idiom:        p.Idiom,
+			Cell:         c.Label(),
+			Coord:        c.Coord,
+			IPC:          st.IPC(),
+			Cycles:       st.Cycles,
+			Retired:      st.Retired,
+			MPKI:         st.MPKI(),
+			FlushesPerKI: st.FlushesPerKI(),
+			DpredEntries: st.DpredEntries,
+			Sampled:      opts.Sample.Enabled,
+			Stats:        st,
+		}
 	}
-	return row, nil
+	return rows, nil
 }
 
 // aggregate computes the cross-cell views: per-axis IPC marginals and the

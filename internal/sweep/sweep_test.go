@@ -281,11 +281,11 @@ func runNaive(t *testing.T, progs []Program, g *GridSpec, maxInsts uint64) []Row
 			if err != nil {
 				t.Fatalf("%s: %v", p.Name, err)
 			}
-			row, err := simulateCell(context.Background(), prep, p, c, opts)
+			row, err := simulateCells(context.Background(), prep, p, []Cell{c}, opts)
 			if err != nil {
 				t.Fatalf("%s %s: %v", p.Name, c.Label(), err)
 			}
-			rows = append(rows, *row)
+			rows = append(rows, *row[0])
 		}
 	}
 	return rows

@@ -1,6 +1,7 @@
 package verify_test
 
 import (
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -14,7 +15,8 @@ import (
 
 // TestSelectVerifyAllocs pins the compiler layers' garbage: a heur
 // selection on gcc followed by a full verifier run must stay under an
-// allocation count and a byte bound set about 25% above what they need
+// allocation count and a byte bound set about 25% above what they need,
+// taking the lowest of three measured rounds per case
 // (warm 83 allocations, 4 kB; fresh-profile 407 allocations, 45 kB; cold
 // 1004 allocations, 98 kB). In the warm case the code array's analyses are
 // already shared (cfg.Shared), its code holds a clean verdict and the
@@ -55,7 +57,10 @@ func TestSelectVerifyAllocs(t *testing.T) {
 		}
 	}
 	run(prog, prof) // warm any lazily built state
-	const runs = 5
+	// ReadMemStats counts every goroutine's allocations, so a collector or
+	// test-runner goroutine can add a few hundred bytes to one round; the
+	// lowest of several rounds is the run's own cost.
+	const runs, rounds = 5, 3
 	for _, tc := range []struct {
 		name                string
 		coldCode, coldProf  bool
@@ -65,30 +70,33 @@ func TestSelectVerifyAllocs(t *testing.T) {
 		{"fresh-profile", false, true, 515, 57_000},
 		{"cold", true, true, 1200, 108_000},
 	} {
-		progs := make([]*isa.Program, runs)
-		profs := make([]*profile.Profile, runs)
-		for i := range progs {
-			progs[i], profs[i] = prog, prof
-			if tc.coldCode {
-				q := *prog
-				q.Code = slices.Clone(prog.Code)
-				progs[i] = &q
+		allocs, bytes := uint64(math.MaxUint64), uint64(math.MaxUint64)
+		for round := 0; round < rounds; round++ {
+			progs := make([]*isa.Program, runs)
+			profs := make([]*profile.Profile, runs)
+			for i := range progs {
+				progs[i], profs[i] = prog, prof
+				if tc.coldCode {
+					q := *prog
+					q.Code = slices.Clone(prog.Code)
+					progs[i] = &q
+				}
+				if tc.coldProf {
+					c := *prof
+					c.Taken = slices.Clone(prof.Taken)
+					c.Taken[len(c.Taken)-1] += uint64(round*runs + i + 1)
+					profs[i] = &c
+				}
 			}
-			if tc.coldProf {
-				c := *prof
-				c.Taken = slices.Clone(prof.Taken)
-				c.Taken[len(c.Taken)-1] += uint64(i + 1)
-				profs[i] = &c
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i, p := range progs {
+				run(p, profs[i])
 			}
+			runtime.ReadMemStats(&after)
+			allocs = min(allocs, (after.Mallocs-before.Mallocs)/runs)
+			bytes = min(bytes, (after.TotalAlloc-before.TotalAlloc)/runs)
 		}
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i, p := range progs {
-			run(p, profs[i])
-		}
-		runtime.ReadMemStats(&after)
-		allocs := (after.Mallocs - before.Mallocs) / runs
-		bytes := (after.TotalAlloc - before.TotalAlloc) / runs
 		t.Logf("%s: Select(heur) + verify.Run on gcc: %d allocations, %d bytes", tc.name, allocs, bytes)
 		if allocs > tc.maxAllocs || bytes > tc.maxBytes {
 			t.Errorf("%s: %d allocations and %d bytes per run, want at most %d and %d", tc.name, allocs, bytes, tc.maxAllocs, tc.maxBytes)

@@ -4,8 +4,9 @@
 # Runs the root corpus benchmarks (BenchmarkPipelineBaseline/DMP, which
 # report sim-insts/s), the pipeline-level BenchmarkDMPRun, the execution
 # engine benchmarks (BenchmarkEmuRun, BenchmarkProfileCollect), the
-# SMARTS sampled executor (BenchmarkSampledRun), the sweep engine
-# (BenchmarkSweepGrid) and the perceptron kernel on its own
+# SMARTS sampled executor (BenchmarkSampledRun for one configuration,
+# BenchmarkSampledCells for a 16-cell grid sharing one warm walk), the
+# sweep engine (BenchmarkSweepGrid) and the perceptron kernel on its own
 # (BenchmarkPerceptron), folds the repeats through
 # cmd/benchgate, rewrites BENCH_PR9.json, and fails when throughput drops
 # more than BENCH_MAX_REGRESS percent (default 15) against the snapshot
@@ -33,7 +34,7 @@ trap 'rm -rf "$tmp"' EXIT
 
 count=${BENCH_COUNT:-5}
 go test -run '^$' \
-	-bench 'BenchmarkPipelineBaseline|BenchmarkPipelineDMP|BenchmarkDMPRun|BenchmarkEmuRun|BenchmarkProfileCollect|BenchmarkSampledRun|BenchmarkSweepGrid|BenchmarkPerceptron' \
+	-bench 'BenchmarkPipelineBaseline|BenchmarkPipelineDMP|BenchmarkDMPRun|BenchmarkEmuRun|BenchmarkProfileCollect|BenchmarkSampledRun|BenchmarkSampledCells|BenchmarkSweepGrid|BenchmarkPerceptron' \
 	-benchmem -count "$count" . ./internal/bpred ./internal/pipeline ./internal/emu ./internal/profile ./internal/sample ./internal/sweep | tee "$tmp/bench.txt"
 
 baseline=""

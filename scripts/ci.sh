@@ -20,8 +20,8 @@
 # full and sampled dmpsim reruns under a fresh DMP_CACHE_DIR must be disk
 # hits printing the same cycles and IPC), the sweep-engine smoke (a small benchmark x config
 # grid through cmd/dmpsweep with CSV streaming, run twice so the second
-# invocation exercises resume, then a sampled grid in one process, so a
-# program's cells after its first find its instruction count memoized),
+# invocation exercises resume, then a sampled grid over two L2 sizes, so
+# each program's cells run as two groups sharing a functional-warming walk),
 # the paper-table pin (scripts/eval_check.sh:
 # the full dmpbench evaluation must match evaluation_output.txt apart from
 # timing lines), and short deterministic fuzz smokes over the
@@ -60,7 +60,7 @@ rm -f .sweep-smoke.csv
 go run ./cmd/dmpsweep -bench gzip,mcf -axis ROBSize=128,512 -axis DMP=false,true -max 200000 -q -out .sweep-smoke.csv >/dev/null
 go run ./cmd/dmpsweep -bench gzip,mcf -axis ROBSize=128,512 -axis DMP=false,true -max 200000 -q -out .sweep-smoke.csv >/dev/null
 rm -f .sweep-smoke.csv
-go run ./cmd/dmpsweep -sample -bench gzip,mcf -axis DMP=false,true -q >/dev/null
+go run ./cmd/dmpsweep -sample -bench gzip,mcf -axis DMP=false,true -axis ConfThreshold=12,14 -axis L2.SizeKB=512,1024 -q >/dev/null
 sh scripts/eval_check.sh
 go test -run '^$' -fuzz=FuzzParse -fuzztime=30s ./internal/lang
 go test -run '^$' -fuzz=FuzzEmuDiff -fuzztime=30s ./internal/emu
