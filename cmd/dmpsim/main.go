@@ -34,11 +34,14 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"dmp/internal/bench"
@@ -141,16 +144,20 @@ func main() {
 		cfg.Tracer = tracers
 	}
 
+	// Ctrl-C or SIGTERM cancels the simulation.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	cache := simcache.FromEnv()
 	start := time.Now()
 	var st pipeline.Stats
 	var sr sample.Result
 	if *sampled {
-		sr, err = cache.RunSampled(prog, input, cfg, sample.DefaultConf())
+		sr, err = cache.RunSampledCtx(ctx, prog, input, cfg, sample.DefaultConf())
 		check(err)
 		st = sr.AsStats()
 	} else {
-		st, err = cache.Run(prog, input, cfg)
+		st, err = cache.RunCtx(ctx, prog, input, cfg)
 		check(err)
 	}
 	wall := time.Since(start)

@@ -44,7 +44,8 @@ type Snapshot struct {
 	Dedups uint64 `json:"dedups"`
 	// DiskHits counts requests answered from the persistent layer.
 	DiskHits uint64 `json:"disk_hits"`
-	// Misses counts simulations actually executed.
+	// Misses counts simulations actually executed. A run that fails or
+	// is cancelled memoizes nothing and counts in no lookup counter.
 	Misses uint64 `json:"misses"`
 	// Bypasses counts traced simulations that skipped memoization (a
 	// cached answer would emit no events); they execute every time.

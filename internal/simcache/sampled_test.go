@@ -26,10 +26,10 @@ func TestRunSampledKeySeparation(t *testing.T) {
 	cfg := pipeline.DefaultConfig()
 	sc := sample.DefaultConf()
 
-	if _, err := c.Run(p, in, cfg); err != nil {
+	if _, err := c.RunCtx(context.Background(), p, in, cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.RunSampled(p, in, cfg, sc); err != nil {
+	if _, err := c.RunSampledCtx(context.Background(), p, in, cfg, sc); err != nil {
 		t.Fatal(err)
 	}
 	m := c.Metrics()
@@ -68,7 +68,7 @@ func TestRunSampledDisk(t *testing.T) {
 	sc := sample.DefaultConf()
 
 	c1 := New(dir)
-	r1, err := c1.RunSampled(p, in, cfg, sc)
+	r1, err := c1.RunSampledCtx(context.Background(), p, in, cfg, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestRunSampledDisk(t *testing.T) {
 	}
 
 	c2 := New(dir)
-	r2, err := c2.RunSampled(p, in, cfg, sc)
+	r2, err := c2.RunSampledCtx(context.Background(), p, in, cfg, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestSampledKeyGeneration(t *testing.T) {
 	}
 	c.writeDisk(sampledRuns.ns, v1, stale)
 
-	r, err := c.RunSampled(p, in, cfg, sc)
+	r, err := c.RunSampledCtx(context.Background(), p, in, cfg, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,5 +264,96 @@ func TestRunSampledCellsCancelInWalk(t *testing.T) {
 	}
 	if m := c.Metrics(); m.Misses != uint64(len(cells)) {
 		t.Errorf("retry: %d misses, want %d", m.Misses, len(cells))
+	}
+}
+
+// TestCellsOverlapConcurrent: groups over the same cells in opposite orders
+// race. No call waits while it holds a claim, so none deadlocks; each key
+// runs once and every caller gets the same result for the same cell.
+func TestCellsOverlapConcurrent(t *testing.T) {
+	c := New("")
+	p := testProg(t)
+	in := testInput(120_000)
+	sc := sample.DefaultConf()
+	fwd := sweepCells(p, 3)
+	rev := []sample.Cell{fwd[2], fwd[1], fwd[0]}
+	var got [2][]sample.Result
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i, cells := range [][]sample.Cell{fwd, rev} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = c.RunSampledCells(context.Background(), in, cells, sc)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("caller %d: %v", i, err)
+		}
+	}
+	for j := range fwd {
+		if !reflect.DeepEqual(got[0][j], got[1][len(fwd)-1-j]) {
+			t.Errorf("cell %d: the two orders got different results", j)
+		}
+	}
+	if m := c.Metrics(); m.Misses != uint64(len(fwd)) || m.Hits+m.Dedups != uint64(len(fwd)) {
+		t.Errorf("metrics = %+v, want %d misses and %[2]d hits+dedups", m, len(fwd))
+	}
+}
+
+// TestCellsRerunCancelledRunner: a group that finds one of its cells held by
+// another caller runs its own cells, then waits on that one; when the other
+// caller is cancelled, the group claims and runs the cell itself under its
+// own live context.
+func TestCellsRerunCancelledRunner(t *testing.T) {
+	ctx := context.Background()
+	c := New("")
+	p := testProg(t)
+	in := testInput(200_000)
+	sc := sample.DefaultConf()
+	cells := sweepCells(p, 2)
+
+	runnerCtx, cancelRunner := context.WithCancel(ctx)
+	runnerDone := make(chan error, 1)
+	go func() {
+		_, err := c.RunSampledCtx(runnerCtx, p, in, cells[0].Cfg, sc)
+		runnerDone <- err
+	}()
+	awaitInFlight(t, c)
+
+	var got []sample.Result
+	groupDone := make(chan error, 1)
+	go func() {
+		var err error
+		got, err = c.RunSampledCells(ctx, in, cells, sc)
+		groupDone <- err
+	}()
+	for i := 0; c.Metrics().Dedups < 1; i++ {
+		if i > 1000 {
+			t.Fatal("the group never found the runner's cell")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancelRunner()
+
+	if err := <-runnerDone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("runner err = %v, want context.Canceled", err)
+	}
+	if err := <-groupDone; err != nil {
+		t.Fatalf("group err = %v, want success after its rerun", err)
+	}
+	for i, cell := range cells {
+		want, err := sample.Run(ctx, p, in, cell.Cfg, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], want) {
+			t.Errorf("cell %d: grouped %+v, alone %+v", i, got[i], want)
+		}
+	}
+	if m := c.Metrics(); m.Cancels != 1 || m.Misses != 2 || m.Dedups != 1 {
+		t.Errorf("metrics = %+v, want 1 cancel, 2 misses (the group's own cell and its rerun) and 1 dedup", m)
 	}
 }

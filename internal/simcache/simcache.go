@@ -12,9 +12,10 @@
 // optional on-disk layer (enabled by the DMP_CACHE_DIR environment variable)
 // persists results across dmpbench/dmpsim invocations.
 //
-// Full-fidelity runs (Run, pipeline.Stats) and sampled runs (RunSampled,
-// sample.Result) take one memoized-run path; they differ only in their key
-// space, wire codec, run function and metric.
+// Full-fidelity runs (RunCtx, pipeline.Stats) and sampled runs
+// (RunSampledCtx and RunSampledCells, sample.Result) take one memoized-run
+// path for one cell or many; they differ only in their key space, wire
+// codec, run function and metric.
 //
 // The cache also keeps run metrics — hits, misses, simulated cycles and
 // aggregate simulation wall time — surfaced by the CLIs via -metrics-json
@@ -22,6 +23,7 @@
 package simcache
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -153,24 +155,33 @@ func (c *Cache) KeyOf(prog *isa.Program, input []int64, cfg pipeline.Config) Key
 	return k
 }
 
-// Run returns the memoized statistics for the simulation, executing it at
-// most once per process per distinct (program, input, config) triple. On a
-// nil cache it degenerates to pipeline.Run. Traced runs (cfg.Tracer != nil)
-// bypass memoization entirely: a cached answer would silently emit no
-// events, and the tracer is deliberately not part of the cache key.
-func (c *Cache) Run(prog *isa.Program, input []int64, cfg pipeline.Config) (pipeline.Stats, error) {
-	return c.RunCtx(context.Background(), prog, input, cfg)
+// RunCtx returns the memoized statistics for the simulation, executing it
+// at most once per process per distinct (program, input, config) triple: the
+// one-cell call of the cache's memoized-run path (memoize). On a nil cache it
+// degenerates to pipeline.RunCtx. Traced runs (cfg.Tracer != nil) bypass
+// memoization entirely: a cached answer would silently emit no events, and
+// the tracer is deliberately not part of the cache key. A run that fails or
+// is cancelled is never memoized: it is evicted before its waiters wake, so
+// the next request computes the result afresh, and a waiter deduplicating
+// against a run cancelled by the *runner's* context retries with its own
+// (live) context instead of inheriting the error.
+func (c *Cache) RunCtx(ctx context.Context, prog *isa.Program, input []int64, cfg pipeline.Config) (pipeline.Stats, error) {
+	return one(memoize(ctx, c, &fullRuns, 1,
+		func(int) bool { return cfg.Tracer != nil },
+		func(int) Key { return c.KeyOf(prog, input, cfg) },
+		func(ctx context.Context, _ []int) ([]pipeline.Stats, error) {
+			st, err := pipeline.RunCtx(ctx, prog, input, cfg)
+			return []pipeline.Stats{st}, err
+		}))
 }
 
-// RunCtx is Run under a cancellation context. Cancellation never poisons the
-// cache: a run aborted by its context is evicted before its waiters wake, so
-// the next request for the same key computes the result afresh, and a waiter
-// deduplicating against a run that was cancelled by the *runner's* context
-// retries with its own (live) context instead of inheriting the error.
-func (c *Cache) RunCtx(ctx context.Context, prog *isa.Program, input []int64, cfg pipeline.Config) (pipeline.Stats, error) {
-	return memoized(ctx, c, &fullRuns, cfg.Tracer != nil,
-		func() Key { return c.KeyOf(prog, input, cfg) },
-		func(ctx context.Context) (pipeline.Stats, error) { return pipeline.RunCtx(ctx, prog, input, cfg) })
+// one unwraps the result of a one-cell call.
+func one[V any](vs []V, err error) (V, error) {
+	if err != nil {
+		var zero V
+		return zero, err
+	}
+	return vs[0], nil
 }
 
 // isCtxErr reports whether err stems from a cancelled or expired context.
@@ -178,124 +189,188 @@ func isCtxErr(err error) bool {
 	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
-// memoized runs one simulation of kind k through the cache. A nil cache
-// just runs it, and a traced run bypasses memoization; any other run
-// executes at most once per process per key, concurrent requests waiting on
-// the first.
-func memoized[V any](ctx context.Context, c *Cache, k *kind[V], traced bool, key func() Key, run func(context.Context) (V, error)) (V, error) {
+// memoize answers n cells of kind k, in cell order: the cache's one
+// memoized-run path, for one cell or many. Cell i is memoized under key(i)
+// unless traced(i), which bypasses memoization. run executes the cells at
+// the indices it is given as one call and returns their results in that
+// order. A nil cache runs every cell.
+//
+// A call looks up and claims every cell's key under one lock; a duplicate
+// cell in the call is a hit on its first copy. It disk-loads the cells it
+// claimed, runs the remaining misses with the traced cells, and stores each
+// result under its own key. A failed or cancelled run memoizes nothing (a
+// group's error cannot be pinned on one cell): every entry the call claimed
+// is evicted before its waiters wake. Only then does the call wait on the
+// cells other callers hold, claiming and rerunning under its own context any
+// whose runner was cancelled. A call never waits while it holds a claim, so
+// calls over overlapping cells cannot deadlock.
+func memoize[V any](ctx context.Context, c *Cache, k *kind[V], n int, traced func(int) bool, key func(int) Key, run func(context.Context, []int) ([]V, error)) (_ []V, err error) {
+	first := make([]int, n) // the first cell of the call with cell i's key
+	for i := range first {
+		first[i] = i
+	}
 	if c == nil {
-		return run(ctx)
+		return run(ctx, first)
 	}
-	if traced {
-		c.metrics.bypasses.Add(1)
-		v, err := timed(ctx, c, run)
-		if err == nil {
-			k.count(&c.metrics, v)
+	out := make([]V, n)
+	keys := make([]Key, n)
+	seen := make(map[Key]int, n)
+	var todo, runs []int
+	for i := range first {
+		if traced(i) {
+			runs = append(runs, i)
+			continue
 		}
-		return v, err
+		keys[i] = key(i)
+		if j, ok := seen[keys[i]]; ok {
+			first[i] = j
+			continue
+		}
+		seen[keys[i]] = i
+		todo = append(todo, i)
 	}
-	kk := key()
-	var zero V
-	for {
+
+	ent := make([]*entry[V], n)
+	mine := make([]bool, n) // the call holds ent[i] claimed and unresolved
+	resolve := func(i int, v V) {
+		ent[i].val = v
+		close(ent[i].ready)
+		mine[i] = false
+	}
+	defer func() {
+		// Whatever the call claimed and did not resolve is not a result:
+		// evict it, then wake its waiters.
 		c.mu.Lock()
-		if e, ok := c.mem[kk].(*entry[V]); ok {
-			c.mu.Unlock()
-			select {
-			case <-e.ready:
+		for i, m := range mine {
+			if m {
+				delete(c.mem, keys[i])
+			}
+		}
+		c.mu.Unlock()
+		for i, m := range mine {
+			if m {
+				ent[i].err = cmp.Or(err, errors.New("simcache: run abandoned"))
+				close(ent[i].ready)
+			}
+		}
+	}()
+
+	for len(todo) > 0 || len(runs) > 0 {
+		c.mu.Lock()
+		for _, i := range todo {
+			e, ok := c.mem[keys[i]].(*entry[V])
+			if !ok {
+				e = &entry[V]{ready: make(chan struct{})}
+				c.mem[keys[i]] = e
+				mine[i] = true
+			} else if isReady(e) {
 				c.metrics.hits.Add(1)
-			default:
-				// Another goroutine is running this exact simulation; wait
-				// for it — or for our own context, whichever ends first.
+			} else {
 				c.metrics.dedups.Add(1)
+			}
+			ent[i] = e
+		}
+		c.mu.Unlock()
+
+		for _, i := range todo {
+			if !mine[i] {
+				continue
+			}
+			if v, ok := load(c, k, keys[i]); ok {
+				resolve(i, v)
+			} else {
+				runs = append(runs, i)
+			}
+		}
+		if len(runs) > 0 {
+			start := time.Now()
+			var vs []V
+			vs, err = run(ctx, runs)
+			c.metrics.simWallNS.Add(int64(time.Since(start)))
+			if err != nil {
+				if isCtxErr(err) {
+					c.metrics.cancels.Add(1)
+				}
+				return nil, err
+			}
+			for j, i := range runs {
+				k.count(&c.metrics, vs[j])
+				if !mine[i] {
+					c.metrics.bypasses.Add(1)
+					out[i] = vs[j]
+					continue
+				}
+				c.metrics.misses.Add(1)
+				if c.dir != "" {
+					if b, err := k.marshal(vs[j]); err == nil {
+						c.writeDisk(k.ns, keys[i], b)
+					}
+				}
+				resolve(i, vs[j])
+			}
+			runs = nil
+		}
+
+		// Wait on the cells other callers hold; the call's own are final.
+		var retry []int
+		for _, i := range todo {
+			e := ent[i]
+			if !isReady(e) {
 				select {
 				case <-e.ready:
 				case <-ctx.Done():
-					return zero, ctx.Err()
+					return nil, ctx.Err()
 				}
 			}
-			if e.err != nil && isCtxErr(e.err) {
-				// The runner was cancelled (and evicted the entry before
-				// closing ready). Our context may still be live: retry.
-				if err := ctx.Err(); err != nil {
-					return zero, err
-				}
-				continue
+			switch {
+			case e.err == nil:
+				out[i] = e.val
+			case !isCtxErr(e.err):
+				return nil, e.err
+			case ctx.Err() != nil:
+				return nil, ctx.Err()
+			default:
+				// The runner was cancelled and evicted the entry before
+				// waking us; our context is live, so run it ourselves.
+				retry = append(retry, i)
 			}
-			return e.val, e.err
 		}
-		e := &entry[V]{ready: make(chan struct{})}
-		c.mem[kk] = e
-		c.mu.Unlock()
-		return compute(ctx, c, k, kk, e, run)
+		todo = retry
 	}
+	for i, j := range first {
+		if j != i {
+			c.metrics.hits.Add(1)
+			out[i] = out[j]
+		}
+	}
+	return out, nil
 }
 
-// compute executes (or disk-loads) the run for a freshly inserted in-flight
-// entry, publishing the result to waiters when it returns.
-func compute[V any](ctx context.Context, c *Cache, k *kind[V], key Key, e *entry[V], run func(context.Context) (V, error)) (V, error) {
-	defer close(e.ready)
-
-	if v, ok := load(c, k, key); ok {
-		e.val = v
-		return v, nil
+// isReady reports whether e's result is final.
+func isReady[V any](e *entry[V]) bool {
+	select {
+	case <-e.ready:
+		return true
+	default:
+		return false
 	}
-
-	e.val, e.err = timed(ctx, c, run)
-	if e.err != nil && isCtxErr(e.err) {
-		// Evict before the deferred close wakes any waiters: a cancelled
-		// run is not a result, and must not be memoized.
-		c.metrics.cancels.Add(1)
-		c.evict(key)
-		return e.val, e.err
-	}
-	c.metrics.misses.Add(1)
-	if e.err == nil {
-		store(c, k, key, e.val)
-	}
-	return e.val, e.err
 }
 
 // load reads key's entry of kind k from the disk layer. A missing file, a
 // stale schema or a corrupt entry reads as a miss.
-func load[V any](c *Cache, k *kind[V], key Key) (V, bool) {
-	var zero V
-	b, ok := c.readDisk(k.ns, key)
-	if !ok {
-		return zero, false
+func load[V any](c *Cache, k *kind[V], key Key) (v V, ok bool) {
+	if c.dir == "" {
+		return v, false
 	}
-	v, err := k.unmarshal(b)
+	b, err := os.ReadFile(c.diskPath(k.ns, key))
+	if err == nil {
+		v, err = k.unmarshal(b)
+	}
 	if err != nil {
-		return zero, false
+		return v, false
 	}
 	c.metrics.diskHits.Add(1)
 	return v, true
-}
-
-// store counts an executed run of kind k and persists it under key when the
-// disk layer is on.
-func store[V any](c *Cache, k *kind[V], key Key, v V) {
-	k.count(&c.metrics, v)
-	if c.dir == "" {
-		return
-	}
-	if b, err := k.marshal(v); err == nil {
-		c.writeDisk(k.ns, key, b)
-	}
-}
-
-// evict drops key's in-flight entry, so the next request runs afresh.
-func (c *Cache) evict(key Key) {
-	c.mu.Lock()
-	delete(c.mem, key)
-	c.mu.Unlock()
-}
-
-// timed executes run, adding its wall time to the simulation wall metric.
-func timed[V any](ctx context.Context, c *Cache, run func(context.Context) (V, error)) (V, error) {
-	start := time.Now()
-	v, err := run(ctx)
-	c.metrics.simWallNS.Add(int64(time.Since(start)))
-	return v, err
 }
 
 // Metrics returns a snapshot of the cache counters.
@@ -309,16 +384,6 @@ func (c *Cache) Metrics() Snapshot {
 // diskPath places key's entry in namespace ns of the disk layer.
 func (c *Cache) diskPath(ns string, key Key) string {
 	return filepath.Join(c.dir, ns, key.String()+".json")
-}
-
-// readDisk returns the stored bytes of key's entry in namespace ns; any
-// failure, a missing file included, reads as a miss.
-func (c *Cache) readDisk(ns string, key Key) ([]byte, bool) {
-	if c.dir == "" {
-		return nil, false
-	}
-	b, err := os.ReadFile(c.diskPath(ns, key))
-	return b, err == nil
 }
 
 // writeDisk persists an entry in namespace ns best-effort: a read-only or

@@ -79,25 +79,28 @@ func TestKeyStability(t *testing.T) {
 	}
 }
 
-// entryPoint is one of the cache's two memoized entry points, run on the
-// default machine and sampling configurations.
+// entryPoint is one of the cache's memoized entry points, run on the
+// default sampling configuration.
 type entryPoint struct {
 	name string
 	ns   string // disk namespace
 	// minInput is the shortest input tape a test gives it: on a shorter
 	// tape the test program is too short to sample and runs exact.
 	minInput int
-	run      func(ctx context.Context, c *Cache, p *isa.Program, in []int64) (any, error)
+	runCfg   func(ctx context.Context, c *Cache, p *isa.Program, in []int64, cfg pipeline.Config) (any, error)
 	// counts is what one executed run adds to the metrics.
 	counts func(v any) Snapshot
+	// selfHits is the hits a successful call adds on its own duplicate
+	// cells.
+	selfHits uint64
 }
 
 var entryPoints = []entryPoint{
 	{
 		name: "full",
 		ns:   "s-" + pipeline.StatsSchema(),
-		run: func(ctx context.Context, c *Cache, p *isa.Program, in []int64) (any, error) {
-			return c.RunCtx(ctx, p, in, pipeline.DefaultConfig())
+		runCfg: func(ctx context.Context, c *Cache, p *isa.Program, in []int64, cfg pipeline.Config) (any, error) {
+			return c.RunCtx(ctx, p, in, cfg)
 		},
 		counts: func(v any) Snapshot {
 			st := v.(pipeline.Stats)
@@ -108,11 +111,28 @@ var entryPoints = []entryPoint{
 		name:     "sampled",
 		ns:       "sm-" + sample.Schema(),
 		minInput: 120_000,
-		run: func(ctx context.Context, c *Cache, p *isa.Program, in []int64) (any, error) {
-			return c.RunSampledCtx(ctx, p, in, pipeline.DefaultConfig(), sample.DefaultConf())
+		runCfg: func(ctx context.Context, c *Cache, p *isa.Program, in []int64, cfg pipeline.Config) (any, error) {
+			return c.RunSampledCtx(ctx, p, in, cfg, sample.DefaultConf())
 		},
 		counts: func(any) Snapshot { return Snapshot{Sampled: 1} },
 	},
+	{
+		// A two-cell group whose second cell duplicates the first.
+		name:     "cells",
+		ns:       "sm-" + sample.Schema(),
+		minInput: 120_000,
+		runCfg: func(ctx context.Context, c *Cache, p *isa.Program, in []int64, cfg pipeline.Config) (any, error) {
+			cell := sample.Cell{Prog: p, Cfg: cfg}
+			return c.RunSampledCells(ctx, in, []sample.Cell{cell, cell}, sample.DefaultConf())
+		},
+		counts:   func(any) Snapshot { return Snapshot{Sampled: 1} },
+		selfHits: 1,
+	},
+}
+
+// run runs the entry point on the default machine configuration.
+func (ep entryPoint) run(ctx context.Context, c *Cache, p *isa.Program, in []int64) (any, error) {
+	return ep.runCfg(ctx, c, p, in, pipeline.DefaultConfig())
 }
 
 // input returns a test tape of at least n values.
@@ -159,15 +179,52 @@ func TestRunMemoizes(t *testing.T) {
 			t.Error("memoized result differs from first run")
 		}
 		m := c.Metrics()
-		if m.Misses != 1 || m.Hits != 1 {
-			t.Errorf("metrics = %+v, want 1 miss and 1 hit", m)
+		hits := 1 + 2*ep.selfHits
+		if m.Misses != 1 || m.Hits != hits {
+			t.Errorf("metrics = %+v, want 1 miss and %d hits", m, hits)
 		}
 		checkCounts(t, ep, m, a)
 		if m.SimWall <= 0 {
 			t.Error("SimWall not recorded")
 		}
-		if m.HitRate() != 0.5 {
-			t.Errorf("HitRate = %v, want 0.5", m.HitRate())
+		if want := float64(hits) / float64(hits+1); m.HitRate() != want {
+			t.Errorf("HitRate = %v, want %v", m.HitRate(), want)
+		}
+	})
+}
+
+// TestFailedRunNotMemoized: a run that fails without cancellation memoizes
+// nothing, for one cell or many. Each request for an invalid config runs
+// and returns its error, and no entry is left behind.
+func TestFailedRunNotMemoized(t *testing.T) {
+	forEachEntryPoint(t, func(t *testing.T, ep entryPoint) {
+		c := New("")
+		p := testProg(t)
+		in := ep.input(500)
+		cfg := pipeline.DefaultConfig()
+		cfg.ROBSize = 0
+		if cfg.Validate() == nil {
+			t.Fatal("test config validates")
+		}
+
+		var errs [2]error
+		for i := range errs {
+			if _, errs[i] = ep.runCfg(context.Background(), c, p, in, cfg); errs[i] == nil {
+				t.Fatalf("call %d: invalid config ran", i)
+			}
+			c.mu.Lock()
+			n := len(c.mem)
+			c.mu.Unlock()
+			if n != 0 {
+				t.Fatalf("call %d left %d entries, want none", i, n)
+			}
+		}
+		if errs[0].Error() != errs[1].Error() {
+			t.Errorf("errors differ: %v / %v", errs[0], errs[1])
+		}
+		// Nothing answered the second call: it ran.
+		if m := c.Metrics(); m.Hits != 0 || m.Dedups != 0 || m.DiskHits != 0 || m.Misses != 0 || m.Cancels != 0 {
+			t.Errorf("metrics = %+v, want no lookup answered and nothing memoized", m)
 		}
 	})
 }
@@ -202,8 +259,8 @@ func TestRunDeduplicatesConcurrent(t *testing.T) {
 		if m.Misses != 1 {
 			t.Errorf("misses = %d, want exactly 1 execution", m.Misses)
 		}
-		if m.Hits+m.Dedups != workers-1 {
-			t.Errorf("hits+dedups = %d, want %d", m.Hits+m.Dedups, workers-1)
+		if want := workers - 1 + workers*ep.selfHits; m.Hits+m.Dedups != want {
+			t.Errorf("hits+dedups = %d, want %d", m.Hits+m.Dedups, want)
 		}
 		checkCounts(t, ep, m, results[0])
 	})

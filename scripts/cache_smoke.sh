@@ -3,7 +3,10 @@
 # a binary. Runs dmpsim on gzip twice under a fresh DMP_CACHE_DIR, at full
 # fidelity and then sampled: the first run of each simulates and stores its
 # entry, the second must be answered from disk (disk_hits 1, misses 0) and
-# print the same cycles and IPC.
+# print the same cycles and IPC. Then a sampled dmpsweep over two cells runs
+# twice under a second fresh DMP_CACHE_DIR: the grouped path must store one
+# entry per cell, and the rerun must read them without storing them again
+# and report the same rows.
 #
 #   sh scripts/cache_smoke.sh
 set -eu
@@ -13,6 +16,7 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
 go build -o "$tmp/dmpsim" ./cmd/dmpsim
+go build -o "$tmp/dmpsweep" ./cmd/dmpsweep
 export DMP_CACHE_DIR="$tmp/cache"
 
 for mode in full sample; do
@@ -40,4 +44,30 @@ for mode in full sample; do
 		exit 1
 	fi
 done
-echo "cache-smoke: full and sampled reruns answered from DMP_CACHE_DIR"
+
+# One worker keeps the two cells in one group, one RunSampledCells call.
+export DMP_CACHE_DIR="$tmp/sweep-cache"
+for run in 1 2; do
+	if ! "$tmp/dmpsweep" -sample -p 1 -bench gzip -axis DMP=false,true -q -json "$tmp/sweep.$run.json" >/dev/null 2>"$tmp/sweep.err"; then
+		cat "$tmp/sweep.err" >&2
+		exit 1
+	fi
+	# Entries are written by temp file + rename, so a rerun that stored
+	# them again would show new inodes.
+	ls -i "$DMP_CACHE_DIR"/sm-*/*.json >"$tmp/sweep.$run.entries"
+done
+n=$(wc -l <"$tmp/sweep.2.entries")
+if [ "$n" -ne 2 ]; then
+	echo "cache-smoke: grouped sampled sweep left $n entries under sm-*/, want 2" >&2
+	exit 1
+fi
+if ! diff -u "$tmp/sweep.1.entries" "$tmp/sweep.2.entries"; then
+	echo "cache-smoke: grouped sampled sweep rerun stored its entries again instead of reading them" >&2
+	exit 1
+fi
+if ! jq -S .rows "$tmp/sweep.1.json" >"$tmp/sweep.1.rows" || ! jq -S .rows "$tmp/sweep.2.json" >"$tmp/sweep.2.rows" ||
+	! diff -u "$tmp/sweep.1.rows" "$tmp/sweep.2.rows"; then
+	echo "cache-smoke: grouped sampled sweep rerun reported different rows" >&2
+	exit 1
+fi
+echo "cache-smoke: full, sampled and grouped sampled reruns answered from DMP_CACHE_DIR"
