@@ -115,19 +115,13 @@ func main() {
 		}()
 	}
 
-	sc := sample.DefaultConf()
-	if *sampPeriod != 0 {
-		sc.Period = *sampPeriod
-	}
-	if *sampInterval != 0 {
-		sc.Interval = *sampInterval
-	}
-	if *sampWarmup != 0 {
-		sc.Warmup = *sampWarmup
-	}
-	if *sampSeed != 0 {
-		sc.Seed = *sampSeed
-	}
+	sc := sample.SampleConf{
+		Enabled:  true,
+		Period:   *sampPeriod,
+		Interval: *sampInterval,
+		Warmup:   *sampWarmup,
+		Seed:     *sampSeed,
+	}.Normalize()
 	check(sc.Validate())
 
 	opts := harness.Options{Scale: *scale, Parallelism: *par, EvalOptions: harness.EvalOptions{MaxInsts: *maxInsts}}

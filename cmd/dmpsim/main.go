@@ -150,16 +150,13 @@ func main() {
 
 	cache := simcache.FromEnv()
 	start := time.Now()
-	var st pipeline.Stats
-	var sr sample.Result
+	var sc sample.SampleConf
 	if *sampled {
-		sr, err = cache.RunSampledCtx(ctx, prog, input, cfg, sample.DefaultConf())
-		check(err)
-		st = sr.AsStats()
-	} else {
-		st, err = cache.RunCtx(ctx, prog, input, cfg)
-		check(err)
+		sc = sample.DefaultConf()
 	}
+	sr, err := cache.RunSampledCtx(ctx, prog, input, cfg, sc)
+	check(err)
+	st := sr.AsStats()
 	wall := time.Since(start)
 
 	mode := "baseline"

@@ -57,11 +57,11 @@ func goldenTable(t *testing.T) map[string]json.RawMessage {
 }
 
 // checkGolden asserts one simulation's Stats match the recorded golden
-// byte-for-byte (in canonical MarshalStats form). With -update-golden it
+// byte-for-byte (in canonical json.Marshal form). With -update-golden it
 // records instead of asserting; flushGoldens writes the collected table.
 func checkGolden(t *testing.T, label string, st pipeline.Stats) {
 	t.Helper()
-	b, err := pipeline.MarshalStats(st)
+	b, err := json.Marshal(st)
 	if err != nil {
 		t.Fatalf("%s: marshal stats: %v", label, err)
 	}

@@ -31,15 +31,17 @@ type EvalOptions struct {
 	MaxInsts uint64
 	// Tracer, when non-nil, receives every run's pipeline events and
 	// overrides the config's own hook. It must be safe for concurrent use,
-	// and traced runs bypass memoization (see simcache.Cache.RunCtx).
+	// and traced runs bypass memoization (see
+	// simcache.Cache.RunSampledCells).
 	Tracer trace.Tracer
 	// Progress, when non-nil, is called at each phase transition with one
 	// of "compile", "profile", "select", "baseline", "dmp".
 	Progress func(phase string)
 	// Sample, when Enabled, routes every simulation through the SMARTS
 	// sampled executor; the reported Stats are the estimates projected
-	// through sample.Result.AsStats. Sampled runs are memoized under
-	// conf-extended keys, disjoint from full-fidelity entries.
+	// through sample.Result.AsStats. A disabled conf runs every simulation
+	// exact. Every run is memoized under its conf-extended key, so sampled
+	// and full-fidelity entries stay disjoint.
 	Sample sample.SampleConf
 
 	// sess, when set, folds every run into that session's aggregates.
@@ -61,38 +63,26 @@ func evalConfig(dmp bool, maxInsts uint64) pipeline.Config {
 	return cfg
 }
 
-// simulate is the one run function: each cell's program on input under its
-// config, at full fidelity or sampled per o.Sample, memoized through
+// simulate is the one run function: each cell's program on input, exact
+// or sampled per o.Sample, as one RunSampledCells call memoized through
 // o.Cache, with the results in cell order; o.Tracer overrides each cell's
-// own. Sampled cells run as one RunSampledCells call, so the cells of a
-// program share their functional warming. Runs made for a session are
-// folded into its aggregates under name.
+// own. Sampled cells of a program share their functional warming. Runs made
+// for a session are folded into its aggregates under name.
 func (o EvalOptions) simulate(ctx context.Context, name string, input []int64, cells []sample.Cell) ([]pipeline.Stats, error) {
 	if o.Tracer != nil {
 		for i := range cells {
 			cells[i].Cfg.Tracer = o.Tracer
 		}
 	}
-	sts := make([]pipeline.Stats, len(cells))
-	if o.Sample.Enabled {
-		rs, err := o.Cache.RunSampledCells(ctx, input, cells, o.Sample)
-		if err != nil {
-			return nil, err
-		}
-		for i, r := range rs {
-			o.sess.noteSampled(r)
-			sts[i] = r.AsStats()
-		}
-	} else {
-		for i, c := range cells {
-			var err error
-			if sts[i], err = o.Cache.RunCtx(ctx, c.Prog, input, c.Cfg); err != nil {
-				return nil, err
-			}
-		}
+	rs, err := o.Cache.RunSampledCells(ctx, input, cells, o.Sample)
+	if err != nil {
+		return nil, err
 	}
-	for i, st := range sts {
-		o.sess.noteRun(name, st, cells[i].Cfg.DMP)
+	sts := make([]pipeline.Stats, len(rs))
+	for i, r := range rs {
+		sts[i] = r.AsStats()
+		o.sess.noteSampled(r)
+		o.sess.noteRun(name, sts[i], cells[i].Cfg.DMP)
 	}
 	return sts, nil
 }

@@ -34,9 +34,10 @@ type sampleAgg struct {
 }
 
 // noteSampled folds one sampled result into the session aggregates. A nil
-// session ignores it.
+// session ignores it; so does any session when the result comes from a
+// disabled conf, which sampled nothing.
 func (s *Session) noteSampled(r sample.Result) {
-	if s == nil {
+	if s == nil || !r.Conf.Enabled {
 		return
 	}
 	s.runMu.Lock()

@@ -1,10 +1,8 @@
 package pipeline
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"reflect"
 	"sync"
@@ -31,7 +29,7 @@ func (c Config) AppendCanonical(dst []byte) []byte {
 
 // StatsSchema returns a short stable fingerprint of the Stats wire shape
 // (field names and types, recursively). The simulation cache folds it into
-// its keys and on-disk layout so that extending Stats — which would
+// its keys so that extending Stats — which would
 // otherwise make old cache entries decode with silently zero-valued new
 // fields — turns stale entries into misses instead.
 func StatsSchema() string {
@@ -84,24 +82,6 @@ func schemaOf(t reflect.Type) string {
 	}
 	walk(t)
 	return hex.EncodeToString(h.Sum(nil))[:12]
-}
-
-// MarshalStats encodes simulation statistics for the on-disk cache layer.
-func MarshalStats(s Stats) ([]byte, error) {
-	return json.Marshal(s)
-}
-
-// UnmarshalStats decodes statistics previously encoded with MarshalStats.
-// It rejects unknown fields so that cache entries written by a different
-// (newer) stats shape are treated as misses rather than silently truncated.
-func UnmarshalStats(b []byte) (Stats, error) {
-	var s Stats
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return Stats{}, err
-	}
-	return s, nil
 }
 
 // Machine returns the functional machine that supplies the correct execution

@@ -20,18 +20,20 @@
 package sample
 
 import (
+	"cmp"
 	"fmt"
 )
 
 // SampleConf configures the sampling executor. The zero value means "no
 // sampling"; DefaultConf returns the tuned defaults the evaluation gates
-// run at. The struct is serializable (JSON for job specs and -metrics-json,
-// AppendCanonical for simulation-cache keys): two runs with equal canonical
-// forms produce identical Results, so the conf participates in memoization
-// keys exactly like pipeline.Config does.
+// run at, and every zero field of an enabled conf means DefaultConf's value
+// (Normalize). The struct is serializable (JSON for job specs and
+// -metrics-json, AppendCanonical for simulation-cache keys): two runs with
+// equal canonical forms produce identical Results, so the conf participates
+// in memoization keys exactly like pipeline.Config does.
 type SampleConf struct {
-	// Enabled turns sampling on; a zero conf leaves the full-fidelity path
-	// in charge.
+	// Enabled turns sampling on; a disabled conf runs every simulation
+	// exact, at full fidelity.
 	Enabled bool `json:"enabled"`
 	// Interval is the measured length of each detailed interval, in
 	// on-trace instructions.
@@ -91,26 +93,29 @@ func DefaultConf() SampleConf {
 	}
 }
 
-// Normalize returns the conf with every optional field resolved to its
-// default — the form Run executes and AppendCanonical keys on. Consumers
-// that display or compare confs should normalize first.
-func (c SampleConf) Normalize() SampleConf { return c.withDefaults() }
-
-// withDefaults fills the optional fields.
-func (c SampleConf) withDefaults() SampleConf {
-	if c.Confidence == 0 {
-		c.Confidence = 0.95
+// Normalize returns the conf in the form RunCells executes and
+// AppendCanonical keys on: a disabled conf becomes the zero conf, since none
+// of its fields affects a run, and every zero field of an enabled conf takes
+// DefaultConf's value. Consumers that display or compare confs should
+// normalize first.
+func (c SampleConf) Normalize() SampleConf {
+	if !c.Enabled {
+		return SampleConf{}
 	}
-	if c.MinIntervals <= 0 {
-		c.MinIntervals = 4
-	}
-	if c.PredLead == 0 {
-		c.PredLead = 20_000
-	}
+	d := DefaultConf()
+	c.Interval = cmp.Or(c.Interval, d.Interval)
+	c.Warmup = cmp.Or(c.Warmup, d.Warmup)
+	c.Period = cmp.Or(c.Period, d.Period)
+	c.Seed = cmp.Or(c.Seed, d.Seed)
+	c.Confidence = cmp.Or(c.Confidence, d.Confidence)
+	c.PredLead = cmp.Or(c.PredLead, d.PredLead)
+	c.MinIntervals = cmp.Or(c.MinIntervals, d.MinIntervals)
 	return c
 }
 
-// Validate checks the configuration shape. A disabled conf is always valid.
+// Validate checks the configuration shape as given. A disabled conf is
+// always valid. RunCells validates the normalized conf, in which a zero
+// Interval or Period has already taken its default.
 func (c SampleConf) Validate() error {
 	if !c.Enabled {
 		return nil
@@ -136,7 +141,7 @@ func (c SampleConf) Validate() error {
 // entries keyed on it. Defaults are resolved first, so an explicit 0.95
 // confidence and an implied one key identically.
 func (c SampleConf) AppendCanonical(dst []byte) []byte {
-	return fmt.Appendf(dst, "%+v", c.withDefaults())
+	return fmt.Appendf(dst, "%+v", c.Normalize())
 }
 
 // offAt derives stratum k's interval offset in [0, span) from the seed

@@ -12,15 +12,16 @@ import (
 // Result is the outcome of one sampled simulation: the population estimate
 // (mean CPI over the measured intervals, scaled to the program's full
 // instruction count) plus the error bar that makes the estimate honest. A
-// program too short to sample carries the exact full-fidelity Stats instead
-// (Exact set, error bar zero).
+// run under a disabled conf, and a program too short to sample, carries the
+// exact full-fidelity Stats instead (Exact set, error bar zero).
 type Result struct {
 	// Conf is the configuration the run sampled at (defaults resolved).
 	Conf SampleConf `json:"conf"`
 
-	// Exact marks a full-fidelity fallback: the program was shorter than
-	// Conf.MinIntervals periods, so Full holds the exact Stats and the
-	// estimate fields below restate it with a zero error bar.
+	// Exact marks a full-fidelity run: the conf was disabled, or the
+	// program was shorter than Conf.MinIntervals periods, so Full holds the
+	// exact Stats and the estimate fields below restate it with a zero
+	// error bar.
 	Exact bool `json:"exact,omitempty"`
 	// Full is the exact statistics of an Exact run (nil otherwise).
 	Full *pipeline.Stats `json:"full,omitempty"`

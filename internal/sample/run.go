@@ -34,6 +34,8 @@ func Run(ctx context.Context, prog *isa.Program, input []int64, cfg pipeline.Con
 // offset inside it (stratified random sampling — see SampleConf.Seed) and
 // runs warmup+measure instructions of detailed simulation. The per-interval
 // CPIs aggregate into the estimate and its Student-t confidence interval.
+// Under a disabled conf every cell runs exact, at full fidelity
+// (Result.Full).
 //
 // Cells whose program, input, MaxInsts and warm geometry
 // (pipeline.Config.WarmKey) agree form a group that shares everything but
@@ -49,10 +51,9 @@ func Run(ctx context.Context, prog *isa.Program, input []int64, cfg pipeline.Con
 // Nothing a cell does reaches the walk, and interval placement derives from
 // (instruction count, sc) alone, never from the host, the grouping or
 // whether the count was remembered from an earlier run: each cell's Result
-// equals Run of that cell alone and can be memoized exactly like a
-// full-fidelity run.
+// equals Run of that cell alone and can be memoized.
 func RunCells(ctx context.Context, input []int64, cells []Cell, sc SampleConf) ([]Result, error) {
-	sc = sc.withDefaults()
+	sc = sc.Normalize()
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -60,6 +61,10 @@ func RunCells(ctx context.Context, input []int64, cells []Cell, sc SampleConf) (
 		if err := c.Cfg.Validate(); err != nil {
 			return nil, err
 		}
+	}
+	if !sc.Enabled {
+		// Exact runs share no walk, so there is nothing to group.
+		return runExact(ctx, input, cells, sc)
 	}
 	out := make([]Result, len(cells))
 	for _, idx := range groups(cells) {
@@ -108,27 +113,16 @@ func groups(cells []Cell) [][]int {
 	return out
 }
 
-// runGroup runs the cells of one group: exact runs when sampling is off or
-// the program too short to sample, one shared walk otherwise.
+// runGroup runs the cells of one group: exact runs when the program is too
+// short to sample, one shared walk otherwise.
 func runGroup(ctx context.Context, input []int64, group []Cell, sc SampleConf) ([]Result, error) {
-	var total, period uint64
-	var starts []uint64
-	if sc.Enabled {
-		var err error
-		if total, err = countInsts(ctx, group[0].Prog, input, group[0].Cfg.MaxInsts); err != nil {
-			return nil, err
-		}
-		period, starts = place(sc, total)
+	total, err := countInsts(ctx, group[0].Prog, input, group[0].Cfg.MaxInsts)
+	if err != nil {
+		return nil, err
 	}
+	period, starts := place(sc, total)
 	if len(starts) < sc.MinIntervals {
-		out := make([]Result, len(group))
-		for i, c := range group {
-			var err error
-			if out[i], err = runExact(ctx, c.Prog, input, c.Cfg, sc); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
+		return runExact(ctx, input, group, sc)
 	}
 	ivs, warmed, err := walk(ctx, input, group, sc, starts)
 	if err != nil {
@@ -293,24 +287,27 @@ func minSampledTotal(sc SampleConf) uint64 {
 	return 3 * uint64(sc.MinIntervals) * (sc.Warmup + sc.Interval)
 }
 
-// runExact is the full-fidelity fallback: one ordinary pipeline run wrapped
-// in a Result so every sampled-mode consumer handles short programs (and
-// disabled confs) without a second code path.
-func runExact(ctx context.Context, prog *isa.Program, input []int64, cfg pipeline.Config, sc SampleConf) (Result, error) {
-	st, err := pipeline.RunCtx(ctx, prog, input, cfg)
-	if err != nil {
-		return Result{}, err
+// runExact is the full-fidelity path: one ordinary pipeline run per cell,
+// each wrapped in a Result so every consumer handles short programs and
+// disabled confs without a second code path.
+func runExact(ctx context.Context, input []int64, group []Cell, sc SampleConf) ([]Result, error) {
+	out := make([]Result, len(group))
+	for i, c := range group {
+		st, err := pipeline.RunCtx(ctx, c.Prog, input, c.Cfg)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = Result{
+			Conf:          sc,
+			Exact:         true,
+			Full:          &st,
+			TotalInsts:    st.Retired,
+			DetailedInsts: st.Retired,
+			EstCycles:     st.Cycles,
+		}
+		if st.Retired > 0 {
+			out[i].MeanCPI = float64(st.Cycles) / float64(st.Retired)
+		}
 	}
-	r := Result{
-		Conf:          sc,
-		Exact:         true,
-		Full:          &st,
-		TotalInsts:    st.Retired,
-		DetailedInsts: st.Retired,
-		EstCycles:     st.Cycles,
-	}
-	if st.Retired > 0 {
-		r.MeanCPI = float64(st.Cycles) / float64(st.Retired)
-	}
-	return r, nil
+	return out, nil
 }

@@ -305,6 +305,15 @@ func TestValidate(t *testing.T) {
 			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.wantErr)
 		}
 	}
+
+	// A run validates the conf it normalized: a negative MinIntervals is
+	// rejected, not replaced by the default.
+	neg := base
+	neg.MinIntervals = -1
+	_, err := sample.Run(context.Background(), tinyLoopProgram(t, 500), nil, pipeline.DefaultConfig(), neg)
+	if err == nil || !strings.Contains(err.Error(), "min_intervals") {
+		t.Errorf("run at negative min intervals: error %v, want substring %q", err, "min_intervals")
+	}
 }
 
 func TestResultJSONRoundTrip(t *testing.T) {
@@ -343,6 +352,11 @@ func TestCanonicalDefaults(t *testing.T) {
 	b := string(explicit.AppendCanonical(nil))
 	if a != b {
 		t.Errorf("implied and explicit defaults key differently:\n  %s\n  %s", a, b)
+	}
+	// An implied MinIntervals is DefaultConf's.
+	explicit.MinIntervals = sample.DefaultConf().MinIntervals
+	if c := string(explicit.AppendCanonical(nil)); c != a {
+		t.Errorf("implied and explicit MinIntervals key differently:\n  %s\n  %s", a, c)
 	}
 	moved := implied
 	moved.Seed = 2

@@ -53,37 +53,16 @@ type JobSpec struct {
 }
 
 // sampleConf returns the spec's effective sampling configuration: the
-// disabled zero conf when the block is absent; otherwise the executor
-// defaults with the block's non-zero fields overlaid (so `"sample": {}`
-// means "sampled at defaults" on the wire).
+// disabled zero conf when the block is absent; otherwise the block enabled
+// and normalized, so its zero fields take the executor defaults (and
+// `"sample": {}` means "sampled at defaults" on the wire).
 func (s *JobSpec) sampleConf() sample.SampleConf {
 	if s.Sample == nil {
 		return sample.SampleConf{}
 	}
-	c := sample.DefaultConf()
-	o := *s.Sample
-	if o.Interval != 0 {
-		c.Interval = o.Interval
-	}
-	if o.Warmup != 0 {
-		c.Warmup = o.Warmup
-	}
-	if o.Period != 0 {
-		c.Period = o.Period
-	}
-	if o.Seed != 0 {
-		c.Seed = o.Seed
-	}
-	if o.Confidence != 0 {
-		c.Confidence = o.Confidence
-	}
-	if o.PredLead != 0 {
-		c.PredLead = o.PredLead
-	}
-	if o.MinIntervals != 0 {
-		c.MinIntervals = o.MinIntervals
-	}
-	return c
+	c := *s.Sample
+	c.Enabled = true
+	return c.Normalize()
 }
 
 // Validate checks the spec shape without compiling anything.

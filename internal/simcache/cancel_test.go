@@ -30,6 +30,9 @@ func TestRunCtxCancelledNotMemoized(t *testing.T) {
 		if m.Misses != 0 {
 			t.Fatalf("Misses = %d after cancelled run, want 0 (must not memoize)", m.Misses)
 		}
+		if m.SimWall != 0 {
+			t.Fatalf("SimWall = %v after cancelled run, want 0", m.SimWall)
+		}
 		checkCounts(t, ep, m)
 
 		v, err := ep.run(context.Background(), c, p, in)

@@ -3,6 +3,8 @@ package simcache
 import (
 	"sync/atomic"
 	"time"
+
+	"dmp/internal/sample"
 )
 
 // Metrics holds the cache's internal atomic counters.
@@ -17,6 +19,18 @@ type Metrics struct {
 	simWallNS atomic.Int64
 	simCycles atomic.Int64
 	simInsts  atomic.Uint64
+}
+
+// count adds one executed run under sc to the throughput counters: the
+// cycles and instructions a disabled conf's exact run simulated, or one
+// sampled run, whose estimated cycles the pipeline never simulated.
+func (m *Metrics) count(sc sample.SampleConf, r sample.Result) {
+	if sc.Enabled {
+		m.sampled.Add(1)
+		return
+	}
+	m.simCycles.Add(r.Full.Cycles)
+	m.simInsts.Add(r.Full.Retired)
 }
 
 func (m *Metrics) snapshot() Snapshot {
@@ -50,20 +64,24 @@ type Snapshot struct {
 	// Bypasses counts traced simulations that skipped memoization (a
 	// cached answer would emit no events); they execute every time.
 	Bypasses uint64 `json:"bypasses"`
-	// Cancels counts runs aborted by context cancellation; they are
-	// evicted, never memoized, and excluded from every other counter.
+	// Cancels counts runs aborted by context cancellation. Like a run that
+	// fails, a cancelled run is evicted, never memoized, and excluded from
+	// every other counter, SimWall included.
 	Cancels uint64 `json:"cancels,omitempty"`
-	// Sampled counts SMARTS-sampled simulations actually executed (a
-	// subset of Misses, plus traced bypass runs). Their wall time lands in
-	// SimWall but their estimated cycles never enter SimCycles — that
-	// counter means cycles the pipeline really simulated.
+	// Sampled counts simulations executed under an enabled sampling conf
+	// (a subset of Misses, plus traced bypass runs), exact fallbacks
+	// included. Their wall time lands in SimWall but their cycles never
+	// enter SimCycles — that counter means cycles of full-fidelity runs.
 	Sampled uint64 `json:"sampled,omitempty"`
-	// SimWall is the aggregate wall time spent inside pipeline.Run.
+	// SimWall is the aggregate wall time of the executed runs that
+	// returned a result; failed and cancelled runs add nothing.
 	SimWall time.Duration `json:"sim_wall_ns"`
-	// SimCycles is the total simulated cycles across executed runs.
+	// SimCycles is the total simulated cycles across executed
+	// full-fidelity runs.
 	SimCycles int64 `json:"sim_cycles"`
-	// SimInsts is the total retired instructions across executed runs
-	// (cache-answered runs excluded: the denominator of real throughput).
+	// SimInsts is the total retired instructions across executed
+	// full-fidelity runs (cache-answered runs excluded: the denominator of
+	// real throughput).
 	SimInsts uint64 `json:"sim_insts"`
 }
 

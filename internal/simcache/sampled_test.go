@@ -17,24 +17,58 @@ import (
 )
 
 // TestRunSampledKeySeparation: a sampled run and a full-fidelity run of the
-// same workload must occupy disjoint cache entries, and different sampling
-// confs must not collide with each other.
+// same workload must occupy disjoint cache entries, different sampling
+// confs must not collide with each other, and every disabled conf is the
+// one full-fidelity entry.
 func TestRunSampledKeySeparation(t *testing.T) {
+	ctx := context.Background()
 	c := New("")
 	p := testProg(t)
 	in := testInput(120_000)
 	cfg := pipeline.DefaultConfig()
 	sc := sample.DefaultConf()
 
-	if _, err := c.RunCtx(context.Background(), p, in, cfg); err != nil {
+	full, err := c.RunSampledCtx(ctx, p, in, cfg, sample.SampleConf{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.RunSampledCtx(context.Background(), p, in, cfg, sc); err != nil {
+	if _, err := c.RunSampledCtx(ctx, p, in, cfg, sc); err != nil {
 		t.Fatal(err)
 	}
 	m := c.Metrics()
 	if m.Misses != 2 || m.Hits != 0 {
 		t.Fatalf("full + sampled of the same workload: %d misses %d hits, want 2/0", m.Misses, m.Hits)
+	}
+
+	// A disabled conf with sampling fields set is still a full-fidelity
+	// request: it hits the zero conf's entry.
+	off := sc
+	off.Enabled = false
+	r, err := c.RunSampledCtx(ctx, p, in, cfg, off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := c.Metrics(); m.Misses != 2 || m.Hits != 1 || !reflect.DeepEqual(r, full) {
+		t.Errorf("disabled conf %+v: metrics %+v, want a hit on the zero conf's entry", off, m)
+	}
+
+	// An enabled conf on a program too short to sample runs exact, but
+	// keeps its own entry: it never answers a full-fidelity request.
+	short := testInput(100)
+	fallback, err := c.RunSampledCtx(ctx, p, short, cfg, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fallback.Exact || !fallback.Conf.Enabled {
+		t.Fatalf("short program under %+v: %+v, want an exact fallback", sc, fallback)
+	}
+	before := c.Metrics()
+	exact, err := c.RunSampledCtx(ctx, p, short, cfg, sample.SampleConf{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := c.Metrics().Sub(before); m.Misses != 1 || m.Hits != 0 || exact.Conf.Enabled {
+		t.Errorf("full run after a fallback: metrics %+v, conf %+v; want its own miss", m, exact.Conf)
 	}
 
 	k1 := c.KeyOfSampled(p, in, cfg, sc)
@@ -44,13 +78,13 @@ func TestRunSampledKeySeparation(t *testing.T) {
 	if k1 == k2 {
 		t.Error("different seeds produced the same sampled key")
 	}
-	if k1 == c.KeyOf(p, in, cfg) {
+	if k1 == c.KeyOfSampled(p, in, cfg, sample.SampleConf{}) {
 		t.Error("sampled key collides with the full-fidelity key")
 	}
 
 	// Implied defaults and their explicit spelling are the same entry.
 	sc3 := sc
-	sc3.Confidence = 0 // withDefaults resolves to 0.95
+	sc3.Confidence = 0 // Normalize resolves to 0.95
 	sc4 := sc
 	sc4.Confidence = 0.95
 	if c.KeyOfSampled(p, in, cfg, sc3) != c.KeyOfSampled(p, in, cfg, sc4) {
@@ -117,7 +151,7 @@ func TestSampledKeyGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.writeDisk(sampledRuns.ns, v1, stale)
+	c.writeDisk(v1, stale)
 
 	r, err := c.RunSampledCtx(context.Background(), p, in, cfg, sc)
 	if err != nil {

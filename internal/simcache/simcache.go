@@ -1,21 +1,23 @@
 // Package simcache memoizes cycle-level simulations. The paper's evaluation
-// re-runs pipeline.Run over the same (program, input, config) triples many
-// times — every figure re-simulates the baseline, and several figures share
-// selection configurations — so the harness routes all simulations through a
+// re-runs the same (program, input, config) triples many times — every
+// figure re-simulates the baseline, and several figures share selection
+// configurations — so the harness routes all simulations through a
 // content-addressed cache: a stable SHA-256 key over the canonical program
-// serialization (code + diverge annotations), the input tape and the machine
-// configuration.
+// serialization (code + diverge annotations), the input tape, the machine
+// configuration and the sampling configuration.
+//
+// Every simulation is one kind of memoized run: a sample.RunCells cell
+// whose sample.Result is the entry. A full-fidelity run is the disabled-conf
+// case, whose Result is exact (Result.Full), and a sampled run carries its
+// estimate and error bar. Both take one path for one cell or many
+// (RunSampledCtx, RunSampledCells), under one key derivation (KeyOfSampled),
+// one wire codec and one on-disk namespace.
 //
 // The in-memory layer guarantees each distinct simulation executes exactly
 // once per process: concurrent requests for the same key are deduplicated
 // singleflight-style, with later arrivals blocking on the first runner. An
 // optional on-disk layer (enabled by the DMP_CACHE_DIR environment variable)
 // persists results across dmpbench/dmpsim invocations.
-//
-// Full-fidelity runs (RunCtx, pipeline.Stats) and sampled runs
-// (RunSampledCtx and RunSampledCells, sample.Result) take one memoized-run
-// path for one cell or many; they differ only in their key space, wire
-// codec, run function and metric.
 //
 // The cache also keeps run metrics — hits, misses, simulated cycles and
 // aggregate simulation wall time — surfaced by the CLIs via -metrics-json
@@ -37,6 +39,7 @@ import (
 	"dmp/internal/isa"
 	"dmp/internal/memo"
 	"dmp/internal/pipeline"
+	"dmp/internal/sample"
 )
 
 // EnvDir names the environment variable that enables the on-disk layer.
@@ -47,11 +50,25 @@ const EnvDir = "DMP_CACHE_DIR"
 // derived fingerprint of the Stats wire shape (pipeline.StatsSchema), so that
 // extending Stats automatically invalidates old entries — without it, stale
 // DMP_CACHE_DIR entries written by an older binary would unmarshal with the
-// new fields silently zero-valued. The same fingerprint versions the on-disk
-// layout (see fullRuns).
+// new fields silently zero-valued.
 var keySchema = "dmp-simcache-v2\x00" + pipeline.StatsSchema() + "\x00"
 
-// Key identifies one simulation: a content hash of program, input and config.
+// sampledKeySchema versions the KeyOfSampled extension. Its generation moves
+// when the estimator behind an unchanged key does: v2 marks purely
+// functional warming, whose intervals start from a walk no detailed run
+// touched, where v1 entries came from one chained pipeline stream. It also
+// folds in sample.Schema() — the fingerprint of the Result wire shape — so
+// extending Result invalidates stale entries the same way.
+var sampledKeySchema = "dmp-simcache-sampled-v2\x00" + sample.Schema() + "\x00"
+
+// diskNS is the subdirectory of the disk layer that holds the entries. It
+// names the Result wire schema, so generations stay physically separate:
+// stale-schema files are never picked up and are easy to garbage-collect by
+// directory.
+var diskNS = "sm-" + sample.Schema()
+
+// Key identifies one simulation: a content hash of program, input, config
+// and sampling conf.
 type Key [sha256.Size]byte
 
 // String returns the hexadecimal form of the key (the on-disk file stem).
@@ -59,47 +76,21 @@ func (k Key) String() string { return hex.EncodeToString(k[:]) }
 
 // entry is one memoized run. ready is closed once val/err are final, so
 // concurrent requesters of the same key can block on it.
-type entry[V any] struct {
+type entry struct {
 	ready chan struct{}
-	val   V
+	val   sample.Result
 	err   error
 }
 
-// kind is what one kind of memoized run supplies beyond its key and run
-// function: its on-disk namespace, its wire codec and the metric an
-// executed run adds.
-type kind[V any] struct {
-	// ns is the subdirectory of the disk layer holding this kind's
-	// entries. It names the wire schema, so generations stay physically
-	// separate: stale-schema files are never picked up and are easy to
-	// garbage-collect by directory.
-	ns        string
-	marshal   func(V) ([]byte, error)
-	unmarshal func([]byte) (V, error)
-	count     func(*Metrics, V)
-}
-
-// fullRuns is the full-fidelity kind: Stats entries under s-<StatsSchema>.
-var fullRuns = kind[pipeline.Stats]{
-	ns:        "s-" + pipeline.StatsSchema(),
-	marshal:   pipeline.MarshalStats,
-	unmarshal: pipeline.UnmarshalStats,
-	count: func(m *Metrics, st pipeline.Stats) {
-		m.simCycles.Add(st.Cycles)
-		m.simInsts.Add(st.Retired)
-	},
-}
-
-// Cache memoizes pipeline runs. The zero value is not usable; construct with
+// Cache memoizes simulations. The zero value is not usable; construct with
 // New or FromEnv. A nil *Cache is valid and simply runs every simulation.
 type Cache struct {
 	dir string // "" = memory-only
 
-	// mem is the one in-flight table of both kinds. Their keys hash
-	// different schema prefixes, so an estimate never answers for exact
-	// stats, and a key's entry type always matches its kind.
+	// mem is the in-flight table. A key folds in the canonical sampling
+	// conf, so an estimate never answers for an exact run.
 	mu  sync.Mutex
-	mem map[Key]any
+	mem map[Key]*entry
 
 	// codeHash memoizes the hash of an un-annotated program by code
 	// identity (&Code[0]): harness workloads simulate the same baseline
@@ -113,7 +104,7 @@ type Cache struct {
 // New returns a cache with an optional persistent directory (created on
 // first store). An empty dir keeps the cache memory-only.
 func New(dir string) *Cache {
-	return &Cache{dir: dir, mem: map[Key]any{}, codeHash: memo.Bounded[*isa.Inst, [sha256.Size]byte]{Cap: 1024}}
+	return &Cache{dir: dir, mem: map[Key]*entry{}, codeHash: memo.Bounded[*isa.Inst, [sha256.Size]byte]{Cap: 1024}}
 }
 
 // FromEnv returns a cache whose disk layer is controlled by DMP_CACHE_DIR.
@@ -135,7 +126,8 @@ func (c *Cache) progHash(p *isa.Program) [sha256.Size]byte {
 	return p.Hash()
 }
 
-// KeyOf derives the cache key for one simulation.
+// KeyOf hashes a (program, input, config) triple: the part of a key that
+// KeyOfSampled extends with the sampling conf.
 func (c *Cache) KeyOf(prog *isa.Program, input []int64, cfg pipeline.Config) Key {
 	h := sha256.New()
 	h.Write([]byte(keySchema))
@@ -155,73 +147,71 @@ func (c *Cache) KeyOf(prog *isa.Program, input []int64, cfg pipeline.Config) Key
 	return k
 }
 
-// RunCtx returns the memoized statistics for the simulation, executing it
-// at most once per process per distinct (program, input, config) triple: the
-// one-cell call of the cache's memoized-run path (memoize). On a nil cache it
-// degenerates to pipeline.RunCtx. Traced runs (cfg.Tracer != nil) bypass
-// memoization entirely: a cached answer would silently emit no events, and
-// the tracer is deliberately not part of the cache key. A run that fails or
-// is cancelled is never memoized: it is evicted before its waiters wake, so
-// the next request computes the result afresh, and a waiter deduplicating
-// against a run cancelled by the *runner's* context retries with its own
-// (live) context instead of inheriting the error.
-func (c *Cache) RunCtx(ctx context.Context, prog *isa.Program, input []int64, cfg pipeline.Config) (pipeline.Stats, error) {
-	return one(memoize(ctx, c, &fullRuns, 1,
-		func(int) bool { return cfg.Tracer != nil },
-		func(int) Key { return c.KeyOf(prog, input, cfg) },
-		func(ctx context.Context, _ []int) ([]pipeline.Stats, error) {
-			st, err := pipeline.RunCtx(ctx, prog, input, cfg)
-			return []pipeline.Stats{st}, err
-		}))
+// KeyOfSampled derives the cache key of one simulation under a sampling
+// conf: the KeyOf key of the underlying (program, input, config) triple,
+// extended with the conf's canonical form. Two runs with equal canonical
+// confs produce identical Results (interval placement is a pure function of
+// instruction count and conf), which is what makes them memoizable at all.
+// Every disabled conf is canonically the zero conf, so every full-fidelity
+// request for a triple shares one key.
+func (c *Cache) KeyOfSampled(prog *isa.Program, input []int64, cfg pipeline.Config, sc sample.SampleConf) Key {
+	base := c.KeyOf(prog, input, cfg)
+	h := sha256.New()
+	h.Write([]byte(sampledKeySchema))
+	h.Write(base[:])
+	h.Write(sc.AppendCanonical(nil))
+	var k Key
+	h.Sum(k[:0])
+	return k
 }
 
-// one unwraps the result of a one-cell call.
-func one[V any](vs []V, err error) (V, error) {
+// RunSampledCtx returns the memoized sample.Result of one simulation under
+// sc: the one-cell call of RunSampledCells. A disabled sc runs it exact, at
+// full fidelity (Result.Full).
+func (c *Cache) RunSampledCtx(ctx context.Context, prog *isa.Program, input []int64, cfg pipeline.Config, sc sample.SampleConf) (sample.Result, error) {
+	rs, err := c.RunSampledCells(ctx, input, []sample.Cell{{Prog: prog, Cfg: cfg}}, sc)
 	if err != nil {
-		var zero V
-		return zero, err
+		return sample.Result{}, err
 	}
-	return vs[0], nil
+	return rs[0], nil
 }
 
-// isCtxErr reports whether err stems from a cancelled or expired context.
-func isCtxErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// memoize answers n cells of kind k, in cell order: the cache's one
-// memoized-run path, for one cell or many. Cell i is memoized under key(i)
-// unless traced(i), which bypasses memoization. run executes the cells at
-// the indices it is given as one call and returns their results in that
-// order. A nil cache runs every cell.
+// RunSampledCells returns the memoized sample.Result of every cell on input
+// under sc, in cell order, executing each distinct (program, input, config,
+// canonical conf) at most once per process: the cache's one memoized-run
+// path, for one cell or many. A nil cache degenerates to sample.RunCells.
 //
-// A call looks up and claims every cell's key under one lock; a duplicate
-// cell in the call is a hit on its first copy. It disk-loads the cells it
-// claimed, runs the remaining misses with the traced cells, and stores each
-// result under its own key. A failed or cancelled run memoizes nothing (a
-// group's error cannot be pinned on one cell): every entry the call claimed
-// is evicted before its waiters wake. Only then does the call wait on the
-// cells other callers hold, claiming and rerunning under its own context any
-// whose runner was cancelled. A call never waits while it holds a claim, so
-// calls over overlapping cells cannot deadlock.
-func memoize[V any](ctx context.Context, c *Cache, k *kind[V], n int, traced func(int) bool, key func(int) Key, run func(context.Context, []int) ([]V, error)) (_ []V, err error) {
-	first := make([]int, n) // the first cell of the call with cell i's key
-	for i := range first {
-		first[i] = i
-	}
+// A call looks up and claims every cell's KeyOfSampled under one lock; a
+// duplicate cell in the call is a hit on its first copy. It disk-loads the
+// cells it claimed and runs the remaining misses, with the traced cells
+// (Cfg.Tracer set), as one sample.RunCells call, so sampled cells share
+// their warm walks; it stores each untraced result under its own key.
+// Traced cells bypass memoization: a cached answer would silently emit no
+// events, and the tracer is deliberately not part of the key.
+//
+// A failed or cancelled run memoizes nothing (a group's error cannot be
+// pinned on one cell): every entry the call claimed is evicted before its
+// waiters wake. Only then does the call wait on the cells other callers
+// hold, claiming and rerunning under its own context any whose runner was
+// cancelled, rather than inheriting the runner's error. A call never waits
+// while it holds a claim, so calls over overlapping cells cannot deadlock.
+func (c *Cache) RunSampledCells(ctx context.Context, input []int64, cells []sample.Cell, sc sample.SampleConf) (_ []sample.Result, err error) {
 	if c == nil {
-		return run(ctx, first)
+		return sample.RunCells(ctx, input, cells, sc)
 	}
-	out := make([]V, n)
+	n := len(cells)
+	out := make([]sample.Result, n)
 	keys := make([]Key, n)
+	first := make([]int, n) // the first cell of the call with cell i's key
 	seen := make(map[Key]int, n)
 	var todo, runs []int
-	for i := range first {
-		if traced(i) {
+	for i, cell := range cells {
+		first[i] = i
+		if cell.Cfg.Tracer != nil {
 			runs = append(runs, i)
 			continue
 		}
-		keys[i] = key(i)
+		keys[i] = c.KeyOfSampled(cell.Prog, input, cell.Cfg, sc)
 		if j, ok := seen[keys[i]]; ok {
 			first[i] = j
 			continue
@@ -230,10 +220,10 @@ func memoize[V any](ctx context.Context, c *Cache, k *kind[V], n int, traced fun
 		todo = append(todo, i)
 	}
 
-	ent := make([]*entry[V], n)
+	ent := make([]*entry, n)
 	mine := make([]bool, n) // the call holds ent[i] claimed and unresolved
-	resolve := func(i int, v V) {
-		ent[i].val = v
+	resolve := func(i int, r sample.Result) {
+		ent[i].val = r
 		close(ent[i].ready)
 		mine[i] = false
 	}
@@ -258,9 +248,9 @@ func memoize[V any](ctx context.Context, c *Cache, k *kind[V], n int, traced fun
 	for len(todo) > 0 || len(runs) > 0 {
 		c.mu.Lock()
 		for _, i := range todo {
-			e, ok := c.mem[keys[i]].(*entry[V])
+			e, ok := c.mem[keys[i]]
 			if !ok {
-				e = &entry[V]{ready: make(chan struct{})}
+				e = &entry{ready: make(chan struct{})}
 				c.mem[keys[i]] = e
 				mine[i] = true
 			} else if isReady(e) {
@@ -276,37 +266,40 @@ func memoize[V any](ctx context.Context, c *Cache, k *kind[V], n int, traced fun
 			if !mine[i] {
 				continue
 			}
-			if v, ok := load(c, k, keys[i]); ok {
-				resolve(i, v)
+			if r, ok := c.load(keys[i]); ok {
+				resolve(i, r)
 			} else {
 				runs = append(runs, i)
 			}
 		}
 		if len(runs) > 0 {
+			group := make([]sample.Cell, len(runs))
+			for j, i := range runs {
+				group[j] = cells[i]
+			}
 			start := time.Now()
-			var vs []V
-			vs, err = run(ctx, runs)
-			c.metrics.simWallNS.Add(int64(time.Since(start)))
-			if err != nil {
+			var rs []sample.Result
+			if rs, err = sample.RunCells(ctx, input, group, sc); err != nil {
 				if isCtxErr(err) {
 					c.metrics.cancels.Add(1)
 				}
 				return nil, err
 			}
+			c.metrics.simWallNS.Add(int64(time.Since(start)))
 			for j, i := range runs {
-				k.count(&c.metrics, vs[j])
+				c.metrics.count(sc, rs[j])
 				if !mine[i] {
 					c.metrics.bypasses.Add(1)
-					out[i] = vs[j]
+					out[i] = rs[j]
 					continue
 				}
 				c.metrics.misses.Add(1)
 				if c.dir != "" {
-					if b, err := k.marshal(vs[j]); err == nil {
-						c.writeDisk(k.ns, keys[i], b)
+					if b, err := sample.MarshalResult(rs[j]); err == nil {
+						c.writeDisk(keys[i], b)
 					}
 				}
-				resolve(i, vs[j])
+				resolve(i, rs[j])
 			}
 			runs = nil
 		}
@@ -346,8 +339,13 @@ func memoize[V any](ctx context.Context, c *Cache, k *kind[V], n int, traced fun
 	return out, nil
 }
 
+// isCtxErr reports whether err stems from a cancelled or expired context.
+func isCtxErr(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+}
+
 // isReady reports whether e's result is final.
-func isReady[V any](e *entry[V]) bool {
+func isReady(e *entry) bool {
 	select {
 	case <-e.ready:
 		return true
@@ -356,21 +354,22 @@ func isReady[V any](e *entry[V]) bool {
 	}
 }
 
-// load reads key's entry of kind k from the disk layer. A missing file, a
-// stale schema or a corrupt entry reads as a miss.
-func load[V any](c *Cache, k *kind[V], key Key) (v V, ok bool) {
+// load reads key's entry from the disk layer. A missing file, a stale
+// schema or a corrupt entry reads as a miss.
+func (c *Cache) load(key Key) (sample.Result, bool) {
 	if c.dir == "" {
-		return v, false
+		return sample.Result{}, false
 	}
-	b, err := os.ReadFile(c.diskPath(k.ns, key))
-	if err == nil {
-		v, err = k.unmarshal(b)
-	}
+	b, err := os.ReadFile(c.diskPath(key))
 	if err != nil {
-		return v, false
+		return sample.Result{}, false
+	}
+	r, err := sample.UnmarshalResult(b)
+	if err != nil {
+		return sample.Result{}, false
 	}
 	c.metrics.diskHits.Add(1)
-	return v, true
+	return r, true
 }
 
 // Metrics returns a snapshot of the cache counters.
@@ -381,17 +380,17 @@ func (c *Cache) Metrics() Snapshot {
 	return c.metrics.snapshot()
 }
 
-// diskPath places key's entry in namespace ns of the disk layer.
-func (c *Cache) diskPath(ns string, key Key) string {
-	return filepath.Join(c.dir, ns, key.String()+".json")
+// diskPath places key's entry in the disk layer.
+func (c *Cache) diskPath(key Key) string {
+	return filepath.Join(c.dir, diskNS, key.String()+".json")
 }
 
-// writeDisk persists an entry in namespace ns best-effort: a read-only or
-// missing directory never fails the simulation. The write is atomic (temp
-// file + rename) so concurrent processes sharing a cache directory cannot
-// observe torn entries.
-func (c *Cache) writeDisk(ns string, key Key, b []byte) {
-	dir := filepath.Join(c.dir, ns)
+// writeDisk persists an entry best-effort: a read-only or missing directory
+// never fails the simulation. The write is atomic (temp file + rename) so
+// concurrent processes sharing a cache directory cannot observe torn
+// entries.
+func (c *Cache) writeDisk(key Key, b []byte) {
+	dir := filepath.Join(c.dir, diskNS)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return
 	}
@@ -406,7 +405,7 @@ func (c *Cache) writeDisk(ns string, key Key, b []byte) {
 		os.Remove(name)
 		return
 	}
-	if err := os.Rename(name, c.diskPath(ns, key)); err != nil {
+	if err := os.Rename(name, c.diskPath(key)); err != nil {
 		os.Remove(name)
 	}
 }

@@ -79,11 +79,10 @@ func TestKeyStability(t *testing.T) {
 	}
 }
 
-// entryPoint is one of the cache's memoized entry points, run on the
-// default sampling configuration.
+// entryPoint is one way into the cache's memoized-run path: exact, or on
+// the default sampling configuration.
 type entryPoint struct {
 	name string
-	ns   string // disk namespace
 	// minInput is the shortest input tape a test gives it: on a shorter
 	// tape the test program is too short to sample and runs exact.
 	minInput int
@@ -97,19 +96,18 @@ type entryPoint struct {
 
 var entryPoints = []entryPoint{
 	{
+		// A full-fidelity run: the zero (disabled) conf.
 		name: "full",
-		ns:   "s-" + pipeline.StatsSchema(),
 		runCfg: func(ctx context.Context, c *Cache, p *isa.Program, in []int64, cfg pipeline.Config) (any, error) {
-			return c.RunCtx(ctx, p, in, cfg)
+			return c.RunSampledCtx(ctx, p, in, cfg, sample.SampleConf{})
 		},
 		counts: func(v any) Snapshot {
-			st := v.(pipeline.Stats)
+			st := v.(sample.Result).Full
 			return Snapshot{SimCycles: st.Cycles, SimInsts: st.Retired}
 		},
 	},
 	{
 		name:     "sampled",
-		ns:       "sm-" + sample.Schema(),
 		minInput: 120_000,
 		runCfg: func(ctx context.Context, c *Cache, p *isa.Program, in []int64, cfg pipeline.Config) (any, error) {
 			return c.RunSampledCtx(ctx, p, in, cfg, sample.DefaultConf())
@@ -119,7 +117,6 @@ var entryPoints = []entryPoint{
 	{
 		// A two-cell group whose second cell duplicates the first.
 		name:     "cells",
-		ns:       "sm-" + sample.Schema(),
 		minInput: 120_000,
 		runCfg: func(ctx context.Context, c *Cache, p *isa.Program, in []int64, cfg pipeline.Config) (any, error) {
 			cell := sample.Cell{Prog: p, Cfg: cfg}
@@ -222,9 +219,10 @@ func TestFailedRunNotMemoized(t *testing.T) {
 		if errs[0].Error() != errs[1].Error() {
 			t.Errorf("errors differ: %v / %v", errs[0], errs[1])
 		}
-		// Nothing answered the second call: it ran.
-		if m := c.Metrics(); m.Hits != 0 || m.Dedups != 0 || m.DiskHits != 0 || m.Misses != 0 || m.Cancels != 0 {
-			t.Errorf("metrics = %+v, want no lookup answered and nothing memoized", m)
+		// Nothing answered the second call: it ran, and neither run
+		// counts towards throughput.
+		if m := c.Metrics(); m.Hits != 0 || m.Dedups != 0 || m.DiskHits != 0 || m.Misses != 0 || m.Cancels != 0 || m.SimWall != 0 {
+			t.Errorf("metrics = %+v, want no lookup answered, nothing memoized and no SimWall", m)
 		}
 	})
 }
@@ -278,8 +276,8 @@ func TestDiskLayer(t *testing.T) {
 			t.Fatal(err)
 		}
 		entries, err := filepath.Glob(filepath.Join(dir, "*", "*"))
-		if err != nil || len(entries) != 1 || filepath.Dir(entries[0]) != filepath.Join(dir, ep.ns) {
-			t.Fatalf("cache dir entries = %v (err %v), want 1 in %s", entries, err, ep.ns)
+		if err != nil || len(entries) != 1 || filepath.Dir(entries[0]) != filepath.Join(dir, diskNS) {
+			t.Fatalf("cache dir entries = %v (err %v), want 1 in %s", entries, err, diskNS)
 		}
 
 		cold := New(dir)

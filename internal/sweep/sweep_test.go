@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/csv"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -233,8 +234,8 @@ func TestSweepMatchesColdRun(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cold run: %v", err)
 		}
-		gotJSON, _ := pipeline.MarshalStats(row.Stats)
-		wantJSON, _ := pipeline.MarshalStats(cold)
+		gotJSON, _ := json.Marshal(row.Stats)
+		wantJSON, _ := json.Marshal(cold)
 		if !bytes.Equal(gotJSON, wantJSON) {
 			t.Fatalf("row %s/%s stats differ from cold run:\nsweep: %s\ncold:  %s",
 				row.Program, row.Cell, gotJSON, wantJSON)
@@ -256,8 +257,8 @@ func TestSweepNaiveMatches(t *testing.T) {
 		t.Fatalf("row counts differ: %d vs %d", len(fast.Rows), len(naive))
 	}
 	for i := range fast.Rows {
-		a, _ := pipeline.MarshalStats(fast.Rows[i].Stats)
-		b, _ := pipeline.MarshalStats(naive[i].Stats)
+		a, _ := json.Marshal(fast.Rows[i].Stats)
+		b, _ := json.Marshal(naive[i].Stats)
 		if !bytes.Equal(a, b) {
 			t.Fatalf("row %d stats differ between reuse and naive mode", i)
 		}
@@ -347,8 +348,8 @@ func TestSweepCancelMidGrid(t *testing.T) {
 		t.Fatalf("row counts differ: %d vs %d", len(resumed.Rows), len(fresh.Rows))
 	}
 	for i := range fresh.Rows {
-		a, _ := pipeline.MarshalStats(resumed.Rows[i].Stats)
-		b, _ := pipeline.MarshalStats(fresh.Rows[i].Stats)
+		a, _ := json.Marshal(resumed.Rows[i].Stats)
+		b, _ := json.Marshal(fresh.Rows[i].Stats)
 		if !bytes.Equal(a, b) {
 			t.Fatalf("row %d differs after cancel+resume: torn cache entry?", i)
 		}

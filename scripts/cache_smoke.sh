@@ -3,7 +3,9 @@
 # a binary. Runs dmpsim on gzip twice under a fresh DMP_CACHE_DIR, at full
 # fidelity and then sampled: the first run of each simulates and stores its
 # entry, the second must be answered from disk (disk_hits 1, misses 0) and
-# print the same cycles and IPC. Then a sampled dmpsweep over two cells runs
+# print the same cycles and IPC; both entries must sit in the one sm-*/
+# namespace, with no full-fidelity s-*/ directory beside it. Then a sampled
+# dmpsweep over two cells runs
 # twice under a second fresh DMP_CACHE_DIR: the grouped path must store one
 # entry per cell, and the rerun must read them without storing them again
 # and report the same rows.
@@ -44,6 +46,16 @@ for mode in full sample; do
 		exit 1
 	fi
 done
+
+# A full-fidelity run is the disabled-conf case of the one memoized run
+# kind: its entry and the sampled one share one namespace.
+n=$(ls "$DMP_CACHE_DIR"/sm-*/*.json | wc -l)
+dirs=$(ls -d "$DMP_CACHE_DIR"/*/ | wc -l)
+if [ "$n" -ne 2 ] || [ "$dirs" -ne 1 ] || ls -d "$DMP_CACHE_DIR"/s-* >/dev/null 2>&1; then
+	echo "cache-smoke: full and sampled runs left $n entries under sm-*/ in $dirs directories, want 2 in one and no s-*/" >&2
+	ls -R "$DMP_CACHE_DIR" >&2
+	exit 1
+fi
 
 # One worker keeps the two cells in one group, one RunSampledCells call.
 export DMP_CACHE_DIR="$tmp/sweep-cache"
