@@ -116,13 +116,14 @@ static-smoke:
 	$(GO) run ./cmd/dmpgen -preset all -n 50 -seed 1 -check -static
 
 # Sampled-simulation smoke: the sample-error differential gate on a corpus
-# subset plus a small generated population — every full-fidelity IPC must
-# land inside the sampled run's stated confidence interval, baseline and
-# DMP alike (a non-zero miss count makes dmpbench exit non-zero). The
+# subset plus a 40-program generated population — every full-fidelity IPC
+# must land inside the sampled run's stated confidence interval, baseline
+# and DMP alike (a non-zero miss count makes dmpbench exit non-zero, and so
+# does a population whose rows all fell back to exact runs). The
 # population-scale version lives in the harness test suite
 # (TestSampleErrorGate).
 sample-smoke:
-	$(GO) run ./cmd/dmpbench -exp sample-error -bench gzip,mcf,twolf -gen-n 12
+	$(GO) run ./cmd/dmpbench -exp sample-error -bench gzip,mcf,twolf -gen-n 40
 
 # Daemon smoke: boot dmpserve on a random loopback port, drive HTTP jobs
 # (including a duplicate spec that must be served from the shared simulation

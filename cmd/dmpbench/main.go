@@ -44,7 +44,9 @@
 // sample-error runs the differential gate instead: every benchmark at full
 // fidelity and sampled, baseline and DMP, plus a generated population of
 // -gen-n programs, reporting per-row CI coverage and the aggregate
-// wall-clock speedup.
+// wall-clock speedup. It exits non-zero on a row outside its interval, and
+// when a non-empty population holds only exact fallbacks, which check no
+// sampled estimate.
 //
 // For performance investigation, -pprof serves net/http/pprof on the given
 // address while the evaluation runs, and -cpuprofile/-memprofile write
@@ -149,6 +151,9 @@ func main() {
 		if len(rep.Misses)+len(prep.Misses) > 0 {
 			check(fmt.Errorf("%d rows outside their confidence intervals", len(rep.Misses)+len(prep.Misses)))
 		}
+		if len(progs) > 0 && prep.Sampled() == 0 {
+			check(fmt.Errorf("population: every row is an exact fallback, so no sampled estimate was checked"))
+		}
 		return
 	}
 
@@ -167,11 +172,11 @@ func main() {
 		progs := gen.BuildCorpus(confs, n, *genSeed)
 		// opts has no Sample set yet: populations simulate at full fidelity.
 		if *exp == "static" {
-			rep, err := harness.RunPopulationCompare(progs, opts)
+			rep, err := harness.RunPopulationCompare(context.Background(), progs, opts)
 			check(err)
 			rep.Render(os.Stdout)
 		} else {
-			rep, err := harness.RunPopulation(progs, opts)
+			rep, err := harness.RunPopulation(context.Background(), progs, opts)
 			check(err)
 			rep.Render(os.Stdout)
 		}

@@ -28,6 +28,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -128,7 +129,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dmpgen: %d programs verified clean (8 algorithms from %s + emu/pipeline differential)\n", len(progs), src)
 	}
 	if *report != "" {
-		rep, err := harness.RunPopulation(progs, harness.Options{
+		rep, err := harness.RunPopulation(context.Background(), progs, harness.Options{
 			Parallelism: *par, EvalOptions: harness.EvalOptions{MaxInsts: *maxInsts},
 		})
 		check2(err)

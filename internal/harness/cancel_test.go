@@ -29,7 +29,7 @@ func TestRunPopulationCtxCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunPopulationCtx(ctx, progs, Options{Parallelism: 4, EvalOptions: EvalOptions{Cache: cache}})
+		_, err := RunPopulation(ctx, progs, Options{Parallelism: 4, EvalOptions: EvalOptions{Cache: cache}})
 		done <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -38,10 +38,10 @@ func TestRunPopulationCtxCancel(t *testing.T) {
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("RunPopulationCtx err = %v, want context.Canceled", err)
+			t.Fatalf("RunPopulation err = %v, want context.Canceled", err)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("RunPopulationCtx did not return after cancel")
+		t.Fatal("RunPopulation did not return after cancel")
 	}
 
 	// Helper goroutines must wind down (pool helpers exit at task
@@ -97,11 +97,11 @@ func TestRunPopulationCtxCompletesAfterCancelledRun(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunPopulationCtx(ctx, progs, Options{Parallelism: 2, EvalOptions: EvalOptions{Cache: cache}}); !errors.Is(err, context.Canceled) {
+	if _, err := RunPopulation(ctx, progs, Options{Parallelism: 2, EvalOptions: EvalOptions{Cache: cache}}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled run err = %v, want context.Canceled", err)
 	}
 
-	rep, err := RunPopulationCtx(context.Background(), progs, Options{Parallelism: 2, EvalOptions: EvalOptions{Cache: cache}})
+	rep, err := RunPopulation(context.Background(), progs, Options{Parallelism: 2, EvalOptions: EvalOptions{Cache: cache}})
 	if err != nil {
 		t.Fatalf("clean run after cancelled run: %v", err)
 	}
@@ -136,7 +136,7 @@ func main() {
 	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunPopulationCompareCtx(ctx, []*gen.Program{long}, Options{Parallelism: 1, EvalOptions: EvalOptions{Cache: simcache.New("")}})
+		_, err := RunPopulationCompare(ctx, []*gen.Program{long}, Options{Parallelism: 1, EvalOptions: EvalOptions{Cache: simcache.New("")}})
 		done <- err
 	}()
 	time.Sleep(50 * time.Millisecond)
@@ -144,10 +144,10 @@ func main() {
 	select {
 	case err := <-done:
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("RunPopulationCompareCtx err = %v, want context.Canceled", err)
+			t.Fatalf("RunPopulationCompare err = %v, want context.Canceled", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("RunPopulationCompareCtx did not return within 2s of cancel")
+		t.Fatal("RunPopulationCompare did not return within 2s of cancel")
 	}
 }
 

@@ -3,10 +3,10 @@ package harness
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"dmp/internal/core"
 	"dmp/internal/pipeline"
+	"dmp/internal/sample"
 	"dmp/internal/stats"
 )
 
@@ -34,46 +34,51 @@ func Table1(w io.Writer) {
 		cfg.ConfThreshold, cfg.PredicateRegs)
 }
 
-// Table2 reproduces the benchmark characteristics table: base IPC, MPKI,
-// retired instructions, static branches, diverge branches and average CFM
-// points per diverge branch under All-best-heur.
-func Table2(s *Session) (*stats.Table, error) {
-	t := &stats.Table{Title: "Table 2. Benchmark characteristics", Cols: s.Names()}
-	rows := []string{"BaseIPC", "MPKI", "Insts(K)", "All br.", "Diverge br.", "Avg #CFM"}
-	vals := map[string]map[string]float64{}
-	for _, r := range rows {
-		vals[r] = map[string]float64{}
-	}
-	var mu sync.Mutex
-	best := HeuristicConfigs()[4]
+// table fills a table with one column per workload and the given rows: one
+// pool task per workload, fn(i, col) writing workload i's value for each
+// row into col, in row order. Each task writes only its own column.
+func (s *Session) table(t *stats.Table, rows []string, fn func(i int, col []float64) error) (*stats.Table, error) {
+	t.Cols = s.Names()
+	cols := make([][]float64, len(s.Workloads))
 	err := s.forEachIdx(len(s.Workloads), func(i int) error {
-		w := s.Workloads[i]
-		base, err := w.Baseline()
-		if err != nil {
-			return err
-		}
-		res, err := w.Select(best.Params, false)
-		if err != nil {
-			return err
-		}
-		annotated := w.Bare.WithAnnots(res.Annots)
-		mu.Lock()
-		defer mu.Unlock()
-		vals["BaseIPC"][w.Name] = base.IPC()
-		vals["MPKI"][w.Name] = base.MPKI()
-		vals["Insts(K)"][w.Name] = float64(base.Retired) / 1000
-		vals["All br."][w.Name] = float64(w.Bare.NumStaticBranches())
-		vals["Diverge br."][w.Name] = float64(annotated.NumDivergeBranches())
-		vals["Avg #CFM"][w.Name] = annotated.AvgCFMPerDiverge()
-		return nil
+		cols[i] = make([]float64, len(rows))
+		return fn(i, cols[i])
 	})
 	if err != nil {
 		return nil, err
 	}
-	for _, r := range rows {
-		t.AddRow(r, vals[r])
+	for r, name := range rows {
+		vals := make(map[string]float64, len(cols))
+		for i, w := range s.Workloads {
+			vals[w.Name] = cols[i][r]
+		}
+		t.AddRow(name, vals)
 	}
 	return t, nil
+}
+
+// Table2 reproduces the benchmark characteristics table: base IPC, MPKI,
+// retired instructions, static branches, diverge branches and average CFM
+// points per diverge branch under All-best-heur.
+func Table2(s *Session) (*stats.Table, error) {
+	best := HeuristicConfigs()[4]
+	return s.table(&stats.Table{Title: "Table 2. Benchmark characteristics"},
+		[]string{"BaseIPC", "MPKI", "Insts(K)", "All br.", "Diverge br.", "Avg #CFM"},
+		func(i int, col []float64) error {
+			w := s.Workloads[i]
+			base, err := w.Baseline()
+			if err != nil {
+				return err
+			}
+			res, err := w.Select(best.Params, false)
+			if err != nil {
+				return err
+			}
+			annotated := w.Bare.WithAnnots(res.Annots)
+			copy(col, []float64{base.IPC(), base.MPKI(), float64(base.Retired) / 1000,
+				float64(w.Bare.NumStaticBranches()), float64(annotated.NumDivergeBranches()), annotated.AvgCFMPerDiverge()})
+			return nil
+		})
 }
 
 // series is one row of a selection figure: its label and the selection it
@@ -97,84 +102,95 @@ func configSeries(cfgs []SelectionConfig) []series {
 	return out
 }
 
-// figure builds a selection figure: one column per benchmark and one row per
-// series, holding the DMP improvement over baseline in percent, or the
-// pipeline flushes per kilo-instruction when flushes is set.
-func (s *Session) figure(title string, rows []series, flushes bool) (*stats.Table, error) {
-	t := &stats.Table{Title: title, Cols: s.Names(), Unit: "% IPC improvement over baseline"}
-	if flushes {
-		t.Unit = "flushes per kilo-instruction"
-	}
-	for _, r := range rows {
-		imp, fl, err := s.runConfigSeries(r.sel)
-		if err != nil {
-			return nil, err
-		}
-		if flushes {
-			t.AddRow(r.name, fl)
-		} else {
-			t.AddRow(r.name, imp)
-		}
-	}
-	return t, nil
+// figureSpec is a selection figure: its title, its rows, and whether it
+// reports pipeline flushes per kilo-instruction instead of the DMP
+// improvement over baseline in percent.
+type figureSpec struct {
+	title   string
+	rows    []series
+	flushes bool
 }
 
-// runConfigSeries simulates one selection over every workload and returns
-// the per-benchmark improvement and flush rows; a nil selection reports the
-// baseline machine's flushes.
-func (s *Session) runConfigSeries(sel func(w *Workload) (*core.Result, error)) (imp, flushes map[string]float64, err error) {
-	imp = map[string]float64{}
-	flushes = map[string]float64{}
-	var mu sync.Mutex
-	err = s.forEachIdx(len(s.Workloads), func(i int) error {
+// figure builds a selection figure with one column per benchmark, workload
+// by workload: one task makes every row's selection in row order, so the
+// rows that share an analysis scope find it in core's hammock memo, and
+// simulates the workload's cells in one call. Each row adds the baseline
+// cell, then its DMP cell unless its selection is nil (the baseline row
+// reports the baseline machine's flushes), so a figure requests the
+// baseline once per row.
+func (s *Session) figure(f figureSpec) (*stats.Table, error) {
+	t := &stats.Table{Title: f.title, Unit: "% IPC improvement over baseline"}
+	if f.flushes {
+		t.Unit = "flushes per kilo-instruction"
+	}
+	names := make([]string, len(f.rows))
+	for r, row := range f.rows {
+		names[r] = row.name
+	}
+	return s.table(t, names, func(i int, col []float64) error {
 		w := s.Workloads[i]
-		base, err := w.Baseline()
+		var cells []sample.Cell
+		at := make([][2]int, len(f.rows)) // each row's baseline and run cells
+		for r, row := range f.rows {
+			at[r] = [2]int{len(cells), len(cells)}
+			cells = append(cells, s.Opts.cell(w.Bare, false))
+			if row.sel != nil {
+				res, err := row.sel(w)
+				if err != nil {
+					return err
+				}
+				at[r][1] = len(cells)
+				cells = append(cells, s.Opts.cell(w.Bare.WithAnnots(res.Annots), true))
+			}
+		}
+		sts, err := s.simulate(w, cells)
 		if err != nil {
-			return err
+			return fmt.Errorf("%s: %w", w.Name, err)
 		}
-		run := base
-		if sel != nil {
-			res, err := sel(w)
-			if err != nil {
-				return err
-			}
-			if run, err = w.RunDMP(res.Annots); err != nil {
-				return err
+		for r, ix := range at {
+			base, run := sts[ix[0]], sts[ix[1]]
+			if f.flushes {
+				col[r] = run.FlushesPerKI()
+			} else {
+				col[r] = Improvement(base, run)
 			}
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		imp[w.Name] = Improvement(base, run)
-		flushes[w.Name] = run.FlushesPerKI()
 		return nil
 	})
-	return imp, flushes, err
 }
 
 // Fig5Left reproduces Figure 5 (left): DMP improvement with the cumulative
 // heuristic configurations.
-func Fig5Left(s *Session) (*stats.Table, error) {
-	return s.figure("Figure 5 (left). DMP performance improvement, heuristic selection",
-		configSeries(HeuristicConfigs()), false)
+func Fig5Left(s *Session) (*stats.Table, error) { return s.figure(fig5Left()) }
+
+func fig5Left() figureSpec {
+	return figureSpec{"Figure 5 (left). DMP performance improvement, heuristic selection",
+		configSeries(HeuristicConfigs()), false}
 }
 
 // Fig5Right reproduces Figure 5 (right): the cost-benefit model variants.
 func Fig5Right(s *Session) (*stats.Table, error) {
-	return s.figure("Figure 5 (right). DMP performance improvement, cost-benefit model",
-		configSeries(CostConfigs()), false)
+	return s.figure(figureSpec{"Figure 5 (right). DMP performance improvement, cost-benefit model",
+		configSeries(CostConfigs()), false})
 }
 
 // Fig6 reproduces Figure 6: pipeline flushes per kilo-instruction in the
 // baseline and under each cumulative DMP configuration.
-func Fig6(s *Session) (*stats.Table, error) {
+func Fig6(s *Session) (*stats.Table, error) { return s.figure(fig6()) }
+
+func fig6() figureSpec {
 	rows := append([]series{{name: "baseline"}}, configSeries(HeuristicConfigs())...)
-	return s.figure("Figure 6. Pipeline flushes due to branch mispredictions", rows, true)
+	return figureSpec{"Figure 6. Pipeline flushes due to branch mispredictions", rows, true}
 }
 
 // Fig7 reproduces Figure 7: the MAX_INSTR x MIN_MERGE_PROB threshold sweep
 // using Alg-exact + Alg-freq only. Each row is one (MAX_INSTR, MIN_MERGE)
 // point; columns are benchmarks.
 func Fig7(s *Session, maxInstrs []int, minMerges []float64) (*stats.Table, error) {
+	return s.figure(fig7(maxInstrs, minMerges))
+}
+
+func fig7(maxInstrs []int, minMerges []float64) figureSpec {
 	if maxInstrs == nil {
 		maxInstrs = []int{10, 25, 50, 100, 200}
 	}
@@ -194,12 +210,14 @@ func Fig7(s *Session, maxInstrs []int, minMerges []float64) (*stats.Table, error
 			rows = append(rows, selecting(fmt.Sprintf("MAX_INSTR=%d MIN_MERGE=%g%%", mi, mm*100), p, false))
 		}
 	}
-	return s.figure("Figure 7. Threshold sweep (Alg-exact + Alg-freq)", rows, false)
+	return figureSpec{"Figure 7. Threshold sweep (Alg-exact + Alg-freq)", rows, false}
 }
 
 // Fig8 reproduces Figure 8: the simple selection baselines versus
 // All-best-heur.
-func Fig8(s *Session) (*stats.Table, error) {
+func Fig8(s *Session) (*stats.Table, error) { return s.figure(fig8()) }
+
+func fig8() figureSpec {
 	var rows []series
 	for _, b := range []core.Baseline{core.EveryBranch, core.Random50, core.HighBP5, core.Immediate, core.IfElse} {
 		rows = append(rows, series{b.String(), func(w *Workload) (*core.Result, error) {
@@ -208,21 +226,23 @@ func Fig8(s *Session) (*stats.Table, error) {
 		}})
 	}
 	rows = append(rows, selecting("All-best-heur", core.HeuristicParams(), false))
-	return s.figure("Figure 8. Simple diverge-branch selection algorithms", rows, false)
+	return figureSpec{"Figure 8. Simple diverge-branch selection algorithms", rows, false}
 }
 
 // Fig9 reproduces Figure 9: profiling-input sensitivity. "same" profiles on
 // the run input; "diff" profiles on the train input; both simulate on the
 // run input.
-func Fig9(s *Session) (*stats.Table, error) {
+func Fig9(s *Session) (*stats.Table, error) { return s.figure(fig9()) }
+
+func fig9() figureSpec {
 	heur := HeuristicConfigs()[4].Params
 	cost := CostConfigs()[4].Params
-	return s.figure("Figure 9. Input-set effects on DMP performance", []series{
+	return figureSpec{"Figure 9. Input-set effects on DMP performance", []series{
 		selecting("All-best-heur-same", heur, false),
 		selecting("All-best-heur-diff", heur, true),
 		selecting("All-best-cost-same", cost, false),
 		selecting("All-best-cost-diff", cost, true),
-	}, false)
+	}, false}
 }
 
 // Fig10 reproduces Figure 10: the overlap between the diverge-branch sets
@@ -230,16 +250,11 @@ func Fig9(s *Session) (*stats.Table, error) {
 // branch's dynamic execution count on the run input, as a percentage of all
 // dynamic diverge-branch executions.
 func Fig10(s *Session) (*stats.Table, error) {
-	t := &stats.Table{
-		Title: "Figure 10. Diverge branches selected across profiling input sets",
-		Cols:  s.Names(), Unit: "% of dynamic diverge branches",
-	}
 	heur := HeuristicConfigs()[4].Params
-	onlyRun := map[string]float64{}
-	onlyTrain := map[string]float64{}
-	either := map[string]float64{}
-	var mu sync.Mutex
-	err := s.forEachIdx(len(s.Workloads), func(i int) error {
+	return s.table(&stats.Table{
+		Title: "Figure 10. Diverge branches selected across profiling input sets",
+		Unit:  "% of dynamic diverge branches",
+	}, []string{"only-run", "only-train", "either-run-train"}, func(i int, col []float64) error {
 		w := s.Workloads[i]
 		rRun, err := w.Select(heur, false)
 		if err != nil {
@@ -263,22 +278,8 @@ func Fig10(s *Session) (*stats.Table, error) {
 				train += w.ProfRun.BranchExec(pc)
 			}
 		}
-		total := run + train + both
-		if total == 0 {
-			total = 1
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		onlyRun[w.Name] = 100 * float64(run) / float64(total)
-		onlyTrain[w.Name] = 100 * float64(train) / float64(total)
-		either[w.Name] = 100 * float64(both) / float64(total)
+		total := float64(max(run+train+both, 1))
+		copy(col, []float64{100 * float64(run) / total, 100 * float64(train) / total, 100 * float64(both) / total})
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("only-run", onlyRun)
-	t.AddRow("only-train", onlyTrain)
-	t.AddRow("either-run-train", either)
-	return t, nil
 }

@@ -31,9 +31,11 @@ type Options struct {
 	Benchmarks []string
 	// Parallelism bounds concurrent work (0 = GOMAXPROCS).
 	Parallelism int
-	// Ctx, when non-nil, cancels the pooled runs: workers stop at the next
-	// task boundary and in-flight simulations abort at block-batch
-	// granularity (see pipeline.RunCtx).
+	// Ctx, when non-nil, cancels a session's pooled runs: workers stop at
+	// the next task boundary and in-flight simulations abort at block-batch
+	// granularity (see pipeline.RunCtx). Only NewSession reads it; the
+	// session keeps it for every later experiment. RunPopulation and
+	// RunPopulationCompare take their context as an argument instead.
 	Ctx context.Context
 }
 
@@ -69,8 +71,10 @@ type Workload struct {
 	Bench   *bench.Benchmark
 	ProfRun *profile.Profile
 
-	ctx  context.Context
-	opts EvalOptions
+	// sess is the session whose options and aggregates the workload's runs
+	// use (nil outside a session: the three-way comparison simulates
+	// through EvalOptions itself).
+	sess *Session
 }
 
 // prepareWorkload runs the prepare step with heur selection and then
@@ -81,7 +85,7 @@ func prepareWorkload(ctx context.Context, name string, compile func() (*isa.Prog
 	if err != nil {
 		return nil, err
 	}
-	w := &Workload{Prepared: p, ctx: ctx, opts: opts}
+	w := &Workload{Prepared: p}
 	if w.ProfRun, err = profile.CollectCtx(ctx, p.Bare, runInput, profile.Options{MaxInsts: budget}); err != nil {
 		return nil, fmt.Errorf("run profile: %w", err)
 	}
@@ -89,22 +93,21 @@ func prepareWorkload(ctx context.Context, name string, compile func() (*isa.Prog
 }
 
 // Baseline simulates the bare binary on the run tape.
-func (w *Workload) Baseline() (pipeline.Stats, error) {
-	st, err := w.Simulate(w.ctx, evalConfig(false, w.opts.MaxInsts), w.opts)
-	if err != nil {
-		return st, fmt.Errorf("%s: baseline: %w", w.Name, err)
-	}
-	return st, nil
-}
+func (w *Workload) Baseline() (pipeline.Stats, error) { return w.run(w.Bare, false, "baseline") }
 
 // RunDMP simulates the DMP machine on the run tape with annotations from a
 // core selection, which has checked their legality. Selection
 // configurations that produce identical annotation sidecars (as many of the
 // Figure 5-9 sweeps do) hit the simulation cache.
 func (w *Workload) RunDMP(annots map[int]*isa.DivergeInfo) (pipeline.Stats, error) {
-	sts, err := w.opts.simulate(w.ctx, w.Name, w.RunInput, []sample.Cell{{Prog: w.Bare.WithAnnots(annots), Cfg: evalConfig(true, w.opts.MaxInsts)}})
+	return w.run(w.Bare.WithAnnots(annots), true, "dmp")
+}
+
+// run is the one-cell case of the session's simulate.
+func (w *Workload) run(prog *isa.Program, dmp bool, phase string) (pipeline.Stats, error) {
+	sts, err := w.sess.simulate(w, []sample.Cell{w.sess.Opts.cell(prog, dmp)})
 	if err != nil {
-		return pipeline.Stats{}, fmt.Errorf("%s: dmp: %w", w.Name, err)
+		return pipeline.Stats{}, fmt.Errorf("%s: %s: %w", w.Name, phase, err)
 	}
 	return sts[0], nil
 }
@@ -147,28 +150,32 @@ type Session struct {
 	startMallocs uint64
 }
 
-// noteRun folds one simulation result into the session aggregates: DMP runs
-// contribute their session audit, and any run that retired zero instructions
-// (per-kilo-instruction metrics meaningless) is recorded as degenerate so
-// the metrics report can flag it instead of averaging silent zeros. A nil
-// session ignores the run.
-func (s *Session) noteRun(name string, st pipeline.Stats, dmp bool) {
-	if s == nil {
-		return
+// simulate runs w's cells on its run tape in one EvalOptions.simulate call
+// and folds the results into the session aggregates: DMP runs add their
+// session audit, sampled runs their accounting, and a run that retired
+// zero instructions is recorded as degenerate for the metrics report.
+func (s *Session) simulate(w *Workload, cells []sample.Cell) ([]pipeline.Stats, error) {
+	sts, rs, err := s.Opts.simulate(s.Opts.ctx(), w.RunInput, cells)
+	if err != nil {
+		return nil, err
 	}
 	s.runMu.Lock()
 	defer s.runMu.Unlock()
-	if dmp {
-		s.dmpRuns++
-		s.sessTotals.Add(st.Audit)
-	}
-	if st.Degenerate() {
-		s.degenRuns++
-		if s.degenNames == nil {
-			s.degenNames = map[string]bool{}
+	for i, r := range rs {
+		s.sampAgg.add(r)
+		if cells[i].Cfg.DMP {
+			s.dmpRuns++
+			s.sessTotals.Add(sts[i].Audit)
 		}
-		s.degenNames[name] = true
+		if sts[i].Degenerate() {
+			s.degenRuns++
+			if s.degenNames == nil {
+				s.degenNames = map[string]bool{}
+			}
+			s.degenNames[w.Name] = true
+		}
 	}
+	return sts, nil
 }
 
 // Cache returns the session's simulation cache.
@@ -191,17 +198,15 @@ func NewSession(opts Options) (*Session, error) {
 		}
 	}
 	s := &Session{Opts: opts, startMallocs: procMallocs()}
-	eval := opts.EvalOptions
-	eval.sess = s
 	s.Workloads = make([]*Workload, len(list))
 	err := s.forEachIdx(len(list), func(i int) error {
 		b := list[i]
 		w, err := prepareWorkload(opts.ctx(), b.Name, b.Compile,
-			b.Input(bench.RunInput, opts.Scale), b.Input(bench.TrainInput, opts.Scale), 0, eval)
+			b.Input(bench.RunInput, opts.Scale), b.Input(bench.TrainInput, opts.Scale), 0, opts.EvalOptions)
 		if err != nil {
 			return fmt.Errorf("%s: %w", b.Name, err)
 		}
-		w.Bench = b
+		w.Bench, w.sess = b, s
 		s.Workloads[i] = w
 		return nil
 	})

@@ -154,16 +154,25 @@ func (m RunMetrics) WriteJSON(w io.Writer) error {
 
 // Footer writes the human-readable summary appended to evaluation output:
 // how many simulations actually ran versus were answered from cache, the
-// simulator throughput, and how busy the worker pool was kept.
+// full-fidelity simulator throughput (omitted when no exact instruction
+// ran) and sampled wall time, and how busy the worker pool was kept.
 func (m RunMetrics) Footer(w io.Writer) {
 	fmt.Fprintln(w, "--- run metrics ---")
 	c := m.Cache
 	fmt.Fprintf(w, "simulations   %d executed, %d cache hits (%d in-flight, %d disk); hit rate %.1f%%\n",
 		c.Misses, c.Hits+c.Dedups+c.DiskHits, c.Dedups, c.DiskHits, 100*c.HitRate())
-	fmt.Fprintf(w, "sim wall      %v aggregate, %.1fM simulated cycles/s, %.0f simulated KI/s\n",
-		c.SimWall.Round(time.Millisecond), c.CyclesPerSec()/1e6, c.KIPS())
-	fmt.Fprintf(w, "allocations   %d process-wide, %.1f per simulated KI\n",
-		m.ProcAllocs, m.AllocsPerKI())
+	fmt.Fprintf(w, "sim wall      %v aggregate", c.SimWall.Round(time.Millisecond))
+	if c.SimInsts > 0 {
+		fmt.Fprintf(w, ", %.1fM simulated cycles/s, %.0f simulated KI/s", c.CyclesPerSec()/1e6, c.KIPS())
+	}
+	if c.SampledWall > 0 {
+		fmt.Fprintf(w, ", %v sampled", c.SampledWall.Round(time.Millisecond))
+	}
+	fmt.Fprintf(w, "\nallocations   %d process-wide", m.ProcAllocs)
+	if c.SimInsts > 0 {
+		fmt.Fprintf(w, ", %.1f per simulated KI", m.AllocsPerKI())
+	}
+	fmt.Fprintln(w)
 	fmt.Fprintf(w, "worker pool   %d workers, %.1f%% occupancy\n",
 		m.Pool.Parallelism, 100*m.Pool.Occupancy())
 	if sm := m.Sampling; sm != nil {

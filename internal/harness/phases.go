@@ -43,9 +43,6 @@ type EvalOptions struct {
 	// exact. Every run is memoized under its conf-extended key, so sampled
 	// and full-fidelity entries stay disjoint.
 	Sample sample.SampleConf
-
-	// sess, when set, folds every run into that session's aggregates.
-	sess *Session
 }
 
 func (o EvalOptions) note(phase string) {
@@ -63,12 +60,18 @@ func evalConfig(dmp bool, maxInsts uint64) pipeline.Config {
 	return cfg
 }
 
+// cell is prog on the Table 1 machine, with or without DMP, capped at
+// o.MaxInsts.
+func (o EvalOptions) cell(prog *isa.Program, dmp bool) sample.Cell {
+	return sample.Cell{Prog: prog, Cfg: evalConfig(dmp, o.MaxInsts)}
+}
+
 // simulate is the one run function: each cell's program on input, exact
 // or sampled per o.Sample, as one RunSampledCells call memoized through
-// o.Cache, with the results in cell order; o.Tracer overrides each cell's
-// own. Sampled cells of a program share their functional warming. Runs made
-// for a session are folded into its aggregates under name.
-func (o EvalOptions) simulate(ctx context.Context, name string, input []int64, cells []sample.Cell) ([]pipeline.Stats, error) {
+// o.Cache, with the results and their Stats projections in cell order;
+// o.Tracer overrides each cell's own. Sampled cells of a program share
+// their functional warming.
+func (o EvalOptions) simulate(ctx context.Context, input []int64, cells []sample.Cell) ([]pipeline.Stats, []sample.Result, error) {
 	if o.Tracer != nil {
 		for i := range cells {
 			cells[i].Cfg.Tracer = o.Tracer
@@ -76,15 +79,13 @@ func (o EvalOptions) simulate(ctx context.Context, name string, input []int64, c
 	}
 	rs, err := o.Cache.RunSampledCells(ctx, input, cells, o.Sample)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	sts := make([]pipeline.Stats, len(rs))
 	for i, r := range rs {
 		sts[i] = r.AsStats()
-		o.sess.noteSampled(r)
-		o.sess.noteRun(name, sts[i], cells[i].Cfg.DMP)
 	}
-	return sts, nil
+	return sts, rs, nil
 }
 
 // Prepared holds one program's config-invariant evaluation artifacts: the
@@ -196,7 +197,8 @@ func (p *Prepared) SimulateCells(ctx context.Context, cfgs []pipeline.Config, op
 			cells[i].Prog = p.Annotated
 		}
 	}
-	return opts.simulate(ctx, p.Name, p.RunInput, cells)
+	sts, _, err := opts.simulate(ctx, p.RunInput, cells)
+	return sts, err
 }
 
 // EvalGenerated evaluates one generated program end-to-end with the given

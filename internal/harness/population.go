@@ -77,19 +77,13 @@ type PopulationReport struct {
 	Groups  []IdiomGroup    `json:"groups"`
 }
 
-// RunPopulation evaluates a generated corpus under opts.Ctx: All-best-heur
+// RunPopulation evaluates a generated corpus under ctx: All-best-heur
 // selection from the train-tape profile, baseline and DMP simulation on the
 // run tape, one ProgramResult per program and one IdiomGroup per dominant
-// idiom.
-func RunPopulation(progs []*gen.Program, opts Options) (*PopulationReport, error) {
-	return RunPopulationCtx(opts.ctx(), progs, opts)
-}
-
-// RunPopulationCtx is RunPopulation under ctx: workers stop at the next
-// program boundary and in-flight profiles and simulations abort, so a
-// cancelled population run returns promptly without leaking goroutines or
-// memoizing partial results.
-func RunPopulationCtx(ctx context.Context, progs []*gen.Program, opts Options) (*PopulationReport, error) {
+// idiom. Cancelling ctx stops workers at the next program boundary and
+// aborts in-flight profiles and simulations, so a cancelled population run
+// returns promptly without leaking goroutines or memoizing partial results.
+func RunPopulation(ctx context.Context, progs []*gen.Program, opts Options) (*PopulationReport, error) {
 	opts = opts.withDefaults()
 	rep := &PopulationReport{Count: len(progs), Algo: "All-best-heur"}
 	rep.Results = make([]ProgramResult, len(progs))

@@ -63,7 +63,7 @@ func TestRunPopulationReport(t *testing.T) {
 		n = 8
 	}
 	progs := gen.BuildCorpus(gen.Presets(), n, 5)
-	rep, err := RunPopulation(progs, Options{EvalOptions: EvalOptions{Cache: simcache.New("")}})
+	rep, err := RunPopulation(context.Background(), progs, Options{EvalOptions: EvalOptions{Cache: simcache.New("")}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,13 +9,10 @@ package harness
 import (
 	"context"
 	"fmt"
-	"sync"
 	"time"
 
 	"dmp/internal/codegen"
 	"dmp/internal/gen"
-	"dmp/internal/isa"
-	"dmp/internal/pipeline"
 	"dmp/internal/sample"
 	"dmp/internal/stats"
 )
@@ -33,16 +30,13 @@ type sampleAgg struct {
 	relMax    float64
 }
 
-// noteSampled folds one sampled result into the session aggregates. A nil
-// session ignores it; so does any session when the result comes from a
-// disabled conf, which sampled nothing.
-func (s *Session) noteSampled(r sample.Result) {
-	if s == nil || !r.Conf.Enabled {
+// add folds one sampled result into the aggregate (the caller holds
+// Session.runMu). A result from a disabled conf sampled nothing and is
+// ignored.
+func (a *sampleAgg) add(r sample.Result) {
+	if !r.Conf.Enabled {
 		return
 	}
-	s.runMu.Lock()
-	defer s.runMu.Unlock()
-	a := &s.sampAgg
 	a.runs++
 	a.total += r.TotalInsts
 	a.detailed += r.DetailedInsts
@@ -161,41 +155,65 @@ func (r *SampleErrorReport) Speedup() float64 {
 	return float64(r.FullWall) / float64(r.SampWall)
 }
 
-func (r *SampleErrorReport) add(row SampleErrorRow) {
-	r.Rows = append(r.Rows, row)
-	if !row.Covered {
-		r.Misses = append(r.Misses, row.Name+"/"+row.Mode)
+// Sampled returns the number of rows whose sampled arm really sampled (not
+// an exact fallback).
+func (r *SampleErrorReport) Sampled() int {
+	n := 0
+	for _, row := range r.Rows {
+		if !row.Exact {
+			n++
+		}
 	}
+	return n
 }
 
-// diffRow runs one (program, config) pair both ways — uncached, so the wall
-// times are honest — and returns the comparison row.
-func diffRow(ctx context.Context, name, mode string, prog *isa.Program, input []int64, cfg pipeline.Config, sc sample.SampleConf) (SampleErrorRow, time.Duration, time.Duration, error) {
-	t0 := time.Now()
-	full, err := pipeline.RunCtx(ctx, prog, input, cfg)
-	if err != nil {
-		return SampleErrorRow{}, 0, 0, fmt.Errorf("%s/%s: full: %w", name, mode, err)
+// add appends one program's rows and the wall times of its two arms.
+func (r *SampleErrorReport) add(rows []SampleErrorRow, wall [2]time.Duration) {
+	for _, row := range rows {
+		r.Rows = append(r.Rows, row)
+		if !row.Covered {
+			r.Misses = append(r.Misses, row.Name+"/"+row.Mode)
+		}
 	}
-	fullWall := time.Since(t0)
-	t0 = time.Now()
-	r, err := sample.Run(ctx, prog, input, cfg, sc)
-	if err != nil {
-		return SampleErrorRow{}, 0, 0, fmt.Errorf("%s/%s: sampled: %w", name, mode, err)
+	r.FullWall += wall[0]
+	r.SampWall += wall[1]
+}
+
+// diffCells runs one program's cells both ways, uncached so the wall times
+// are honest: one sample.RunCells call at full fidelity (the zero conf) and
+// one under sc, each timed. It returns one comparison row per cell, moded
+// "dmp" or "base" by the cell's config, and the two arms' wall times.
+func diffCells(ctx context.Context, name string, input []int64, cells []sample.Cell, sc sample.SampleConf) ([]SampleErrorRow, [2]time.Duration, error) {
+	var arms [2][]sample.Result
+	var wall [2]time.Duration
+	for a, conf := range [2]sample.SampleConf{{}, sc} {
+		t0 := time.Now()
+		rs, err := sample.RunCells(ctx, input, cells, conf)
+		if err != nil {
+			return nil, wall, fmt.Errorf("%s: %s: %w", name, [2]string{"full", "sampled"}[a], err)
+		}
+		arms[a], wall[a] = rs, time.Since(t0)
 	}
-	sampWall := time.Since(t0)
-	row := SampleErrorRow{
-		Name:      name,
-		Mode:      mode,
-		FullIPC:   full.IPC(),
-		SampIPC:   r.IPC(),
-		RelErrPct: r.RelErr() * 100,
-		Covered:   r.Covers(full.IPC()),
-		Exact:     r.Exact,
+	rows := make([]SampleErrorRow, len(cells))
+	for i, c := range cells {
+		full, r := arms[0][i].IPC(), arms[1][i]
+		rows[i] = SampleErrorRow{
+			Name:      name,
+			Mode:      "base",
+			FullIPC:   full,
+			SampIPC:   r.IPC(),
+			RelErrPct: r.RelErr() * 100,
+			Covered:   r.Covers(full),
+			Exact:     r.Exact,
+		}
+		if c.Cfg.DMP {
+			rows[i].Mode = "dmp"
+		}
+		if r.TotalInsts > 0 {
+			rows[i].DetailedPct = float64(r.DetailedInsts) / float64(r.TotalInsts) * 100
+		}
 	}
-	if r.TotalInsts > 0 {
-		row.DetailedPct = float64(r.DetailedInsts) / float64(r.TotalInsts) * 100
-	}
-	return row, fullWall, sampWall, nil
+	return rows, wall, nil
 }
 
 // SampleError runs the sample-error differential over the session's corpus:
@@ -205,58 +223,38 @@ func diffRow(ctx context.Context, name, mode string, prog *isa.Program, input []
 // test gate asserts on.
 func SampleError(s *Session, sc sample.SampleConf) (*stats.Table, *SampleErrorReport, error) {
 	sc = sc.Normalize()
-	rep := &SampleErrorReport{Conf: sc}
-	t := &stats.Table{
+	best := HeuristicConfigs()[4]
+	rows := make([][]SampleErrorRow, len(s.Workloads))
+	walls := make([][2]time.Duration, len(s.Workloads))
+	t, err := s.table(&stats.Table{
 		Title: fmt.Sprintf("Sample-error differential (interval %d, warmup %d, period %d, %g%% CI)",
 			sc.Interval, sc.Warmup, sc.Period, sc.Confidence*100),
-		Cols: s.Names(), Unit: "IPC; covered = full-fidelity IPC inside the sampled CI",
-	}
-	rows := []string{"full base IPC", "samp base IPC", "base CI ±%", "full dmp IPC", "samp dmp IPC", "dmp CI ±%", "covered"}
-	vals := map[string]map[string]float64{}
-	for _, r := range rows {
-		vals[r] = map[string]float64{}
-	}
-	best := HeuristicConfigs()[4]
-	var mu sync.Mutex
-	err := s.forEachIdx(len(s.Workloads), func(i int) error {
-		w := s.Workloads[i]
-		res, err := w.Select(best.Params, false)
-		if err != nil {
-			return err
-		}
-		base, bFull, bSamp, err := diffRow(w.ctx, w.Name, "base", w.Bare, w.RunInput, evalConfig(false, w.opts.MaxInsts), sc)
-		if err != nil {
-			return err
-		}
-		dmp, dFull, dSamp, err := diffRow(w.ctx, w.Name, "dmp", w.Bare.WithAnnots(res.Annots), w.RunInput, evalConfig(true, w.opts.MaxInsts), sc)
-		if err != nil {
-			return err
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		rep.add(base)
-		rep.add(dmp)
-		rep.FullWall += bFull + dFull
-		rep.SampWall += bSamp + dSamp
-		n := w.Name
-		vals["full base IPC"][n] = base.FullIPC
-		vals["samp base IPC"][n] = base.SampIPC
-		vals["base CI ±%"][n] = base.RelErrPct
-		vals["full dmp IPC"][n] = dmp.FullIPC
-		vals["samp dmp IPC"][n] = dmp.SampIPC
-		vals["dmp CI ±%"][n] = dmp.RelErrPct
-		covered := 0.0
-		if base.Covered && dmp.Covered {
-			covered = 1
-		}
-		vals["covered"][n] = covered
-		return nil
-	})
+		Unit: "IPC; covered = full-fidelity IPC inside the sampled CI",
+	}, []string{"full base IPC", "samp base IPC", "base CI ±%", "full dmp IPC", "samp dmp IPC", "dmp CI ±%", "covered"},
+		func(i int, col []float64) error {
+			w := s.Workloads[i]
+			res, err := w.Select(best.Params, false)
+			if err != nil {
+				return err
+			}
+			cells := []sample.Cell{s.Opts.cell(w.Bare, false), s.Opts.cell(w.Bare.WithAnnots(res.Annots), true)}
+			if rows[i], walls[i], err = diffCells(s.Opts.ctx(), w.Name, w.RunInput, cells, sc); err != nil {
+				return err
+			}
+			base, dmp := rows[i][0], rows[i][1]
+			covered := 0.0
+			if base.Covered && dmp.Covered {
+				covered = 1
+			}
+			copy(col, []float64{base.FullIPC, base.SampIPC, base.RelErrPct, dmp.FullIPC, dmp.SampIPC, dmp.RelErrPct, covered})
+			return nil
+		})
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, r := range rows {
-		t.AddRow(r, vals[r])
+	rep := &SampleErrorReport{Conf: sc}
+	for i := range rows {
+		rep.add(rows[i], walls[i])
 	}
 	return t, rep, nil
 }
@@ -268,8 +266,7 @@ func SampleError(s *Session, sc sample.SampleConf) (*stats.Table, *SampleErrorRe
 // that the executor must degrade to full fidelity, not to a wrong estimate.
 func SampleErrorPopulation(ctx context.Context, progs []*gen.Program, sc sample.SampleConf, par int) (*SampleErrorReport, error) {
 	sc = sc.Normalize()
-	rep := &SampleErrorReport{Conf: sc}
-	rows := make([]SampleErrorRow, len(progs))
+	rows := make([][]SampleErrorRow, len(progs))
 	walls := make([][2]time.Duration, len(progs))
 	err := forEachProgram(ctx, progs, par, func(i int) error {
 		p := progs[i]
@@ -277,22 +274,16 @@ func SampleErrorPopulation(ctx context.Context, progs []*gen.Program, sc sample.
 		if err != nil {
 			return fmt.Errorf("compile: %w", err)
 		}
-		cfg := evalConfig(false, popEmuBudget)
-		row, fw, sw, err := diffRow(ctx, p.Name, "base", prog.WithAnnots(nil), p.RunInput, cfg, sc)
-		if err != nil {
-			return err
-		}
-		rows[i] = row
-		walls[i] = [2]time.Duration{fw, sw}
-		return nil
+		cells := []sample.Cell{{Prog: prog.WithAnnots(nil), Cfg: evalConfig(false, popEmuBudget)}}
+		rows[i], walls[i], err = diffCells(ctx, p.Name, p.RunInput, cells, sc)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	for i, row := range rows {
-		rep.add(row)
-		rep.FullWall += walls[i][0]
-		rep.SampWall += walls[i][1]
+	rep := &SampleErrorReport{Conf: sc}
+	for i := range rows {
+		rep.add(rows[i], walls[i])
 	}
 	return rep, nil
 }

@@ -14,7 +14,9 @@ import (
 // benchmark simulated at full fidelity and sampled (baseline and DMP) must
 // land inside the sampled run's stated confidence interval, and so must a
 // generated population. A miss here means the SMARTS executor's error bars
-// lie — the one property that makes sampled evaluations usable.
+// lie — the one property that makes sampled evaluations usable. The
+// population must hold rows that really sampled: a population of exact
+// fallbacks compares exact runs with themselves.
 func TestSampleErrorGate(t *testing.T) {
 	benches := []string{"gzip", "mcf", "vortex", "twolf", "perlbmk", "compress"}
 	if !testing.Short() {
@@ -36,9 +38,6 @@ func TestSampleErrorGate(t *testing.T) {
 	}
 
 	n := 40
-	if testing.Short() {
-		n = 12
-	}
 	progs := gen.BuildCorpus(gen.Presets(), n, 1)
 	prep, err := SampleErrorPopulation(context.Background(), progs, sample.DefaultConf(), 0)
 	if err != nil {
@@ -49,6 +48,9 @@ func TestSampleErrorGate(t *testing.T) {
 	}
 	for _, m := range prep.Misses {
 		t.Errorf("population: %s outside its confidence interval", m)
+	}
+	if prep.Sampled() == 0 {
+		t.Errorf("population: all %d rows are exact fallbacks; no sampled estimate was checked", n)
 	}
 }
 
@@ -98,7 +100,8 @@ func TestSampledSessionStats(t *testing.T) {
 }
 
 // TestSampledFooterLine: the metrics footer includes the sampling line with
-// the detailed share and error-bar summary.
+// the detailed share and error-bar summary, and the sampled wall time in
+// place of the full-fidelity rates, since no exact instruction ran.
 func TestSampledFooterLine(t *testing.T) {
 	s, err := NewSession(Options{Benchmarks: []string{"gzip"}, EvalOptions: EvalOptions{Sample: sample.DefaultConf()}})
 	if err != nil {
@@ -109,8 +112,16 @@ func TestSampledFooterLine(t *testing.T) {
 	}
 	var sb strings.Builder
 	s.Metrics().Footer(&sb)
-	if !strings.Contains(sb.String(), "sampling") {
-		t.Errorf("footer missing sampling line:\n%s", sb.String())
+	out := sb.String()
+	for _, want := range []string{"sampling", "sampled\n"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("footer missing %q:\n%s", want, out)
+		}
+	}
+	for _, zero := range []string{"simulated cycles/s", "simulated KI/s", "per simulated KI"} {
+		if strings.Contains(out, zero) {
+			t.Errorf("footer prints a zero rate %q for a wholly sampled session:\n%s", zero, out)
+		}
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"dmp/internal/core"
 	"dmp/internal/gen"
 	"dmp/internal/profile"
+	"dmp/internal/sample"
 	"dmp/internal/static"
 	"dmp/internal/stats"
 	"dmp/internal/trace"
@@ -87,17 +88,9 @@ type CompareReport struct {
 	Groups  []CompareGroup  `json:"groups"`
 }
 
-// RunPopulationCompare evaluates a generated corpus three ways under
-// opts.Ctx. The baseline simulation is shared; the three DMP simulations are
-// deduplicated by the simulation cache whenever two sources select identical
-// annotations.
-func RunPopulationCompare(progs []*gen.Program, opts Options) (*CompareReport, error) {
-	return RunPopulationCompareCtx(opts.ctx(), progs, opts)
-}
-
-// RunPopulationCompareCtx is RunPopulationCompare under ctx (same semantics
-// as RunPopulationCtx).
-func RunPopulationCompareCtx(ctx context.Context, progs []*gen.Program, opts Options) (*CompareReport, error) {
+// RunPopulationCompare evaluates a generated corpus three ways under ctx
+// (cancelled as RunPopulation is).
+func RunPopulationCompare(ctx context.Context, progs []*gen.Program, opts Options) (*CompareReport, error) {
 	opts = opts.withDefaults()
 	rep := &CompareReport{Count: len(progs), Algo: "All-best-heur"}
 	rep.Results = make([]CompareResult, len(progs))
@@ -113,39 +106,42 @@ func RunPopulationCompareCtx(ctx context.Context, progs []*gen.Program, opts Opt
 }
 
 // runOneCompare prepares one program as a Workload, whose train and run
-// profiles are the train and oracle sources, and selects a third time from
-// the static estimate.
+// profiles are the train and oracle sources, selects a third time from the
+// static estimate, and simulates the baseline and the three DMP binaries in
+// one call. The cache answers a DMP cell whose annotations another source
+// also selected.
 func runOneCompare(ctx context.Context, p *gen.Program, opts EvalOptions) (CompareResult, error) {
-	var r CompareResult
 	w, err := prepareWorkload(ctx, p.Name, compileSource(p.Source), p.RunInput, p.TrainInput, popEmuBudget, opts)
 	if err != nil {
-		return r, err
+		return CompareResult{}, err
 	}
 	est, err := static.Analyze(w.Bare, static.Options{Program: p.Name + "/static"})
 	if err != nil {
-		return r, err
+		return CompareResult{}, err
 	}
-	base, err := w.Baseline()
-	if err != nil {
-		return r, err
+	r := CompareResult{
+		Name:   p.Name,
+		Preset: p.Preset,
+		Idiom:  p.Idiom,
+		Acc:    static.CompareProfiles(w.Bare, est.Prof, w.ProfRun),
 	}
-	r = CompareResult{
-		Name:    p.Name,
-		Preset:  p.Preset,
-		Idiom:   p.Idiom,
-		BaseIPC: base.IPC(),
-		Acc:     static.CompareProfiles(w.Bare, est.Prof, w.ProfRun),
-	}
+	cells := []sample.Cell{opts.cell(w.Bare, false)}
 	for src, prof := range [numSources]*profile.Profile{est.Prof, w.Train, w.ProfRun} {
 		res, err := core.Select(w.Bare, prof, core.HeuristicParams())
 		if err != nil {
 			return r, fmt.Errorf("%s select: %w", SourceNames[src], err)
 		}
-		dmp, err := w.RunDMP(res.Annots)
-		if err != nil {
-			return r, fmt.Errorf("%s: %w", SourceNames[src], err)
-		}
 		r.Annots[src] = len(res.Annots)
+		cells = append(cells, opts.cell(w.Bare.WithAnnots(res.Annots), true))
+	}
+	sts, _, err := opts.simulate(ctx, w.RunInput, cells)
+	if err != nil {
+		return r, err
+	}
+	base := sts[0]
+	r.BaseIPC = base.IPC()
+	for src := range numSources {
+		dmp := sts[1+src]
 		r.IPC[src] = dmp.IPC()
 		r.DeltaPct[src] = Improvement(base, dmp)
 		if src == SrcStatic {

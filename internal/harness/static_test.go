@@ -49,7 +49,7 @@ func TestRunPopulationCompare(t *testing.T) {
 		n = 6
 	}
 	progs := gen.BuildCorpus(gen.Presets(), n, 23)
-	rep, err := RunPopulationCompare(progs, Options{EvalOptions: EvalOptions{Cache: simcache.New("")}})
+	rep, err := RunPopulationCompare(context.Background(), progs, Options{EvalOptions: EvalOptions{Cache: simcache.New("")}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -113,18 +113,15 @@ func (c SampleConf) Normalize() SampleConf {
 	return c
 }
 
-// Validate checks the configuration shape as given. A disabled conf is
-// always valid. RunCells validates the normalized conf, in which a zero
-// Interval or Period has already taken its default.
+// Validate checks the conf in its normalized form, the one RunCells runs:
+// a zero field of an enabled conf has taken its default, so a conf is valid
+// exactly when a run accepts it. A disabled conf is always valid.
 func (c SampleConf) Validate() error {
+	c = c.Normalize()
 	if !c.Enabled {
 		return nil
 	}
 	switch {
-	case c.Interval == 0:
-		return fmt.Errorf("sample: interval length must be positive")
-	case c.Period == 0:
-		return fmt.Errorf("sample: period must be positive")
 	case c.Period < c.Warmup+c.Interval:
 		return fmt.Errorf("sample: period %d shorter than warmup+interval %d", c.Period, c.Warmup+c.Interval)
 	case c.Confidence < 0 || c.Confidence >= 1:

@@ -284,9 +284,14 @@ func TestValidate(t *testing.T) {
 	}{
 		{"default ok", func(c *sample.SampleConf) {}, ""},
 		{"disabled anything goes", func(c *sample.SampleConf) { *c = sample.SampleConf{Confidence: 7} }, ""},
-		{"zero interval", func(c *sample.SampleConf) { c.Interval = 0 }, "interval"},
-		{"zero period", func(c *sample.SampleConf) { c.Period = 0 }, "period"},
+		// A zero field of an enabled conf means the default, as in a run.
+		{"zero interval", func(c *sample.SampleConf) { c.Interval = 0 }, ""},
+		{"zero period", func(c *sample.SampleConf) { c.Period = 0 }, ""},
+		{"only enabled", func(c *sample.SampleConf) { *c = sample.SampleConf{Enabled: true} }, ""},
 		{"period too small", func(c *sample.SampleConf) { c.Period = c.Warmup + c.Interval - 1 }, "shorter than"},
+		{"period below the default warmup+interval", func(c *sample.SampleConf) {
+			*c = sample.SampleConf{Enabled: true, Period: 1000}
+		}, "shorter than warmup+interval 4000"},
 		{"confidence one", func(c *sample.SampleConf) { c.Confidence = 1 }, "confidence"},
 		{"confidence negative", func(c *sample.SampleConf) { c.Confidence = -0.5 }, "confidence"},
 		{"negative min intervals", func(c *sample.SampleConf) { c.MinIntervals = -1 }, "min_intervals"},

@@ -9,42 +9,50 @@ import (
 
 // Metrics holds the cache's internal atomic counters.
 type Metrics struct {
-	hits      atomic.Uint64
-	dedups    atomic.Uint64
-	diskHits  atomic.Uint64
-	misses    atomic.Uint64
-	bypasses  atomic.Uint64
-	cancels   atomic.Uint64
-	sampled   atomic.Uint64
-	simWallNS atomic.Int64
-	simCycles atomic.Int64
-	simInsts  atomic.Uint64
+	hits       atomic.Uint64
+	dedups     atomic.Uint64
+	diskHits   atomic.Uint64
+	misses     atomic.Uint64
+	bypasses   atomic.Uint64
+	cancels    atomic.Uint64
+	sampled    atomic.Uint64
+	simWallNS  atomic.Int64
+	sampWallNS atomic.Int64
+	simCycles  atomic.Int64
+	simInsts   atomic.Uint64
 }
 
-// count adds one executed run under sc to the throughput counters: the
-// cycles and instructions a disabled conf's exact run simulated, or one
-// sampled run, whose estimated cycles the pipeline never simulated.
-func (m *Metrics) count(sc sample.SampleConf, r sample.Result) {
+// ran adds one executed group of runs under sc to the throughput counters.
+// A group runs under one conf, so its wall time is wholly exact or wholly
+// sampled: it lands in SimWall, and in SampledWall as well when sc sampled
+// it. Exact runs add the cycles and instructions they simulated; sampled
+// runs, whose estimated cycles the pipeline never simulated, only count.
+func (m *Metrics) ran(sc sample.SampleConf, rs []sample.Result, wall time.Duration) {
+	m.simWallNS.Add(int64(wall))
 	if sc.Enabled {
-		m.sampled.Add(1)
+		m.sampWallNS.Add(int64(wall))
+		m.sampled.Add(uint64(len(rs)))
 		return
 	}
-	m.simCycles.Add(r.Full.Cycles)
-	m.simInsts.Add(r.Full.Retired)
+	for _, r := range rs {
+		m.simCycles.Add(r.Full.Cycles)
+		m.simInsts.Add(r.Full.Retired)
+	}
 }
 
 func (m *Metrics) snapshot() Snapshot {
 	return Snapshot{
-		Hits:      m.hits.Load(),
-		Dedups:    m.dedups.Load(),
-		DiskHits:  m.diskHits.Load(),
-		Misses:    m.misses.Load(),
-		Bypasses:  m.bypasses.Load(),
-		Cancels:   m.cancels.Load(),
-		Sampled:   m.sampled.Load(),
-		SimWall:   time.Duration(m.simWallNS.Load()),
-		SimCycles: m.simCycles.Load(),
-		SimInsts:  m.simInsts.Load(),
+		Hits:        m.hits.Load(),
+		Dedups:      m.dedups.Load(),
+		DiskHits:    m.diskHits.Load(),
+		Misses:      m.misses.Load(),
+		Bypasses:    m.bypasses.Load(),
+		Cancels:     m.cancels.Load(),
+		Sampled:     m.sampled.Load(),
+		SimWall:     time.Duration(m.simWallNS.Load()),
+		SampledWall: time.Duration(m.sampWallNS.Load()),
+		SimCycles:   m.simCycles.Load(),
+		SimInsts:    m.simInsts.Load(),
 	}
 }
 
@@ -70,12 +78,16 @@ type Snapshot struct {
 	Cancels uint64 `json:"cancels,omitempty"`
 	// Sampled counts simulations executed under an enabled sampling conf
 	// (a subset of Misses, plus traced bypass runs), exact fallbacks
-	// included. Their wall time lands in SimWall but their cycles never
-	// enter SimCycles — that counter means cycles of full-fidelity runs.
+	// included. Their wall time lands in SimWall and SampledWall but their
+	// cycles never enter SimCycles — that counter means cycles of
+	// full-fidelity runs.
 	Sampled uint64 `json:"sampled,omitempty"`
 	// SimWall is the aggregate wall time of the executed runs that
 	// returned a result; failed and cancelled runs add nothing.
 	SimWall time.Duration `json:"sim_wall_ns"`
+	// SampledWall is the part of SimWall spent in runs under an enabled
+	// sampling conf; the rest is the full-fidelity runs' wall time.
+	SampledWall time.Duration `json:"sampled_wall_ns,omitempty"`
 	// SimCycles is the total simulated cycles across executed
 	// full-fidelity runs.
 	SimCycles int64 `json:"sim_cycles"`
@@ -99,35 +111,36 @@ func (s Snapshot) HitRate() float64 {
 }
 
 // CyclesPerSec returns the simulator throughput in simulated cycles per
-// wall-clock second over the executed runs.
+// wall-clock second over the executed full-fidelity runs.
 func (s Snapshot) CyclesPerSec() float64 {
-	if s.SimWall <= 0 {
-		return 0
+	if w := s.SimWall - s.SampledWall; w > 0 {
+		return float64(s.SimCycles) / w.Seconds()
 	}
-	return float64(s.SimCycles) / s.SimWall.Seconds()
+	return 0
 }
 
 // KIPS returns the simulator throughput in simulated kilo-instructions per
-// wall-clock second over the executed runs.
+// wall-clock second over the executed full-fidelity runs.
 func (s Snapshot) KIPS() float64 {
-	if s.SimWall <= 0 {
-		return 0
+	if w := s.SimWall - s.SampledWall; w > 0 {
+		return float64(s.SimInsts) / 1000 / w.Seconds()
 	}
-	return float64(s.SimInsts) / 1000 / s.SimWall.Seconds()
+	return 0
 }
 
 // Sub returns the counter deltas since an earlier snapshot.
 func (s Snapshot) Sub(prev Snapshot) Snapshot {
 	return Snapshot{
-		Hits:      s.Hits - prev.Hits,
-		Dedups:    s.Dedups - prev.Dedups,
-		DiskHits:  s.DiskHits - prev.DiskHits,
-		Misses:    s.Misses - prev.Misses,
-		Bypasses:  s.Bypasses - prev.Bypasses,
-		Cancels:   s.Cancels - prev.Cancels,
-		Sampled:   s.Sampled - prev.Sampled,
-		SimWall:   s.SimWall - prev.SimWall,
-		SimCycles: s.SimCycles - prev.SimCycles,
-		SimInsts:  s.SimInsts - prev.SimInsts,
+		Hits:        s.Hits - prev.Hits,
+		Dedups:      s.Dedups - prev.Dedups,
+		DiskHits:    s.DiskHits - prev.DiskHits,
+		Misses:      s.Misses - prev.Misses,
+		Bypasses:    s.Bypasses - prev.Bypasses,
+		Cancels:     s.Cancels - prev.Cancels,
+		Sampled:     s.Sampled - prev.Sampled,
+		SimWall:     s.SimWall - prev.SimWall,
+		SampledWall: s.SampledWall - prev.SampledWall,
+		SimCycles:   s.SimCycles - prev.SimCycles,
+		SimInsts:    s.SimInsts - prev.SimInsts,
 	}
 }

@@ -92,6 +92,38 @@ func TestRunSampledKeySeparation(t *testing.T) {
 	}
 }
 
+// TestSampledWallSplit: one exact and one sampled run through one cache
+// split SimWall into its sampled part and the rest, and the throughput
+// rates divide the exact run's cycles and instructions by the rest alone.
+func TestSampledWallSplit(t *testing.T) {
+	ctx := context.Background()
+	c := New("")
+	p := testProg(t)
+	in := testInput(120_000)
+	cfg := pipeline.DefaultConfig()
+	if _, err := c.RunSampledCtx(ctx, p, in, cfg, sample.SampleConf{}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := c.RunSampledCtx(ctx, p, in, cfg, sample.DefaultConf())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Exact {
+		t.Fatal("the sampled run fell back to an exact run")
+	}
+	m := c.Metrics()
+	if !(m.SimWall > m.SampledWall && m.SampledWall > 0) {
+		t.Fatalf("SimWall %v, SampledWall %v: want SimWall > SampledWall > 0", m.SimWall, m.SampledWall)
+	}
+	exact := (m.SimWall - m.SampledWall).Seconds()
+	if got, want := m.KIPS(), float64(m.SimInsts)/1000/exact; got != want {
+		t.Errorf("KIPS = %v, want %v over the exact wall", got, want)
+	}
+	if got, want := m.CyclesPerSec(), float64(m.SimCycles)/exact; got != want {
+		t.Errorf("CyclesPerSec = %v, want %v over the exact wall", got, want)
+	}
+}
+
 // TestRunSampledDisk: a fresh Cache over the same directory answers from the
 // schema-versioned sampled namespace without re-simulating.
 func TestRunSampledDisk(t *testing.T) {

@@ -285,9 +285,8 @@ func (c *Cache) RunSampledCells(ctx context.Context, input []int64, cells []samp
 				}
 				return nil, err
 			}
-			c.metrics.simWallNS.Add(int64(time.Since(start)))
+			c.metrics.ran(sc, rs, time.Since(start))
 			for j, i := range runs {
-				c.metrics.count(sc, rs[j])
 				if !mine[i] {
 					c.metrics.bypasses.Add(1)
 					out[i] = rs[j]

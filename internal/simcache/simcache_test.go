@@ -364,6 +364,17 @@ func TestSnapshotHelpers(t *testing.T) {
 	if d.Hits != 3 || d.Misses != 1 || d.SimWall != 1e9 || d.SimCycles != 60e6 {
 		t.Errorf("Sub = %+v", d)
 	}
+	// Sampled wall time is no full-fidelity throughput.
+	s.SampledWall = 1.5e9
+	if got := s.CyclesPerSec(); got != 200e6 {
+		t.Errorf("CyclesPerSec with 1.5s of 2s sampled = %v, want 200e6", got)
+	}
+	if got := (Snapshot{SimWall: 1e9, SampledWall: 1e9}).KIPS(); got != 0 {
+		t.Errorf("KIPS of a wholly sampled snapshot = %v, want 0", got)
+	}
+	if d := s.Sub(Snapshot{SimWall: 1e9, SampledWall: 0.5e9}); d.SampledWall != 1e9 {
+		t.Errorf("Sub SampledWall = %v, want 1s", d.SampledWall)
+	}
 	if (Snapshot{}).HitRate() != 0 || (Snapshot{}).CyclesPerSec() != 0 {
 		t.Error("zero snapshot helpers must return 0")
 	}

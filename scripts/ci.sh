@@ -12,8 +12,9 @@
 # generated-corpus smoke (dmpgen -check over 50 programs spanning every
 # preset), the profile-free static-estimate smoke (the same corpus with
 # -check -static), the sampled-simulation differential smoke (the
-# sample-error gate over a corpus subset and a small generated population:
-# every full-fidelity IPC must land inside the sampled confidence interval),
+# sample-error gate over a corpus subset and a 40-program generated
+# population: every full-fidelity IPC must land inside the sampled
+# confidence interval, and the population must hold sampled rows),
 # the dmpserve daemon smoke (real HTTP jobs including a duplicate spec that
 # must hit the shared simulation cache, a /metrics scrape, and a SIGTERM
 # graceful-drain check), the disk-cache smoke (scripts/cache_smoke.sh:
@@ -50,7 +51,7 @@ sh scripts/bench_compare.sh
 go run ./cmd/dmplint -corpus
 go run ./cmd/dmpgen -preset all -n 50 -seed 1 -check
 go run ./cmd/dmpgen -preset all -n 50 -seed 1 -check -static
-go run ./cmd/dmpbench -exp sample-error -bench gzip,mcf,twolf -gen-n 12
+go run ./cmd/dmpbench -exp sample-error -bench gzip,mcf,twolf -gen-n 40
 go run ./cmd/dmpsim -bench vpr -dmp -max 200000 -trace-json .trace-smoke.jsonl >/dev/null
 go run ./cmd/dmptrace -require-sessions .trace-smoke.jsonl >/dev/null
 rm -f .trace-smoke.jsonl
